@@ -82,6 +82,13 @@ def _min_subset_sum(entropies: Sequence[float], t: int) -> float:
     return sum(entropies[i] for i in ordered[:t])
 
 
+def min_entropy_cap(model: InputModel, t: int) -> float:
+    """Sum of the t smallest column entropies of an independent model: the
+    symmetric upper bound on H(X|Y) for |X| = t, which a report checks every
+    observed value against."""
+    return _min_subset_sum(_column_entropies(model), t)
+
+
 def _check_t_range(model: InputModel, t_i: int, t_o: int) -> None:
     if not 1 <= t_i <= t_o <= model.s:
         raise InvalidParametersError(
@@ -221,14 +228,24 @@ class BoundComparison:
     attains_upper: bool
 
 
+def _h_y(array: AontArray, model: InputModel, pair: SubsetPair, h_y: float | None) -> float:
+    if h_y is not None:
+        return h_y
+    return subset_entropy(array, model, pair.y) if pair.y else 0.0
+
+
 def interval_for(
     array: AontArray,
     model: InputModel,
     pair: SubsetPair,
     which: str,
+    h_y: float | None = None,
 ) -> EntropyInterval:
     """Build the interval a tag prescribes for this pair, after verifying the
-    array actually belongs to the class the tag assumes."""
+    array actually belongs to the class the tag assumes.
+
+    The H(Y)-conditioned tags use `h_y` when given and compute H(Y) otherwise.
+    """
     t_i = len(pair.x)
     t_o = array.s - len(pair.y)
     if which in (SYMMETRIC, NONUNIFORM_EXACT, BLOCK_EXACT):
@@ -252,7 +269,7 @@ def interval_for(
             )
         if which == ASYMMETRIC:
             return bounds_asymmetric(model, t_i, t_o, x_cols=pair.x)
-        return bounds_asymmetric_given_hy(model, t_i, t_o, subset_entropy(array, model, pair.y))
+        return bounds_asymmetric_given_hy(model, t_i, t_o, _h_y(array, model, pair, h_y))
     if which in (WEAK, WEAK_GIVEN_HY):
         if t_o < t_i:
             raise ClassificationMismatchError(f"|X|={t_i} exceeds s - |Y|={t_o}")
@@ -262,7 +279,7 @@ def interval_for(
             )
         if which == WEAK:
             return bounds_weak(model, t_i, t_o, x_cols=pair.x)
-        return bounds_weak_given_hy(model, t_i, t_o, subset_entropy(array, model, pair.y))
+        return bounds_weak_given_hy(model, t_i, t_o, _h_y(array, model, pair, h_y))
     raise InvalidParametersError(f"unknown bound tag {which!r}")
 
 
@@ -272,10 +289,17 @@ def compare(
     pair: SubsetPair,
     which: str,
     tolerance: float = 1e-6,
+    observed: float | None = None,
+    h_y: float | None = None,
 ) -> BoundComparison:
-    """Evaluate the oracle H(X|Y) and place it against the tagged interval."""
-    interval = interval_for(array, model, pair, which)
-    observed = conditional_entropy(array, model, pair)
+    """Place the oracle H(X|Y) against the tagged interval.
+
+    `observed` (H(X|Y)) and `h_y` (H(Y)) may be passed in when already
+    computed; whichever is missing is evaluated here.
+    """
+    interval = interval_for(array, model, pair, which, h_y)
+    if observed is None:
+        observed = conditional_entropy(array, model, pair)
     return BoundComparison(
         pair=pair,
         observed=observed,

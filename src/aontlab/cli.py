@@ -20,6 +20,7 @@ from .constructions import (
     worker_count,
 )
 from .demos import DEMO_NUMBERS, format_demo, run_demo
+from .entropy import SubsetPair
 from .errors import AontLabError
 from .models import load_model_json
 from .report import (
@@ -36,6 +37,16 @@ click.exceptions.UsageError.exit_code = 4
 _VERDICT_EXIT = {AONT: 0, WEAK_AONT_ONLY: 1, NEITHER: 2}
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    """click.echo to the current sys.stdout or sys.stderr.
+
+    Without an explicit file, click caches a wrapper per stream in a
+    WeakKeyDictionary whose value is the stream itself, so every redirected
+    stream (an in-process caller's io.StringIO) would stay alive forever.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _load_array(ctx: click.Context, array_path: str | None, builtin_name: str | None) -> tuple[AontArray, str]:
     if (array_path is None) == (builtin_name is None):
         raise click.UsageError("supply exactly one of --array FILE or --builtin NAME")
@@ -44,18 +55,25 @@ def _load_array(ctx: click.Context, array_path: str | None, builtin_name: str | 
             return builtin(builtin_name), builtin_name
         return load_array_csv(array_path), array_path
     except (OSError, AontLabError) as exc:
-        click.echo(f"error: cannot load array: {exc}", err=True)
+        _echo(f"error: cannot load array: {exc}", err=True)
         ctx.exit(3)
 
 
-def _parse_pair_spec(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
+    """Parse 'X cols:Y cols'; the pair must have |X| = t_i and |Y| = s - t_o."""
     try:
         x_part, y_part = spec.split(":", 1)
         x = tuple(int(c) for c in x_part.split(",") if c)
         y = tuple(int(c) for c in y_part.split(",") if c) if y_part else ()
-        return x, y
     except ValueError:
         raise click.UsageError(f"bad --pair spec {spec!r}; expected e.g. '1:4' or '1,2:5'") from None
+    pair = SubsetPair(x, y)
+    if len(pair.x) != t_i or len(pair.y) != s - t_o:
+        raise click.UsageError(
+            f"--pair {spec!r} has |X|={len(pair.x)}, |Y|={len(pair.y)}; "
+            f"expected |X| = t_i = {t_i} and |Y| = s - t_o = {s - t_o}"
+        )
+    return pair
 
 
 @click.group()
@@ -77,10 +95,10 @@ def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
     try:
         verdict = classify(array, ti, to)
     except AontLabError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         ctx.exit(3)
     if fmt == "json":
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "array": label,
@@ -95,7 +113,7 @@ def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
         line = f"{label}: {verdict.verdict} (t_i={ti}, t_o={to})"
         if verdict.witness:
             line += f", first failing columns {verdict.witness}"
-        click.echo(line)
+        _echo(line)
     ctx.exit(_VERDICT_EXIT[verdict.verdict])
 
 
@@ -113,7 +131,7 @@ def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
     "asymmetric, asymmetric-hy, weak, weak-hy)",
 )
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
-@click.option("--tolerance", type=float, default=1e-6, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True)
 @click.option(
     "--pair",
     "pair_specs",
@@ -127,16 +145,12 @@ def analyze(ctx, array_path, builtin_name, model_path, ti, to, bounds, fmt, tole
     try:
         model = load_model_json(model_path)
     except OSError as exc:
-        click.echo(f"error: cannot read model: {exc}", err=True)
+        _echo(f"error: cannot read model: {exc}", err=True)
         ctx.exit(3)
     except (AontLabError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        click.echo(f"error: malformed model file: {exc}", err=True)
+        _echo(f"error: malformed model file: {exc}", err=True)
         ctx.exit(3)
-    pairs = None
-    if pair_specs:
-        from .entropy import SubsetPair
-
-        pairs = [SubsetPair(*_parse_pair_spec(spec)) for spec in pair_specs]
+    pairs = [_parse_pair_spec(spec, array.s, ti, to) for spec in pair_specs] or None
     try:
         report = build_report(
             array,
@@ -150,19 +164,19 @@ def analyze(ctx, array_path, builtin_name, model_path, ti, to, bounds, fmt, tole
             pairs=pairs,
         )
     except AontLabError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         ctx.exit(3)
     if fmt == "json":
-        click.echo(json.dumps(report_to_json_dict(report), indent=2))
+        _echo(json.dumps(report_to_json_dict(report), indent=2))
     elif fmt == "csv":
-        click.echo(report_to_csv(report), nl=False)
+        _echo(report_to_csv(report), nl=False)
     else:
-        click.echo(report_to_table(report), nl=False)
+        _echo(report_to_table(report), nl=False)
 
 
 @cli.command()
 @click.argument("number", type=int)
-@click.option("--tolerance", type=float, default=1e-6, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.pass_context
 def demo(ctx, number, tolerance, fmt) -> None:
@@ -177,9 +191,9 @@ def demo(ctx, number, tolerance, fmt) -> None:
             for c in checks
         ]
         doc["passed"] = passed
-        click.echo(json.dumps(doc, indent=2))
+        _echo(json.dumps(doc, indent=2))
     else:
-        click.echo(format_demo(number, checks, passed, tolerance), nl=False)
+        _echo(format_demo(number, checks, passed, tolerance), nl=False)
     ctx.exit(0 if passed else 1)
 
 
@@ -196,26 +210,26 @@ def search(ctx, s, v, ti, to, cap, fmt) -> None:
     """Exhaustively search invertible matrices for full (t_i, t_o) transforms."""
 
     def progress(done: int, total: int) -> None:
-        click.echo(f"scanned {done}/{total} candidates", err=True)
+        _echo(f"scanned {done}/{total} candidates", err=True)
 
     try:
         result = search_linear(s, v, ti, to, cap=cap, workers=worker_count(), progress=progress)
     except AontLabError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         ctx.exit(3)
     if fmt == "json":
-        click.echo(json.dumps(result.to_json_dict()))
+        _echo(json.dumps(result.to_json_dict()))
     else:
-        click.echo(f"{result.examined} examined, {len(result.found)} found")
+        _echo(f"{result.examined} examined, {len(result.found)} found")
         for m in result.found:
-            click.echo(json.dumps(m.to_json()))
+            _echo(json.dumps(m.to_json()))
 
 
 def main(argv: list[str] | None = None) -> None:
     try:
         cli.main(args=argv, prog_name="aontlab")
     except AontLabError as exc:  # pragma: no cover - commands catch their own
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(3)
 
 

@@ -1,29 +1,31 @@
 """Exact-enumeration entropy engine.
 
-Joint distributions over column subsets are accumulated as exact rationals
-keyed by the mixed-radix tuple encoding; only the final log/sum runs in
-floating point. Conditional entropy is H(X,Y) - H(Y), which is the
-brute-force oracle valid for any array, not just verified transforms.
+Each row's prior probability is an exact integer weight over one common
+denominator D, computed once per (array, model). Joint distributions over
+column subsets are integer scatter-adds of those weights, keyed by the
+mixed-radix tuple encoding; only the final log/sum runs in floating point.
+Conditional entropy is H(X,Y) - H(Y), which is the brute-force oracle valid
+for any array, not just verified transforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Iterable, Sequence
 
 from .arrays import AONT, AontArray, cached_classify, normalize_columns
-from .coding import entropy_bits
-from .errors import FormulaPreconditionError, InvalidParametersError
+from .coding import encode_tuple, entropy_bits
+from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError
 from .models import (
     INDEPENDENT,
     Distribution,
     InputModel,
     column_entropy,
-    joint_probability,
+    joint_probability,  # unused here; perfbench/tracing.py counts calls through this name
 )
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -48,26 +50,108 @@ def _validate_pair(array: AontArray, pair: SubsetPair) -> None:
         raise InvalidParametersError(f"Y columns {pair.y} outside outputs {s + 1}..{2 * s}")
 
 
-def _accumulate(array: AontArray, model: InputModel, cols: Sequence[int]) -> list[Fraction]:
-    """Dense exact pmf over the projection onto `cols` (1-based, any order)."""
+def _over_lcm(masses: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Masses as integer numerators over the LCM of their denominators."""
+    lcm = math.lcm(*(p.denominator for p in masses))
+    return [p.numerator * (lcm // p.denominator) for p in masses], lcm
+
+
+def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
+    """Each row's prior Pr[inputs of the row] as an integer weight over one
+    common denominator D, so that the row's probability is weight / D.
+
+    Independent model: D is the product of the per-column LCMs of the mass
+    denominators, and a weight is the product of per-column integer tables.
+    Block model: D = lcm(block-joint denominators) * v^(s - |block|), and a
+    weight is the scaled block-joint entry of the row's block symbols.
+    """
+    if (model.s, model.v) != (array.s, array.v):
+        raise ArityMismatchError(
+            f"model shape (s={model.s}, v={model.v}) does not match array "
+            f"(s={array.s}, v={array.v})"
+        )
+    if model.kind == INDEPENDENT:
+        tables, lcms = zip(*(_over_lcm(dist.masses) for dist in model.columns))
+        return [math.prod(map(getitem, tables, row)) for row in array.rows], math.prod(lcms)
+    table, lcm = _over_lcm(model.block_joint.masses)
+    idxs = [c - 1 for c in model.block]
+    weights = [table[encode_tuple([row[i] for i in idxs], model.v)] for row in array.rows]
+    return weights, lcm * model.v ** (model.s - len(model.block))
+
+
+def _accumulate(array: AontArray, weights: Sequence[int], cols: Sequence[int]) -> list[int]:
+    """Dense integer weights of the projection onto `cols` (1-based, any order)."""
     v = array.v
-    s = array.s
     idxs = [c - 1 for c in cols]
-    masses = [ZERO] * v ** len(cols)
-    for row in array.rows:
-        p = joint_probability(model, row[:s])
-        if p:
-            code = 0
-            for i in idxs:
-                code = code * v + row[i]
-            masses[code] += p
+    masses = [0] * v ** len(cols)
+    for row, w in zip(array.rows, weights):
+        code = 0
+        for i in idxs:
+            code = code * v + row[i]
+        masses[code] += w
     return masses
+
+
+def _bits(weights: Iterable[int], denominator: int) -> float:
+    # int / int is correctly rounded, so w / D equals float(Fraction(w, D))
+    return entropy_bits(w / denominator for w in weights)
+
+
+@dataclass(frozen=True)
+class PairJoint:
+    """Integer weights of the prior projected onto X u Y (X-major codes),
+    with both marginals, over the common denominator."""
+
+    denominator: int
+    joint: list[int]
+    x: list[int]
+    y: list[int]
+
+    def h_x(self) -> float:
+        return _bits(self.x, self.denominator)
+
+    def h_y(self) -> float:
+        return _bits(self.y, self.denominator)
+
+    def conditional(self, h_y: float) -> float:
+        """H(X|Y) = H(X,Y) - H(Y)."""
+        return _bits(self.joint, self.denominator) - h_y
+
+    def stat_distance(self) -> float:
+        """max over y with Pr[y] > 0 of SD(P[X | Y=y], P[X]).
+
+        With weights, SD_y = sum_x |w_xy D - w_x w_y| / (2 w_y D); the
+        maximum is kept as an exact ratio and divided once.
+        """
+        d = self.denominator
+        y_size = len(self.y)
+        best_num, best_den = 0, 1
+        for y_code, w_y in enumerate(self.y):
+            if not w_y:
+                continue
+            num = sum(abs(w * d - w_x * w_y) for w, w_x in zip(self.joint[y_code::y_size], self.x))
+            den = 2 * w_y * d
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+        return best_num / best_den
+
+
+def pair_joint(array: AontArray, weights: Sequence[int], denominator: int, pair: SubsetPair) -> PairJoint:
+    """One projection onto X u Y, from which every per-pair quantity follows."""
+    _validate_pair(array, pair)
+    joint = _accumulate(array, weights, pair.x + pair.y)
+    y_size = array.v ** len(pair.y)
+    x_marginal = [sum(joint[i : i + y_size]) for i in range(0, len(joint), y_size)]
+    y_marginal = [sum(joint[y_code::y_size]) for y_code in range(y_size)]
+    return PairJoint(denominator, joint, x_marginal, y_marginal)
 
 
 def marginal_distribution(array: AontArray, model: InputModel, cols: Iterable[int]) -> Distribution:
     """Exact pmf the model induces on any mix of input/output columns."""
     cset = normalize_columns(cols, 2 * array.s)
-    return Distribution(array.v, len(cset), tuple(_accumulate(array, model, cset)))
+    weights, denominator = prior_weights(array, model)
+    masses = tuple(Fraction(w, denominator) for w in _accumulate(array, weights, cset))
+    return Distribution(array.v, len(cset), masses)
 
 
 def subset_entropy(array: AontArray, model: InputModel, cols: Iterable[int]) -> float:
@@ -76,25 +160,13 @@ def subset_entropy(array: AontArray, model: InputModel, cols: Iterable[int]) -> 
 
 def conditional_entropy(array: AontArray, model: InputModel, pair: SubsetPair) -> float:
     """Brute-force H(X|Y) = H(X,Y) - H(Y) from the exact joint."""
-    _validate_pair(array, pair)
-    v = array.v
-    joint = _accumulate(array, model, pair.x + pair.y)
-    h_xy = entropy_bits(joint)
-    y_size = v ** len(pair.y)
-    y_marginal = [ZERO] * y_size
-    for code, p in enumerate(joint):
-        if p:
-            y_marginal[code % y_size] += p
-    return h_xy - entropy_bits(y_marginal)
+    joint = pair_joint(array, *prior_weights(array, model), pair)
+    return joint.conditional(joint.h_y())
 
 
-def conditional_entropy_formula(array: AontArray, model: InputModel, pair: SubsetPair) -> float:
-    """Closed-form H(X|Y) = sum_i H(X_i) - H(Y).
-
-    Valid only for an independent model on an array verified as a full
-    symmetric transform at t = |X| with |Y| = s - t; anything else raises.
-    """
-    _validate_pair(array, pair)
+def check_formula_applies(array: AontArray, model: InputModel, pair: SubsetPair) -> None:
+    """Raise unless the closed form holds: an independent model on an array
+    verified as a full symmetric transform at t = |X|, with |Y| = s - t."""
     if model.kind != INDEPENDENT:
         raise FormulaPreconditionError("closed form requires an independent model")
     t = len(pair.x)
@@ -104,9 +176,23 @@ def conditional_entropy_formula(array: AontArray, model: InputModel, pair: Subse
         )
     if cached_classify(array, t, t).verdict != AONT:
         raise FormulaPreconditionError(f"array is not a verified (t={t}) transform")
-    h_cols = sum(column_entropy(model, i) for i in range(1, array.s + 1))
+
+
+def column_entropy_sum(model: InputModel) -> float:
+    """sum_i H(X_i), the first term of the closed form."""
+    return sum(column_entropy(model, i) for i in range(1, model.s + 1))
+
+
+def conditional_entropy_formula(array: AontArray, model: InputModel, pair: SubsetPair) -> float:
+    """Closed-form H(X|Y) = sum_i H(X_i) - H(Y).
+
+    Valid only for an independent model on an array verified as a full
+    symmetric transform at t = |X| with |Y| = s - t; anything else raises.
+    """
+    _validate_pair(array, pair)
+    check_formula_applies(array, model, pair)
     h_y = subset_entropy(array, model, pair.y) if pair.y else 0.0
-    return h_cols - h_y
+    return column_entropy_sum(model) - h_y
 
 
 @dataclass(frozen=True)
@@ -149,25 +235,4 @@ def statistical_distance(array: AontArray, model: InputModel, pair: SubsetPair) 
 
     Zero-mass y tuples have no conditional and are skipped.
     """
-    _validate_pair(array, pair)
-    v = array.v
-    joint = _accumulate(array, model, pair.x + pair.y)
-    x_size = v ** len(pair.x)
-    y_size = v ** len(pair.y)
-    x_marginal = [ZERO] * x_size
-    y_marginal = [ZERO] * y_size
-    for code, p in enumerate(joint):
-        if p:
-            x_marginal[code // y_size] += p
-            y_marginal[code % y_size] += p
-    worst = ZERO
-    for y_code, p_y in enumerate(y_marginal):
-        if not p_y:
-            continue
-        total = ZERO
-        for x_code in range(x_size):
-            total += abs(joint[x_code * y_size + y_code] / p_y - x_marginal[x_code])
-        sd = total / 2
-        if sd > worst:
-            worst = sd
-    return float(worst)
+    return pair_joint(array, *prior_weights(array, model), pair).stat_distance()

@@ -34,11 +34,14 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, strings like '1/4', (num, den) pairs, or Fractions."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
     if isinstance(value, float):
         raise MassSumError(f"refusing inexact float mass {value!r}; pass a rational")
-    return Fraction(value)
+    try:
+        if isinstance(value, (tuple, list)) and len(value) == 2:
+            return Fraction(int(value[0]), int(value[1]))
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise MassSumError(f"mass {value!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -18,12 +19,18 @@ from . import bounds as bnd
 from .arrays import AONT, WEAK_AONT_ONLY, AontArray, ClassificationVerdict, classify
 from .entropy import (
     SubsetPair,
+    check_formula_applies,
+    column_entropy_sum,
+    pair_joint,
+    prior_weights,
+)
+from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     conditional_entropy,
     conditional_entropy_formula,
     statistical_distance,
     subset_entropy,
 )
-from .errors import InvalidParametersError
+from .errors import InvalidParametersError, MassSumError
 from .models import BLOCK_DEPENDENT, INDEPENDENT, InputModel
 
 AUTO = "auto"
@@ -112,23 +119,33 @@ def build_report(
             raise InvalidParametersError(f"unknown bound tag {tag!r}; know {bnd.ALL_TAGS}")
 
     formula_ok = model.kind == INDEPENDENT and t_i == t_o and verdict.verdict == AONT
-    min_cap = None
-    if model.kind == INDEPENDENT:
-        min_cap = bnd._min_subset_sum(bnd._column_entropies(model), t_i)
+    min_cap = bnd.min_entropy_cap(model, t_i) if model.kind == INDEPENDENT else None
+    h_cols = column_entropy_sum(model) if formula_ok else None
+
+    weights, denominator = prior_weights(array, model)
+    total = sum(weights)
+    if total != denominator:  # the input block repeats or misses a tuple
+
+        raise MassSumError(f"masses sum to {Fraction(total, denominator)}, expected 1")
 
     all_pairs = admissible_pairs(array.s, t_i, t_o) if pairs is None else list(pairs)
     rows: list[ReportRow] = []
     for pair in all_pairs:
-        oracle = conditional_entropy(array, model, pair)
-        formula = conditional_entropy_formula(array, model, pair) if formula_ok else None
-        sd = statistical_distance(array, model, pair)
-        h_x = subset_entropy(array, model, pair.x)
+        joint = pair_joint(array, weights, denominator, pair)
+        h_y = joint.h_y()
+        oracle = joint.conditional(h_y)
+        formula = None
+        if formula_ok:
+            check_formula_applies(array, model, pair)
+            formula = h_cols - h_y
+        sd = joint.stat_distance()
+        h_x = joint.h_x()
         if tag is None:
             rows.append(
                 ReportRow(pair.x, pair.y, oracle, formula, sd, h_x, None, None, None, None, None, None)
             )
         else:
-            cmp = bnd.compare(array, model, pair, tag, tolerance)
+            cmp = bnd.compare(array, model, pair, tag, tolerance, observed=oracle, h_y=h_y)
             rows.append(
                 ReportRow(
                     pair.x,

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from aontlab import (
     ASYMMETRIC,
+    ASYMMETRIC_GIVEN_HY,
     NONUNIFORM_EXACT,
     SYMMETRIC,
     WEAK,
+    WEAK_GIVEN_HY,
     Distribution,
     bounds_asymmetric,
     bounds_asymmetric_given_hy,
@@ -27,6 +29,7 @@ from aontlab import (
     uniform,
     uniform_model,
 )
+from aontlab.bounds import min_entropy_cap
 from aontlab.entropy import SubsetPair
 from aontlab.errors import (
     BlockTooLargeError,
@@ -233,3 +236,29 @@ def test_symmetric_cap_only_for_symmetric(table2):
     min_cap = min(model.columns[i].entropy_bits() for i in range(3))
     observed = conditional_entropy(table2, model, SubsetPair((1,), (5,)))
     assert observed > min_cap + 1e-3
+
+
+def test_min_entropy_cap_is_symmetric_upper_bound():
+    model = example3_model()
+    hs = sorted(model.columns[i].entropy_bits() for i in range(3))
+    assert min_entropy_cap(model, 1) == hs[0]
+    assert min_entropy_cap(model, 2) == hs[0] + hs[1]
+    assert min_entropy_cap(model, 2) == bounds_symmetric(model, 2).upper
+    with pytest.raises(InvalidParametersError):
+        min_entropy_cap(make_block_dependent_model(3, 3, (), None), 1)
+
+
+@pytest.mark.parametrize("tag", [ASYMMETRIC, ASYMMETRIC_GIVEN_HY, WEAK, WEAK_GIVEN_HY])
+def test_compare_with_precomputed_values_matches_standalone(table2, tag):
+    model = example3_model()
+    pair = SubsetPair((2,), (6,))
+    alone = compare(table2, model, pair, tag)
+    given = compare(
+        table2,
+        model,
+        pair,
+        tag,
+        observed=conditional_entropy(table2, model, pair),
+        h_y=subset_entropy(table2, model, pair.y),
+    )
+    assert given == alone

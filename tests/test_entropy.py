@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import log2
@@ -7,20 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aontlab import (
+    Alphabet,
+    AontArray,
     Distribution,
+    build_report,
+    builtin,
+    column_entropy,
     completion_set,
     conditional_entropy,
     conditional_entropy_formula,
+    linear_aont,
     make_block_dependent_model,
     make_independent_model,
     marginal_distribution,
+    matrix_from_rows,
     statistical_distance,
     subset_entropy,
     uniform_model,
 )
-from aontlab.entropy import SubsetPair
+from aontlab.entropy import SubsetPair, _accumulate, prior_weights
 from aontlab.errors import FormulaPreconditionError, InvalidParametersError, MassSumError
 
+import entropy_oracle
 from conftest import example1_model, example3_model, example4_model, random_independent_model
 
 
@@ -205,8 +214,97 @@ def test_non_bijective_inputs_rejected(table1):
     # duplicated input projections double-count mass; the accumulator refuses
     rows = list(table1.rows)
     rows[1] = rows[0]
-    from aontlab import AontArray
-
     broken = AontArray(table1.alphabet, 2, tuple(rows))
     with pytest.raises(MassSumError):
         marginal_distribution(broken, example1_model(), (3,))
+    with pytest.raises(MassSumError):
+        build_report(broken, example1_model(), 1, 1, bounds_tag=None)
+
+
+# --- cross-check against the exact-rational reference engine -----------------
+
+
+def _random_masses(rng: random.Random, size: int) -> tuple[F, ...]:
+    """Exact pmf with some zero masses, so zero-weight rows and tuples occur,
+    and some large ones, so common denominators exceed 2**53."""
+    weights = [rng.choice((0, 0, 1, 2, 3, 7, 12, 97, 1_000_003, 9_999_991)) for _ in range(size)]
+    if not any(weights):
+        weights[rng.randrange(size)] = 1
+    total = sum(weights)
+    return tuple(F(w, total) for w in weights)
+
+
+def _random_array(rng: random.Random):
+    kind = rng.choice(("builtin", "linear", "random"))
+    if kind == "builtin":
+        return builtin(rng.choice(("table1", "table2", "table3")))
+    s, v = rng.choice(((1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)))
+    inputs = [tuple(x) for x in itertools.product(range(v), repeat=s)]
+    if kind == "linear":
+        while True:
+            matrix = matrix_from_rows(v, [[rng.randrange(v) for _ in range(s)] for _ in range(s)])
+            if matrix.is_invertible():
+                rows = list(linear_aont(matrix).rows)
+                break
+    else:
+        rows = [x + tuple(rng.randrange(v) for _ in range(s)) for x in inputs]
+    rng.shuffle(rows)
+    return AontArray(Alphabet(v), s, tuple(rows))
+
+
+def _random_model(rng: random.Random, s: int, v: int):
+    if rng.random() < 0.6:
+        return make_independent_model([_random_masses(rng, v) for _ in range(s)])
+    block = tuple(sorted(rng.sample(range(1, s + 1), rng.randint(0, s))))
+    joint = Distribution(v, len(block), _random_masses(rng, v ** len(block)))
+    return make_block_dependent_model(s, v, block, joint)
+
+
+def _random_pair(rng: random.Random, s: int) -> SubsetPair:
+    x = rng.sample(range(1, s + 1), rng.randint(1, s))
+    y = rng.sample(range(s + 1, 2 * s + 1), rng.randint(0, s))
+    return SubsetPair(x, y)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    array = _random_array(rng)
+    model = _random_model(rng, array.s, array.v)
+    weights, denominator = prior_weights(array, model)
+    for _ in range(3):
+        pair = _random_pair(rng, array.s)
+        cols = pair.x + pair.y
+        exact = [F(w, denominator) for w in _accumulate(array, weights, cols)]
+        assert exact == entropy_oracle.accumulate(array, model, cols)
+        assert marginal_distribution(array, model, cols).masses == tuple(
+            entropy_oracle.accumulate(array, model, sorted(cols))
+        )
+        # bit-for-bit, not approximately
+        assert conditional_entropy(array, model, pair) == entropy_oracle.conditional_entropy(
+            array, model, pair.x, pair.y
+        )
+        assert subset_entropy(array, model, pair.x) == entropy_oracle.subset_entropy(array, model, pair.x)
+        assert statistical_distance(array, model, pair) == entropy_oracle.statistical_distance(
+            array, model, pair.x, pair.y
+        )
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_report_rows_match_fraction_reference(seed):
+    rng = random.Random(seed)
+    array = _random_array(rng)
+    model = _random_model(rng, array.s, array.v)
+    t_i = rng.randint(1, array.s)
+    t_o = rng.randint(t_i, array.s)
+    report = build_report(array, model, t_i, t_o, bounds_tag=None)
+    for row in report.rows:
+        assert row.oracle == entropy_oracle.conditional_entropy(array, model, row.x, row.y)
+        assert row.h_x == entropy_oracle.subset_entropy(array, model, row.x)
+        assert row.stat_distance == entropy_oracle.statistical_distance(array, model, row.x, row.y)
+        if row.formula is not None:
+            h_cols = sum(column_entropy(model, i) for i in range(1, array.s + 1))
+            h_y = entropy_oracle.subset_entropy(array, model, row.y) if row.y else 0.0
+            assert row.formula == h_cols - h_y

@@ -234,3 +234,61 @@ def test_cli_search_json(runner):
 def test_cli_search_cap_exceeded(runner):
     result = runner.invoke(cli, ["search", "--s", "4", "--v", "7", "--ti", "1", "--to", "1"])
     assert result.exit_code == 3
+
+
+def test_cli_main_releases_redirected_stdout(ex1_model_file):
+    import gc
+    import io
+    import weakref
+    from contextlib import redirect_stdout
+
+    from aontlab.cli import main
+
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit):
+        main(["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "1", "--to", "1"])
+    assert "1.196889" in buf.getvalue()
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("mass", [[1, 0], "1/0"])
+def test_cli_analyze_zero_denominator_mass(tmp_path, mass):
+    import io
+    from contextlib import redirect_stderr
+
+    from aontlab.cli import main
+
+    path = tmp_path / "zero.json"
+    doc = {"s": 2, "v": 3, "kind": "independent", "columns": [[[1, 3], [1, 3], mass], [[1, 3]] * 3]}
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["analyze", "--builtin", "table1", "--model", str(path), "--ti", "1", "--to", "1"])
+    assert exc.value.code == 3
+    assert "zero denominator" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_cli_rejects_negative_tolerance(runner, ex1_model_file):
+    analyze = runner.invoke(
+        cli,
+        ["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "1", "--to", "1",
+         "--tolerance", "-1"],
+    )
+    assert analyze.exit_code == 4 and "--tolerance" in analyze.stderr
+    demo = runner.invoke(cli, ["demo", "1", "--tolerance", "-1"])
+    assert demo.exit_code == 4 and "--tolerance" in demo.stderr
+
+
+@pytest.mark.parametrize("spec", ["1,2:3", "1:", "1:3,4"])
+def test_cli_analyze_rejects_pair_of_wrong_size(runner, ex1_model_file, spec):
+    result = runner.invoke(
+        cli,
+        ["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "1", "--to", "1",
+         "--pair", spec],
+    )
+    assert result.exit_code == 4
+    assert "|X| = t_i = 1 and |Y| = s - t_o = 1" in result.stderr
