@@ -269,16 +269,21 @@ def column_set_family(s: int, t_i: int, t_o: int) -> Iterator[tuple[int, ...]]:
             yield i_cols + j_cols
 
 
+def check_t_range(s: int, t_i: int, t_o: int) -> None:
+    """Reject protection parameters outside 1 <= t_i <= t_o <= s."""
+    if not 1 <= t_i <= t_o <= s:
+        raise InvalidParametersError(
+            f"need 1 <= t_i <= t_o <= s, got t_i={t_i}, t_o={t_o}, s={s}"
+        )
+
+
 def classify(array: AontArray, t_i: int, t_o: int) -> ClassificationVerdict:
     """Full verdict: aont, weak-aont-only, or neither, with a failure witness.
 
     The unbiased pass runs first and may stop at its first failure; the
     covering pass then runs to completion before weak-aont-only is declared.
     """
-    if not 1 <= t_i <= t_o <= array.s:
-        raise InvalidParametersError(
-            f"need 1 <= t_i <= t_o <= s, got t_i={t_i}, t_o={t_o}, s={array.s}"
-        )
+    check_t_range(array.s, t_i, t_o)
     family = list(column_set_family(array.s, t_i, t_o))
 
     unbiased_witness: tuple[int, ...] | None = None
@@ -305,10 +310,7 @@ def passes_unbiased_family(array: AontArray, t_i: int, t_o: int) -> bool:
     Aborts a column set as soon as any projected tuple exceeds its expected
     multiplicity, which is the common failure mode during enumeration.
     """
-    if not 1 <= t_i <= t_o <= array.s:
-        raise InvalidParametersError(
-            f"need 1 <= t_i <= t_o <= s, got t_i={t_i}, t_o={t_o}, s={array.s}"
-        )
+    check_t_range(array.s, t_i, t_o)
     v = array.v
     n = array.n_rows
     for cols in column_set_family(array.s, t_i, t_o):
@@ -370,7 +372,11 @@ def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> Ao
 
 def load_array_csv(path: str, v: int | None = None, s: int | None = None) -> AontArray:
     with open(path, encoding="utf-8") as fh:
-        return parse_array_csv(fh.read(), v=v, s=s)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise UnknownSymbolError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_array_csv(text, v=v, s=s)
 
 
 def dump_array_csv(array: AontArray, header: bool = True) -> str:

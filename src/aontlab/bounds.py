@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .arrays import AONT, WEAK_AONT_ONLY, AontArray, cached_classify
+from .arrays import AONT, WEAK_AONT_ONLY, AontArray, cached_classify, check_t_range
 from .entropy import SubsetPair, conditional_entropy, subset_entropy
 from .errors import (
+    AontLabError,
     BlockTooLargeError,
     ClassificationMismatchError,
     InvalidParametersError,
@@ -30,16 +31,6 @@ ASYMMETRIC = "asymmetric"
 ASYMMETRIC_GIVEN_HY = "asymmetric-hy"
 WEAK = "weak"
 WEAK_GIVEN_HY = "weak-hy"
-
-ALL_TAGS = (
-    SYMMETRIC,
-    NONUNIFORM_EXACT,
-    BLOCK_EXACT,
-    ASYMMETRIC,
-    ASYMMETRIC_GIVEN_HY,
-    WEAK,
-    WEAK_GIVEN_HY,
-)
 
 _EXACT_EPS = 1e-12
 _SLACK = 1e-9
@@ -70,9 +61,25 @@ def _point(value: float, source: str) -> EntropyInterval:
     return EntropyInterval(value, value, source, exact=True)
 
 
-def _column_entropies(model: InputModel) -> list[float]:
+# Preconditions on the prior, at t = t_i, for the rows of TAG_RULES: the error
+# the tag's interval raises when the prior does not fit, or None.
+def _independent(model: InputModel, t: int) -> AontLabError | None:
     if model.kind != INDEPENDENT:
-        raise InvalidParametersError("bounds from column entropies need an independent model")
+        return InvalidParametersError("bounds from column entropies need an independent model")
+    return None
+
+
+def _block_within_t(model: InputModel, t: int) -> AontLabError | None:
+    if model.kind != BLOCK_DEPENDENT:
+        return InvalidParametersError("needs a block-dependent model")
+    if len(model.block) > t:
+        return BlockTooLargeError(f"block of size {len(model.block)} exceeds t={t}")
+    return None
+
+
+def _column_entropies(model: InputModel) -> list[float]:
+    if (error := _independent(model, model.s)) is not None:
+        raise error
     return [column_entropy(model, i) for i in range(1, model.s + 1)]
 
 
@@ -89,16 +96,9 @@ def min_entropy_cap(model: InputModel, t: int) -> float:
     return _min_subset_sum(_column_entropies(model), t)
 
 
-def _check_t_range(model: InputModel, t_i: int, t_o: int) -> None:
-    if not 1 <= t_i <= t_o <= model.s:
-        raise InvalidParametersError(
-            f"need 1 <= t_i <= t_o <= s, got t_i={t_i}, t_o={t_o}, s={model.s}"
-        )
-
-
 def bounds_symmetric(model: InputModel, t: int) -> EntropyInterval:
     """Interval for H(X|Y) on a full symmetric transform, |X| = t, |Y] = s - t."""
-    _check_t_range(model, t, t)
+    check_t_range(model.s, t, t)
     hs = _column_entropies(model)
     log_v = log2(model.v)
     lower = max(0.0, sum(hs) - (model.s - t) * log_v)
@@ -109,7 +109,7 @@ def bounds_symmetric(model: InputModel, t: int) -> EntropyInterval:
 def exact_nonuniform_le_t(model: InputModel, t: int) -> float:
     """Exact H(X|Y) when at most t columns are non-uniform: the non-uniform
     entropies plus (t - r) * log2(v)."""
-    _check_t_range(model, t, t)
+    check_t_range(model.s, t, t)
     hs = _column_entropies(model)
     log_v = log2(model.v)
     nonuniform = [h for d, h in zip(model.columns, hs) if not d.is_uniform()]
@@ -123,12 +123,10 @@ def exact_nonuniform_le_t(model: InputModel, t: int) -> float:
 def exact_block_dependent(model: InputModel, t: int) -> float:
     """Exact H(X|Y) for a dependent block of size <= t with uniform rest:
     H(block joint) + (t - |block|) * log2(v)."""
-    if model.kind != BLOCK_DEPENDENT:
-        raise InvalidParametersError("needs a block-dependent model")
     if not 1 <= t <= model.s:
         raise InvalidParametersError(f"need 1 <= t <= s, got t={t}, s={model.s}")
-    if len(model.block) > t:
-        raise BlockTooLargeError(f"block of size {len(model.block)} exceeds t={t}")
+    if (error := _block_within_t(model, t)) is not None:
+        raise error
     return model.block_joint.entropy_bits() + (t - len(model.block)) * log2(model.v)
 
 
@@ -144,7 +142,7 @@ def bounds_asymmetric(
     The upper bound's H(X) term is pair-specific, so it enters only when
     `x_cols` is supplied; otherwise the X-independent envelope is returned.
     """
-    _check_t_range(model, t_i, t_o)
+    check_t_range(model.s, t_i, t_o)
     hs = _column_entropies(model)
     log_v = log2(model.v)
     total = sum(hs)
@@ -166,7 +164,7 @@ def bounds_asymmetric_given_hy(
 ) -> EntropyInterval:
     """H(Y)-conditioned sandwich for full asymmetric transforms; collapses to
     the closed-form identity when t_i = t_o."""
-    _check_t_range(model, t_i, t_o)
+    check_t_range(model.s, t_i, t_o)
     log_v = log2(model.v)
     if not -_SLACK <= h_y <= (model.s - t_o) * log_v + _SLACK:
         raise OutputEntropyRangeError(
@@ -190,7 +188,7 @@ def bounds_weak(
 ) -> EntropyInterval:
     """Interval for H(X|Y) under the covering relaxation; the completion-set
     size range v^(s-t_i) - v^(s-t_o) + 1 drives both ends."""
-    _check_t_range(model, t_i, t_o)
+    check_t_range(model.s, t_i, t_o)
     hs = _column_entropies(model)
     log_v = log2(model.v)
     total = sum(hs)
@@ -206,7 +204,7 @@ def bounds_weak(
 
 def bounds_weak_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
     """H(Y)-conditioned sandwich under the covering relaxation."""
-    _check_t_range(model, t_i, t_o)
+    check_t_range(model.s, t_i, t_o)
     log_v = log2(model.v)
     if not -_SLACK <= h_y <= (model.s - t_o) * log_v + _SLACK:
         raise OutputEntropyRangeError(
@@ -234,6 +232,58 @@ def _h_y(array: AontArray, model: InputModel, pair: SubsetPair, h_y: float | Non
     return subset_entropy(array, model, pair.y) if pair.y else 0.0
 
 
+@dataclass(frozen=True)
+class TagRule:
+    """What a bound tag assumes of the array, the pair and the prior."""
+
+    verdicts: tuple[str, ...]  # verdicts of classify(t_i, t_o) the tag accepts
+    equal_t: bool  # needs t_i = t_o; otherwise t_i <= t_o
+    # precondition on the prior at t = t_i: the error to raise, or None
+    prior: Callable[[InputModel, int], AontLabError | None]
+
+
+_FULL = (AONT,)
+_COVERING = (AONT, WEAK_AONT_ONLY)
+
+TAG_RULES = {
+    SYMMETRIC: TagRule(_FULL, True, _independent),
+    NONUNIFORM_EXACT: TagRule(_FULL, True, _independent),
+    BLOCK_EXACT: TagRule(_FULL, True, _block_within_t),
+    ASYMMETRIC: TagRule(_FULL, False, _independent),
+    ASYMMETRIC_GIVEN_HY: TagRule(_FULL, False, _independent),
+    WEAK: TagRule(_COVERING, False, _independent),
+    WEAK_GIVEN_HY: TagRule(_COVERING, False, _independent),
+}
+ALL_TAGS = tuple(TAG_RULES)
+# the tags `auto` tries, tightest interval first
+_AUTO_ORDER = (BLOCK_EXACT, SYMMETRIC, ASYMMETRIC, WEAK)
+
+
+def _mismatch(
+    which: str, verdict: str | None, model: InputModel, t_i: int, t_o: int
+) -> AontLabError | None:
+    """Why tag `which` does not apply to this verdict, prior and (t_i, t_o);
+    None when its rule holds."""
+    rule = TAG_RULES[which]
+    if t_o < t_i:
+        return ClassificationMismatchError(f"|X|={t_i} exceeds s - |Y|={t_o}")
+    if rule.equal_t and t_o != t_i:
+        return ClassificationMismatchError(
+            f"{which} needs |Y| = s - |X|; got |X|={t_i}, |Y|={model.s - t_o}"
+        )
+    if verdict not in rule.verdicts:
+        return ClassificationMismatchError(
+            f"{which} needs verdict {' or '.join(rule.verdicts)} at ({t_i},{t_o}); array is {verdict}"
+        )
+    return rule.prior(model, t_i)
+
+
+def auto_tag(verdict: str, model: InputModel, t_i: int, t_o: int) -> str | None:
+    """The first tag of block-exact, symmetric, asymmetric, weak whose rule
+    holds for this verdict and prior, or None when none does."""
+    return next((tag for tag in _AUTO_ORDER if _mismatch(tag, verdict, model, t_i, t_o) is None), None)
+
+
 def interval_for(
     array: AontArray,
     model: InputModel,
@@ -241,46 +291,33 @@ def interval_for(
     which: str,
     h_y: float | None = None,
 ) -> EntropyInterval:
-    """Build the interval a tag prescribes for this pair, after verifying the
-    array actually belongs to the class the tag assumes.
+    """Build the interval a tag prescribes for this pair, after checking the
+    tag's rule against the array's verified class and the prior.
 
     The H(Y)-conditioned tags use `h_y` when given and compute H(Y) otherwise.
     """
+    if which not in TAG_RULES:
+        raise InvalidParametersError(f"unknown bound tag {which!r}")
     t_i = len(pair.x)
     t_o = array.s - len(pair.y)
-    if which in (SYMMETRIC, NONUNIFORM_EXACT, BLOCK_EXACT):
-        if t_o != t_i:
-            raise ClassificationMismatchError(
-                f"{which} needs |Y| = s - |X|; got |X|={t_i}, |Y|={len(pair.y)}"
-            )
-        if cached_classify(array, t_i, t_i).verdict != AONT:
-            raise ClassificationMismatchError(f"array is not a verified (t={t_i}) transform")
-        if which == SYMMETRIC:
-            return bounds_symmetric(model, t_i)
-        if which == NONUNIFORM_EXACT:
-            return _point(exact_nonuniform_le_t(model, t_i), NONUNIFORM_EXACT)
+    verdict = cached_classify(array, t_i, t_o).verdict if t_i <= t_o else None
+    error = _mismatch(which, verdict, model, t_i, t_o)
+    if error is not None:
+        raise error
+    if which == SYMMETRIC:
+        return bounds_symmetric(model, t_i)
+    if which == NONUNIFORM_EXACT:
+        return _point(exact_nonuniform_le_t(model, t_i), NONUNIFORM_EXACT)
+    if which == BLOCK_EXACT:
         return _point(exact_block_dependent(model, t_i), BLOCK_EXACT)
-    if which in (ASYMMETRIC, ASYMMETRIC_GIVEN_HY):
-        if t_o < t_i:
-            raise ClassificationMismatchError(f"|X|={t_i} exceeds s - |Y|={t_o}")
-        if cached_classify(array, t_i, t_o).verdict != AONT:
-            raise ClassificationMismatchError(
-                f"array is not a verified ({t_i},{t_o}) transform"
-            )
-        if which == ASYMMETRIC:
-            return bounds_asymmetric(model, t_i, t_o, x_cols=pair.x)
-        return bounds_asymmetric_given_hy(model, t_i, t_o, _h_y(array, model, pair, h_y))
-    if which in (WEAK, WEAK_GIVEN_HY):
-        if t_o < t_i:
-            raise ClassificationMismatchError(f"|X|={t_i} exceeds s - |Y|={t_o}")
-        if cached_classify(array, t_i, t_o).verdict not in (AONT, WEAK_AONT_ONLY):
-            raise ClassificationMismatchError(
-                f"array is not at least a covering ({t_i},{t_o}) transform"
-            )
-        if which == WEAK:
-            return bounds_weak(model, t_i, t_o, x_cols=pair.x)
-        return bounds_weak_given_hy(model, t_i, t_o, _h_y(array, model, pair, h_y))
-    raise InvalidParametersError(f"unknown bound tag {which!r}")
+    if which == ASYMMETRIC:
+        return bounds_asymmetric(model, t_i, t_o, x_cols=pair.x)
+    if which == WEAK:
+        return bounds_weak(model, t_i, t_o, x_cols=pair.x)
+    h_y = _h_y(array, model, pair, h_y)
+    if which == ASYMMETRIC_GIVEN_HY:
+        return bounds_asymmetric_given_hy(model, t_i, t_o, h_y)
+    return bounds_weak_given_hy(model, t_i, t_o, h_y)
 
 
 def compare(

@@ -12,13 +12,8 @@ import sys
 import click
 
 from .arrays import AONT, NEITHER, WEAK_AONT_ONLY, AontArray, classify, load_array_csv
-from .constructions import (
-    BUILTIN_NAMES,
-    DEFAULT_SEARCH_CAP,
-    builtin,
-    search_linear,
-    worker_count,
-)
+from .bounds import ALL_TAGS
+from .constructions import BUILTIN_NAMES, DEFAULT_SEARCH_CAP, builtin, search_linear
 from .demos import DEMO_NUMBERS, format_demo, run_demo
 from .entropy import SubsetPair
 from .errors import AontLabError
@@ -127,8 +122,7 @@ def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
     "--bounds",
     default=AUTO,
     show_default=True,
-    help="bound family tag or 'auto' (symmetric, nonuniform-exact, block-exact, "
-    "asymmetric, asymmetric-hy, weak, weak-hy)",
+    help=f"bound family tag or 'auto' ({', '.join(ALL_TAGS)})",
 )
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
 @click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True)
@@ -210,10 +204,10 @@ def search(ctx, s, v, ti, to, cap, fmt) -> None:
     """Exhaustively search invertible matrices for full (t_i, t_o) transforms."""
 
     def progress(done: int, total: int) -> None:
-        _echo(f"scanned {done}/{total} candidates", err=True)
+        _echo(f"examined {done}/{total} invertible matrices", err=True)
 
     try:
-        result = search_linear(s, v, ti, to, cap=cap, workers=worker_count(), progress=progress)
+        result = search_linear(s, v, ti, to, cap=cap, progress=progress)
     except AontLabError as exc:
         _echo(f"error: {exc}", err=True)
         ctx.exit(3)

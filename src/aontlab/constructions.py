@@ -8,14 +8,13 @@ by algebraic shortcuts, so search results are correct by construction.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Callable, Iterator
 
-from .arrays import Alphabet, AontArray, parse_array, passes_unbiased_family
+from .arrays import Alphabet, AontArray, check_t_range, parse_array, passes_unbiased_family
 from .errors import (
     InvalidParametersError,
     NonPrimeModulusError,
@@ -182,14 +181,6 @@ def linear_aont(matrix: SquareMatrix) -> AontArray:
     return AontArray(Alphabet(v), s, tuple(rows))
 
 
-def _matrix_from_flat_index(idx: int, s: int, v: int) -> SquareMatrix:
-    digits = [0] * (s * s)
-    for pos in range(s * s - 1, -1, -1):
-        idx, digits[pos] = divmod(idx, v)
-    rows = tuple(tuple(digits[r * s : (r + 1) * s]) for r in range(s))
-    return SquareMatrix(v, rows)
-
-
 def iter_invertible_matrices(s: int, v: int) -> Iterator[SquareMatrix]:
     """All invertible s x s matrices over Z_v, in lexicographic entry order."""
     if not is_prime(v):
@@ -231,32 +222,9 @@ class SearchResult:
         }
 
 
-def worker_count(explicit: int | None = None) -> int:
-    """Resolve the worker cap: explicit argument, else AONT_LAB_THREADS
-    (0 means auto), else 1."""
-    if explicit is None:
-        raw = os.environ.get("AONT_LAB_THREADS", "").strip()
-        if not raw:
-            return 1
-        explicit = int(raw)
-    if explicit == 0:
-        return os.cpu_count() or 1
-    if explicit < 0:
-        raise InvalidParametersError(f"worker count {explicit} must be >= 0")
-    return explicit
-
-
-def _scan_range(lo: int, hi: int, s: int, v: int, t_i: int, t_o: int) -> tuple[int, list[SquareMatrix]]:
-    examined = 0
-    passing: list[SquareMatrix] = []
-    for flat in range(lo, hi):
-        m = _matrix_from_flat_index(flat, s, v)
-        if not m.is_invertible():
-            continue
-        examined += 1
-        if passes_unbiased_family(linear_aont(m), t_i, t_o):
-            passing.append(m)
-    return examined, passing
+def gl_order(s: int, v: int) -> int:
+    """|GL(s, v)| = prod(v^s - v^i for i < s): the number of invertible matrices."""
+    return prod(v**s - v**i for i in range(s))
 
 
 def search_linear(
@@ -265,51 +233,32 @@ def search_linear(
     t_i: int,
     t_o: int,
     cap: int = DEFAULT_SEARCH_CAP,
-    workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> SearchResult:
     """Enumerate every invertible matrix and keep those whose expansion
     verifies as a full (t_i, t_o) transform.
 
-    Enumeration order is lexicographic in the flattened entries, so two runs
-    return identical results regardless of worker count.
+    Enumeration order is lexicographic in the flattened entries. `progress`
+    gets (examined, |GL(s, v)|) about 64 times, the last at completion.
     """
     if not is_prime(v):
         raise NonPrimeModulusError(f"modulus {v} is not prime")
-    if not 1 <= t_i <= t_o <= s:
-        raise InvalidParametersError(
-            f"need 1 <= t_i <= t_o <= s, got t_i={t_i}, t_o={t_o}, s={s}"
-        )
+    check_t_range(s, t_i, t_o)
     space = v ** (s * s)
     if space > cap:
         raise SearchSpaceError(
             f"{space} candidate matrices exceed the cap of {cap}; raise the cap explicitly"
         )
-    n_workers = worker_count(workers)
+    total = gl_order(s, v)
+    step = -(-total // 64)
     start = time.monotonic()
     examined = 0
     found: list[SquareMatrix] = []
-    if n_workers <= 1:
-        chunk = max(1, space // 64)
-        for lo in range(0, space, chunk):
-            hi = min(lo + chunk, space)
-            part_examined, part_found = _scan_range(lo, hi, s, v, t_i, t_o)
-            examined += part_examined
-            found.extend(part_found)
-            if progress is not None:
-                progress(hi, space)
-    else:
-        chunk = max(1, space // (n_workers * 8))
-        ranges = [(lo, min(lo + chunk, space)) for lo in range(0, space, chunk)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            # map preserves submission order, keeping the merged list sorted
-            for (lo, hi), (part_examined, part_found) in zip(
-                ranges,
-                pool.map(lambda r: _scan_range(*r, s, v, t_i, t_o), ranges),
-            ):
-                examined += part_examined
-                found.extend(part_found)
-                if progress is not None:
-                    progress(hi, space)
+    for m in iter_invertible_matrices(s, v):
+        examined += 1
+        if passes_unbiased_family(linear_aont(m), t_i, t_o):
+            found.append(m)
+        if progress is not None and (examined % step == 0 or examined == total):
+            progress(examined, total)
     elapsed = time.monotonic() - start
     return SearchResult(s, v, t_i, t_o, examined, tuple(found), elapsed)

@@ -42,6 +42,8 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise MassSumError(f"mass {value!r} has a zero denominator") from None
+    except (TypeError, ValueError):
+        raise MassSumError(f"mass {value!r} is not a rational") from None
 
 
 @dataclass(frozen=True)

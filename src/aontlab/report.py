@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import bounds as bnd
-from .arrays import AONT, WEAK_AONT_ONLY, AontArray, ClassificationVerdict, classify
+from .arrays import AONT, AontArray, ClassificationVerdict, classify
 from .entropy import (
     SubsetPair,
     check_formula_applies,
@@ -31,7 +31,7 @@ from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     subset_entropy,
 )
 from .errors import InvalidParametersError, MassSumError
-from .models import BLOCK_DEPENDENT, INDEPENDENT, InputModel
+from .models import INDEPENDENT, InputModel
 
 AUTO = "auto"
 
@@ -84,16 +84,6 @@ def admissible_pairs(s: int, t_i: int, t_o: int) -> list[SubsetPair]:
     return pairs
 
 
-def _auto_tag(verdict: str, model: InputModel, t_i: int, t_o: int) -> str | None:
-    if verdict == AONT:
-        if model.kind == BLOCK_DEPENDENT:
-            return bnd.BLOCK_EXACT if t_i == t_o else None
-        return bnd.SYMMETRIC if t_i == t_o else bnd.ASYMMETRIC
-    if verdict == WEAK_AONT_ONLY and model.kind == INDEPENDENT:
-        return bnd.WEAK
-    return None
-
-
 def build_report(
     array: AontArray,
     model: InputModel,
@@ -112,7 +102,7 @@ def build_report(
         )
     verdict = classify(array, t_i, t_o)
     if bounds_tag == AUTO:
-        tag = _auto_tag(verdict.verdict, model, t_i, t_o)
+        tag = bnd.auto_tag(verdict.verdict, model, t_i, t_o)
     else:
         tag = bounds_tag
         if tag is not None and tag not in bnd.ALL_TAGS:

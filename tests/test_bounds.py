@@ -29,7 +29,8 @@ from aontlab import (
     uniform,
     uniform_model,
 )
-from aontlab.bounds import min_entropy_cap
+from aontlab.arrays import AONT, NEITHER, WEAK_AONT_ONLY
+from aontlab.bounds import BLOCK_EXACT, auto_tag, interval_for, min_entropy_cap
 from aontlab.entropy import SubsetPair
 from aontlab.errors import (
     BlockTooLargeError,
@@ -262,3 +263,43 @@ def test_compare_with_precomputed_values_matches_standalone(table2, tag):
         h_y=subset_entropy(table2, model, pair.y),
     )
     assert given == alone
+
+
+def _block_model(s: int, v: int, block: tuple[int, ...]):
+    size = v ** len(block)
+    return make_block_dependent_model(s, v, block, Distribution(v, len(block), (F(1, size),) * size))
+
+
+@pytest.mark.parametrize(
+    "verdict, model, t_i, t_o, expected",
+    [
+        (AONT, example3_model(), 1, 1, SYMMETRIC),
+        (AONT, example3_model(), 1, 2, ASYMMETRIC),
+        (WEAK_AONT_ONLY, example3_model(), 1, 2, WEAK),
+        (WEAK_AONT_ONLY, example3_model(), 2, 2, WEAK),
+        (NEITHER, example3_model(), 1, 1, None),
+        (AONT, _block_model(3, 2, (1,)), 1, 1, BLOCK_EXACT),
+        (AONT, _block_model(3, 2, (1, 2)), 2, 2, BLOCK_EXACT),
+        (AONT, _block_model(3, 2, ()), 1, 1, BLOCK_EXACT),
+        (AONT, _block_model(3, 2, (1, 2)), 1, 1, None),
+        (AONT, _block_model(3, 2, (1,)), 1, 2, None),
+        (WEAK_AONT_ONLY, _block_model(3, 2, (1,)), 1, 2, None),
+    ],
+)
+def test_auto_bound_tag_choice(verdict, model, t_i, t_o, expected):
+    assert auto_tag(verdict, model, t_i, t_o) == expected
+
+
+def test_interval_for_checks_the_tag_rule(table1):
+    pair = SubsetPair((1,), (3,))
+    with pytest.raises(BlockTooLargeError):
+        interval_for(table1, _block_model(2, 3, (1, 2)), pair, BLOCK_EXACT)
+    with pytest.raises(InvalidParametersError):
+        interval_for(table1, _block_model(2, 3, (1,)), pair, SYMMETRIC)
+    with pytest.raises(InvalidParametersError):
+        interval_for(table1, example1_model(), pair, BLOCK_EXACT)
+    with pytest.raises(ClassificationMismatchError):
+        interval_for(table1, example1_model(), SubsetPair((1,), ()), SYMMETRIC)
+    with pytest.raises(InvalidParametersError):
+        interval_for(table1, example1_model(), pair, "no-such-tag")
+    assert interval_for(table1, _block_model(2, 3, (1,)), pair, BLOCK_EXACT).exact

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from aontlab import (
@@ -11,17 +13,15 @@ from aontlab import (
     search_linear,
 )
 from aontlab.arrays import check_unbiased
-from aontlab.constructions import (
-    SquareMatrix,
-    iter_invertible_matrices,
-    worker_count,
-)
+from aontlab.constructions import SquareMatrix, gl_order, iter_invertible_matrices
 from aontlab.errors import (
     NonPrimeModulusError,
     SearchSpaceError,
     SingularMatrixError,
     UnknownNameError,
 )
+
+from matrix_search_oracle import oracle_counts
 
 
 def test_builtin_golden_rows(table1, table2, table3):
@@ -119,10 +119,23 @@ def test_search_deterministic():
     assert a.found == b.found and a.examined == b.examined
 
 
-def test_search_threaded_matches_sequential():
-    a = search_linear(2, 3, 1, 1, workers=1)
-    b = search_linear(2, 3, 1, 1, workers=4)
-    assert a.found == b.found and a.examined == b.examined
+@pytest.mark.parametrize("s, v, t_i, t_o", [(3, 2, 1, 2), (2, 5, 1, 2)])
+def test_search_matches_oracle(s, v, t_i, t_o):
+    result = search_linear(s, v, t_i, t_o)
+    assert result.examined == gl_order(s, v) == prod(v**s - v**i for i in range(s))
+    assert (result.examined, len(result.found)) == oracle_counts(s, v, t_i, t_o)
+    entries = [m.entries for m in result.found]
+    assert entries == sorted(entries)
+
+
+def test_search_progress_counts_examined_matrices():
+    calls = []
+    result = search_linear(2, 5, 1, 1, progress=lambda done, total: calls.append((done, total)))
+    total = gl_order(2, 5)
+    assert 1 < len(calls) <= 64
+    assert [done for done, _ in calls] == sorted({done for done, _ in calls})
+    assert {t for _, t in calls} == {total}
+    assert calls[-1] == (result.examined, total)
 
 
 def test_search_cap():
@@ -140,12 +153,3 @@ def test_search_nonprime():
 def test_search_result_json():
     doc = search_linear(2, 2, 1, 1).to_json_dict()
     assert doc["examined"] == 6 and doc["found"] == 0 and doc["matrices"] == []
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("AONT_LAB_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("AONT_LAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("AONT_LAB_THREADS", "0")
-    assert worker_count() >= 1

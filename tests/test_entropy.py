@@ -28,6 +28,7 @@ from aontlab import (
 )
 from aontlab.entropy import SubsetPair, _accumulate, prior_weights
 from aontlab.errors import FormulaPreconditionError, InvalidParametersError, MassSumError
+from aontlab.report import AUTO
 
 import entropy_oracle
 from conftest import example1_model, example3_model, example4_model, random_independent_model
@@ -299,12 +300,14 @@ def test_report_rows_match_fraction_reference(seed):
     model = _random_model(rng, array.s, array.v)
     t_i = rng.randint(1, array.s)
     t_o = rng.randint(t_i, array.s)
-    report = build_report(array, model, t_i, t_o, bounds_tag=None)
-    for row in report.rows:
-        assert row.oracle == entropy_oracle.conditional_entropy(array, model, row.x, row.y)
-        assert row.h_x == entropy_oracle.subset_entropy(array, model, row.x)
-        assert row.stat_distance == entropy_oracle.statistical_distance(array, model, row.x, row.y)
-        if row.formula is not None:
-            h_cols = sum(column_entropy(model, i) for i in range(1, array.s + 1))
-            h_y = entropy_oracle.subset_entropy(array, model, row.y) if row.y else 0.0
-            assert row.formula == h_cols - h_y
+    for bounds_tag in (None, AUTO):
+        report = build_report(array, model, t_i, t_o, bounds_tag=bounds_tag)
+        for row in report.rows:
+            assert row.within is not False  # the interval auto picks holds
+            assert row.oracle == entropy_oracle.conditional_entropy(array, model, row.x, row.y)
+            assert row.h_x == entropy_oracle.subset_entropy(array, model, row.x)
+            assert row.stat_distance == entropy_oracle.statistical_distance(array, model, row.x, row.y)
+            if row.formula is not None:
+                h_cols = sum(column_entropy(model, i) for i in range(1, array.s + 1))
+                h_y = entropy_oracle.subset_entropy(array, model, row.y) if row.y else 0.0
+                assert row.formula == h_cols - h_y

@@ -12,6 +12,7 @@ from aontlab import (
     save_model_json,
     uniform_model,
 )
+from aontlab.bounds import ALL_TAGS
 from aontlab.cli import cli
 from aontlab.demos import run_demo
 from aontlab.report import (
@@ -222,7 +223,8 @@ def test_cli_demo_json_schema(runner):
 def test_cli_search_text(runner):
     result = runner.invoke(cli, ["search", "--s", "2", "--v", "3", "--ti", "1", "--to", "1"])
     assert result.exit_code == 0
-    assert "48 examined, 8 found" in result.output
+    assert result.stdout.startswith("48 examined, 8 found\n")
+    assert result.stderr.splitlines()[-1] == "examined 48/48 invertible matrices"
 
 
 def test_cli_search_json(runner):
@@ -292,3 +294,50 @@ def test_cli_analyze_rejects_pair_of_wrong_size(runner, ex1_model_file, spec):
     )
     assert result.exit_code == 4
     assert "|X| = t_i = 1 and |Y| = s - t_o = 1" in result.stderr
+
+
+def _write_model(tmp_path, doc) -> str:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_analyze_auto_bounds_skip_block_larger_than_t(runner, tmp_path):
+    joint = [[[0, 0], [1, 2]], [[1, 1], [1, 2]]]
+    model = _write_model(
+        tmp_path, {"s": 2, "v": 3, "kind": "block-dependent", "block": {"indices": [1, 2], "joint": joint}}
+    )
+    args = ["analyze", "--builtin", "table1", "--model", model, "--ti", "1", "--to", "1"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 0
+    assert "bounds: none applicable" in result.output
+    explicit = runner.invoke(cli, args + ["--bounds", "block-exact"])
+    assert explicit.exit_code == 3
+    assert "block of size 2 exceeds t=1" in explicit.stderr
+
+
+@pytest.mark.parametrize("masses", [[None, [1, 2], [1, 2]], [[None, 2], [1, 2], [0, 1]], ["x", [1, 2], [1, 2]]])
+def test_cli_analyze_non_rational_mass(runner, tmp_path, masses):
+    model = _write_model(tmp_path, {"s": 2, "v": 3, "kind": "independent", "columns": [masses, [[1, 3]] * 3]})
+    result = runner.invoke(cli, ["analyze", "--builtin", "table1", "--model", model, "--ti", "1", "--to", "1"])
+    assert result.exit_code == 3
+    assert "is not a rational" in result.stderr
+
+
+def test_cli_rejects_non_utf8_array(runner, tmp_path, ex1_model_file):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfe,0")
+    verify = runner.invoke(cli, ["verify", "--array", str(path), "--ti", "1", "--to", "1"])
+    analyze = runner.invoke(
+        cli, ["analyze", "--array", str(path), "--model", ex1_model_file, "--ti", "1", "--to", "1"]
+    )
+    for result in (verify, analyze):
+        assert result.exit_code == 3
+        assert "not UTF-8" in result.stderr
+
+
+def test_cli_analyze_help_lists_every_bound_tag(runner):
+    result = runner.invoke(cli, ["analyze", "--help"])
+    assert result.exit_code == 0
+    help_text = " ".join(result.output.split())
+    assert f"auto' ({', '.join(ALL_TAGS)})" in help_text
