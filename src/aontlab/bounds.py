@@ -290,17 +290,20 @@ def interval_for(
     pair: SubsetPair,
     which: str,
     h_y: float | None = None,
+    verdict: str | None = None,
 ) -> EntropyInterval:
     """Build the interval a tag prescribes for this pair, after checking the
     tag's rule against the array's verified class and the prior.
 
-    The H(Y)-conditioned tags use `h_y` when given and compute H(Y) otherwise.
+    The H(Y)-conditioned tags use `h_y` when given and compute H(Y) otherwise;
+    `verdict` is the array's class at (|X|, s - |Y|) when already known.
     """
     if which not in TAG_RULES:
         raise InvalidParametersError(f"unknown bound tag {which!r}")
     t_i = len(pair.x)
     t_o = array.s - len(pair.y)
-    verdict = cached_classify(array, t_i, t_o).verdict if t_i <= t_o else None
+    if verdict is None and t_i <= t_o:
+        verdict = cached_classify(array, t_i, t_o).verdict
     error = _mismatch(which, verdict, model, t_i, t_o)
     if error is not None:
         raise error
@@ -328,13 +331,15 @@ def compare(
     tolerance: float = 1e-6,
     observed: float | None = None,
     h_y: float | None = None,
+    verdict: str | None = None,
 ) -> BoundComparison:
     """Place the oracle H(X|Y) against the tagged interval.
 
-    `observed` (H(X|Y)) and `h_y` (H(Y)) may be passed in when already
-    computed; whichever is missing is evaluated here.
+    `observed` (H(X|Y)), `h_y` (H(Y)) and `verdict` (the array's class at
+    (|X|, s - |Y|)) may be passed in when already computed; whichever is
+    missing is evaluated here.
     """
-    interval = interval_for(array, model, pair, which, h_y)
+    interval = interval_for(array, model, pair, which, h_y, verdict)
     if observed is None:
         observed = conditional_entropy(array, model, pair)
     return BoundComparison(

@@ -164,9 +164,13 @@ def conditional_entropy(array: AontArray, model: InputModel, pair: SubsetPair) -
     return joint.conditional(joint.h_y())
 
 
-def check_formula_applies(array: AontArray, model: InputModel, pair: SubsetPair) -> None:
+def check_formula_applies(
+    array: AontArray, model: InputModel, pair: SubsetPair, verdict: str | None = None
+) -> None:
     """Raise unless the closed form holds: an independent model on an array
-    verified as a full symmetric transform at t = |X|, with |Y| = s - t."""
+    verified as a full symmetric transform at t = |X|, with |Y| = s - t.
+
+    `verdict` is the array's class at (t, t) when already known."""
     if model.kind != INDEPENDENT:
         raise FormulaPreconditionError("closed form requires an independent model")
     t = len(pair.x)
@@ -174,7 +178,9 @@ def check_formula_applies(array: AontArray, model: InputModel, pair: SubsetPair)
         raise FormulaPreconditionError(
             f"closed form needs |Y| = s - |X| = {array.s - t}, got {len(pair.y)}"
         )
-    if cached_classify(array, t, t).verdict != AONT:
+    if verdict is None:
+        verdict = cached_classify(array, t, t).verdict
+    if verdict != AONT:
         raise FormulaPreconditionError(f"array is not a verified (t={t}) transform")
 
 

@@ -244,29 +244,32 @@ def dump_model_json(model: InputModel) -> str:
 
 
 def model_from_json_dict(doc: dict) -> InputModel:
+    """Decode a model document; a malformed one raises an AontLabError."""
     try:
         s = int(doc["s"])
         v = int(doc["v"])
         kind = doc["kind"]
+        if kind == INDEPENDENT:
+            cols = [
+                Distribution(v, 1, tuple(as_fraction(p) for p in masses))
+                for masses in doc["columns"]
+            ]
+            if len(cols) != s:
+                raise ArityMismatchError(f"expected {s} columns, got {len(cols)}")
+            return make_independent_model(cols)
+        if kind == BLOCK_DEPENDENT:
+            block = tuple(int(c) for c in doc["block"]["indices"])
+            size = len(block)
+            masses = [Fraction(0)] * v**size
+            for tup, pair in doc["block"]["joint"]:
+                if len(tup) != size:
+                    raise ArityMismatchError(f"joint tuple {tup} has length {len(tup)}, expected {size}")
+                if not all(type(x) is int and 0 <= x < v for x in tup):
+                    raise UnknownSymbolError(f"joint tuple {tup} holds a symbol outside 0..{v - 1}")
+                masses[encode_tuple(tup, v)] = as_fraction(pair)
+            return make_block_dependent_model(s, v, block, Distribution(v, size, tuple(masses)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParametersError(f"malformed model document: {exc}") from None
-    if kind == INDEPENDENT:
-        cols = [
-            Distribution(v, 1, tuple(as_fraction(p) for p in masses))
-            for masses in doc["columns"]
-        ]
-        if len(cols) != s:
-            raise ArityMismatchError(f"expected {s} columns, got {len(cols)}")
-        return make_independent_model(cols)
-    if kind == BLOCK_DEPENDENT:
-        block = tuple(int(c) for c in doc["block"]["indices"])
-        size = len(block)
-        masses = [Fraction(0)] * v**size
-        for tup, pair in doc["block"]["joint"]:
-            if len(tup) != size:
-                raise ArityMismatchError(f"joint tuple {tup} has length {len(tup)}, expected {size}")
-            masses[encode_tuple(tup, v)] = as_fraction(pair)
-        return make_block_dependent_model(s, v, block, Distribution(v, size, tuple(masses)))
     raise InvalidParametersError(f"unknown model kind {kind!r}")
 
 

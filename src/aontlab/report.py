@@ -122,11 +122,13 @@ def build_report(
     rows: list[ReportRow] = []
     for pair in all_pairs:
         joint = pair_joint(array, weights, denominator, pair)
+        # `verdict` classifies pairs of the report's own shape; `pairs` may hold others
+        known = verdict.verdict if (len(pair.x), len(pair.y)) == (t_i, array.s - t_o) else None
         h_y = joint.h_y()
         oracle = joint.conditional(h_y)
         formula = None
         if formula_ok:
-            check_formula_applies(array, model, pair)
+            check_formula_applies(array, model, pair, known)
             formula = h_cols - h_y
         sd = joint.stat_distance()
         h_x = joint.h_x()
@@ -135,7 +137,7 @@ def build_report(
                 ReportRow(pair.x, pair.y, oracle, formula, sd, h_x, None, None, None, None, None, None)
             )
         else:
-            cmp = bnd.compare(array, model, pair, tag, tolerance, observed=oracle, h_y=h_y)
+            cmp = bnd.compare(array, model, pair, tag, tolerance, observed=oracle, h_y=h_y, verdict=known)
             rows.append(
                 ReportRow(
                     pair.x,

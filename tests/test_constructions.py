@@ -1,6 +1,9 @@
+from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aontlab import (
     AONT,
@@ -12,8 +15,15 @@ from aontlab import (
     matrix_from_rows,
     search_linear,
 )
-from aontlab.arrays import check_unbiased
-from aontlab.constructions import SquareMatrix, gl_order, iter_invertible_matrices
+from aontlab.arrays import check_unbiased, passes_unbiased_family
+from aontlab.coding import encode_tuple
+from aontlab.constructions import (
+    SquareMatrix,
+    _unbiased_by_rank,
+    gl_order,
+    iter_invertible_matrices,
+    iter_linear_aont_matrices,
+)
 from aontlab.errors import (
     NonPrimeModulusError,
     SearchSpaceError,
@@ -119,13 +129,50 @@ def test_search_deterministic():
     assert a.found == b.found and a.examined == b.examined
 
 
-@pytest.mark.parametrize("s, v, t_i, t_o", [(3, 2, 1, 2), (2, 5, 1, 2)])
+@pytest.mark.parametrize("s, v, t_i, t_o", [(3, 2, 1, 2), (2, 5, 1, 2), (2, 7, 1, 1), (3, 2, 1, 3)])
 def test_search_matches_oracle(s, v, t_i, t_o):
     result = search_linear(s, v, t_i, t_o)
     assert result.examined == gl_order(s, v) == prod(v**s - v**i for i in range(s))
     assert (result.examined, len(result.found)) == oracle_counts(s, v, t_i, t_o)
     entries = [m.entries for m in result.found]
     assert entries == sorted(entries)
+
+
+@st.composite
+def invertible_matrices_and_t(draw):
+    s = draw(st.integers(1, 4))
+    v = draw(st.sampled_from([2, 3, 5, 7]))
+    entries = draw(st.lists(st.integers(0, v - 1), min_size=s * s, max_size=s * s))
+    m = SquareMatrix(v, tuple(tuple(entries[r * s : (r + 1) * s]) for r in range(s)))
+    assume(m.is_invertible())
+    t_i = draw(st.integers(1, s))
+    return m, t_i, draw(st.integers(t_i, s))
+
+
+@settings(max_examples=80, deadline=None)
+@given(invertible_matrices_and_t())
+def test_rank_predicate_matches_expansion(case):
+    """The search's rank test agrees with expanding the array and counting."""
+    m, t_i, t_o = case
+    codes = tuple(encode_tuple(row, m.v) for row in m.entries)
+    by_rank = _unbiased_by_rank(m.order, m.v, t_i, t_o)(codes)
+    assert by_rank == passes_unbiased_family(linear_aont(m), t_i, t_o)
+
+
+@pytest.mark.parametrize(
+    "s, v", [(s, v) for s in (1, 2, 3) for v in (2, 3, 5, 7) if v ** (s * s) <= 3**9]
+)
+def test_invertible_matrices_match_determinant_filter(s, v):
+    flat_filter = []
+    for flat in product(range(v), repeat=s * s):
+        m = SquareMatrix(v, tuple(tuple(flat[r * s : (r + 1) * s]) for r in range(s)))
+        if m.is_invertible():
+            flat_filter.append(m)
+    assert list(iter_invertible_matrices(s, v)) == flat_filter
+
+
+def test_iter_linear_aont_matrices_is_search_found():
+    assert tuple(iter_linear_aont_matrices(3, 2, 1, 2)) == search_linear(3, 2, 1, 2).found
 
 
 def test_search_progress_counts_examined_matrices():

@@ -18,6 +18,7 @@ from aontlab import (
 )
 from aontlab.coding import entropy_bits
 from aontlab.errors import (
+    AontLabError,
     ArityMismatchError,
     BlockColumnError,
     BlockRangeError,
@@ -148,3 +149,26 @@ def test_json_round_trip_block():
     joint = Distribution(2, 2, (F(1, 3), F(0), F(1, 6), F(1, 2)))
     m = make_block_dependent_model(3, 2, (1, 3), joint)
     assert model_from_json_dict(model_to_json_dict(m)) == m
+
+
+_BLOCK = {"s": 2, "v": 3, "kind": "block-dependent"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"s": 2, "v": 3, "kind": "independent", "columns": 5},
+        {"s": 2, "v": 3, "kind": "independent", "columns": [5, 6]},
+        {**_BLOCK, "block": 5},
+        {**_BLOCK, "block": {"indices": [None], "joint": []}},
+        {**_BLOCK, "block": {"indices": [1], "joint": [5]}},
+        {**_BLOCK, "block": {"indices": [1], "joint": [[5, [1, 1]]]}},
+        {**_BLOCK, "block": {"indices": [1], "joint": [[[7], [1, 1]]]}},
+        {**_BLOCK, "block": {"indices": [1], "joint": [[["a"], [1, 1]]]}},
+        # a negative symbol used to index the masses from the end
+        {**_BLOCK, "block": {"indices": [1], "joint": [[[-1], [1, 1]]]}},
+    ],
+)
+def test_malformed_model_document_raises_package_error(doc):
+    with pytest.raises(AontLabError):
+        model_from_json_dict(doc)

@@ -4,14 +4,19 @@ from pathlib import Path
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aontlab import (
+    builtin,
     dump_array_csv,
     identity_matrix,
     linear_aont,
     save_model_json,
     uniform_model,
 )
+from aontlab import report as report_module
+from aontlab.arrays import cached_classify, classify
 from aontlab.bounds import ALL_TAGS
 from aontlab.cli import cli
 from aontlab.demos import run_demo
@@ -53,6 +58,16 @@ def test_build_report_example1(table1):
     assert all(r.within for r in report.rows)
     assert not report.perfect_security
     assert report.exceeds_min_entropy_cap is False
+
+
+def test_build_report_classifies_once(table1, monkeypatch):
+    calls = []
+    monkeypatch.setattr(report_module, "classify", lambda *args: calls.append(args) or classify(*args))
+    cached_classify.cache_clear()
+    report = build_report(table1, example1_model(), 1, 1)
+    assert report.bounds_tag == "symmetric" and all(r.formula is not None for r in report.rows)
+    assert len(calls) == 1
+    assert cached_classify.cache_info().currsize == 0
 
 
 def test_build_report_example3_flags_cap(table2):
@@ -341,3 +356,70 @@ def test_cli_analyze_help_lists_every_bound_tag(runner):
     assert result.exit_code == 0
     help_text = " ".join(result.output.split())
     assert f"auto' ({', '.join(ALL_TAGS)})" in help_text
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 2) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_symbol = st.integers(-1, 3) | _json
+_mass = st.tuples(st.integers(-1, 3), st.integers(-1, 4)) | _json
+# model-shaped documents with small fields reach the loader's inner checks
+_model_doc = st.fixed_dictionaries(
+    {
+        "s": st.integers(-1, 4),
+        "v": st.integers(-1, 4),
+        "kind": st.sampled_from(["independent", "block-dependent"]),
+    },
+    optional={
+        "columns": st.lists(st.lists(_mass, max_size=4), max_size=4) | _json,
+        "block": _json
+        | st.fixed_dictionaries(
+            {
+                "indices": st.lists(_symbol, max_size=3) | _json,
+                "joint": st.lists(st.tuples(st.lists(_symbol, max_size=3), _mass), max_size=6) | _json,
+            }
+        ),
+    },
+)
+_csv_text = st.lists(
+    st.lists(st.sampled_from(["0", "1", "2", "a", "b", "-1", "x", " ", "#"]), min_size=1, max_size=6),
+    max_size=12,
+).map(lambda rows: "\n".join(",".join(row) for row in rows))
+_array_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.sampled_from(["", "# v=3 s=2\n", "# v=x\n", "# v=2 s=3\n", "# s=1 v=1\n"]), _csv_text).map(
+        lambda p: (p[0] + p[1]).encode()
+    ),
+    st.sampled_from(["table1", "table2", "table3"]).map(lambda name: dump_array_csv(builtin(name)).encode()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    array=_array_bytes,
+    model=st.one_of(_json, _model_doc, _model_doc),
+    command=st.sampled_from(
+        [("verify", "text"), ("verify", "json"), ("analyze", "table"), ("analyze", "json"), ("analyze", "csv")]
+    ),
+    t_i=st.integers(0, 4),
+    t_o=st.integers(0, 4),
+    bounds=st.sampled_from(["auto", *ALL_TAGS]),
+)
+def test_cli_exit_code_contract_on_arbitrary_files(tmp_path_factory, array, model, command, t_i, t_o, bounds):
+    """0/1/2 are verdicts, 3 bad data, 4 bad usage; nothing escapes as a traceback."""
+    workdir = tmp_path_factory.getbasetemp()
+    array_path, model_path = workdir / "fuzz.csv", workdir / "fuzz.json"
+    array_path.write_bytes(array)
+    model_path.write_text(json.dumps(model))
+    name, fmt = command
+    args = [name, "--array", str(array_path), "--ti", str(t_i), "--to", str(t_o), "--format", fmt]
+    if name == "analyze":
+        args += ["--model", str(model_path), "--bounds", bounds]
+    result = CliRunner().invoke(cli, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in {0, 1, 2, 3, 4}
+    if not result.stdout:
+        assert result.exit_code in {3, 4}
+    assert "Traceback" not in result.stderr
