@@ -10,9 +10,12 @@ the relaxed transform classes.
 
 from __future__ import annotations
 
+import sys
+from array import array as int_array
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .coding import decode_index
@@ -68,6 +71,25 @@ class Alphabet:
         return value
 
 
+# unsigned typecodes by field width: 1, 2, 4 and 8 bytes on common ABIs
+_FIELD_TYPECODES = ("B", "H", "I", "Q")
+
+
+def field_typecode(v: int, s: int) -> str:
+    """Smallest unsigned `array` typecode whose items hold all v^(2s) codes
+    of a projection onto up to 2s columns."""
+    for typecode in _FIELD_TYPECODES:
+        if v ** (2 * s) <= 1 << 8 * int_array(typecode).itemsize:
+            return typecode
+    raise InvalidParametersError(f"codes of {2 * s} columns over v={v} do not fit in 64 bits")
+
+
+def _check_widths(rows: Sequence[Sequence[object]], width: int) -> None:
+    if set(map(len, rows)) - {width}:
+        r, row = next((r, row) for r, row in enumerate(rows) if len(row) != width)
+        raise DimensionMismatchError(f"row {r + 1} has width {len(row)}, expected {width}")
+
+
 @dataclass(frozen=True)
 class AontArray:
     """A v^s x 2s array over {0..v-1}; immutable once built."""
@@ -84,15 +106,24 @@ class AontArray:
             raise DimensionMismatchError(
                 f"expected {v**self.s} rows for v={v}, s={self.s}, got {len(self.rows)}"
             )
-        width = 2 * self.s
-        for r, row in enumerate(self.rows):
-            if len(row) != width:
-                raise DimensionMismatchError(
-                    f"row {r + 1} has width {len(row)}, expected {width}"
-                )
-            for x in row:
-                if not 0 <= x < v:
-                    raise UnknownSymbolError(f"row {r + 1} holds symbol {x} outside 0..{v - 1}")
+        _check_widths(self.rows, 2 * self.s)
+        if not set(chain.from_iterable(self.rows)).issubset(range(v)):
+            for r, row in enumerate(self.rows):
+                for x in row:
+                    if not 0 <= x < v:
+                        raise UnknownSymbolError(f"row {r + 1} holds symbol {x} outside 0..{v - 1}")
+
+    @cached_property
+    def packed_columns(self) -> tuple[int, ...]:
+        """Every column as one integer of fixed-width fields, one field per
+        row, packed once per array for `projection_codes`: its
+        `to_bytes(..., sys.byteorder)` is the column as an `array` of
+        `field_typecode(v, s)`, in row order."""
+        typecode = field_typecode(self.v, self.s)
+        return tuple(
+            int.from_bytes(int_array(typecode, map(itemgetter(i), self.rows)).tobytes(), sys.byteorder)
+            for i in range(2 * self.s)
+        )
 
     @property
     def v(self) -> int:
@@ -164,52 +195,67 @@ def parse_array(
     """
     if v < 2 or s < 1:
         raise InvalidParametersError(f"need v >= 2 and s >= 1, got v={v}, s={s}")
-    rows = [tuple(row) for row in raw_rows]
+    rows = list(map(tuple, raw_rows))
     if len(rows) != v**s:
         raise DimensionMismatchError(f"expected {v**s} rows, got {len(rows)}")
-    width = 2 * s
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DimensionMismatchError(f"row {r + 1} has width {len(row)}, expected {width}")
+    _check_widths(rows, 2 * s)
 
-    all_int = all(isinstance(x, int) for row in rows for x in row)
-    if all_int:
+    if all(map(isinstance, chain.from_iterable(rows), repeat(int))):
         alphabet = Alphabet(v, tuple(glyphs) if glyphs is not None else None)
-        decoded = rows
-    else:
-        tokens = [str(x) for row in rows for x in row]
-        if glyphs is not None:
-            alphabet = Alphabet(v, tuple(glyphs))
-        elif all(t.lstrip("-").isdigit() for t in tokens):
-            alphabet = Alphabet(v)
-        else:
-            seen: list[str] = []
-            for t in tokens:
-                if t not in seen:
-                    seen.append(t)
-            if len(seen) > v:
-                raise UnknownSymbolError(
-                    f"found {len(seen)} distinct tokens, alphabet holds only {v}"
-                )
-            while len(seen) < v:
-                # pad with unused placeholder glyphs so the display map stays a bijection
-                filler = f"#{len(seen)}"
-                if filler not in seen:
-                    seen.append(filler)
-            alphabet = Alphabet(v, tuple(seen))
-        decoded = [tuple(alphabet.symbol(str(x)) for x in row) for row in rows]
+        return AontArray(alphabet, s, tuple(rows))
 
-    return AontArray(alphabet, s, tuple(decoded))
+    if not all(map(isinstance, chain.from_iterable(rows), repeat(str))):
+        rows = [tuple(map(str, row)) for row in rows]
+    # each distinct token is decoded once, in row-major order of first
+    # appearance, so the first bad token is the one a row-by-row scan meets
+    table = dict.fromkeys(chain.from_iterable(rows))
+    if glyphs is not None:
+        alphabet = Alphabet(v, tuple(glyphs))
+    elif all(token.lstrip("-").isdigit() for token in table):
+        alphabet = Alphabet(v)
+    else:
+        if len(table) > v:
+            raise UnknownSymbolError(f"found {len(table)} distinct tokens, alphabet holds only {v}")
+        # pad with unused placeholder glyphs so the display map stays a bijection
+        seen = list(table)
+        k = len(seen)
+        while len(seen) < v:
+            if f"#{k}" not in table:
+                seen.append(f"#{k}")
+            k += 1
+        alphabet = Alphabet(v, tuple(seen))
+    for token in table:
+        table[token] = alphabet.symbol(token)
+    symbols = map(table.__getitem__, chain.from_iterable(rows))
+    return AontArray(alphabet, s, tuple(zip(*[symbols] * (2 * s))))
+
+
+def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
+    """Mixed-radix code of every row's projection onto `cols` (1-based labels,
+    any order, at most 2s of them), as an `array` in row order.
+
+    The packed columns are combined by big-integer multiply-adds, one per
+    column, with no loop over rows. This is exact because no field carries
+    into the next: a field holds a code below v^|cols| <= v^(2s), and the
+    fields are sized for v^(2s). With N = v^s rows in memory, v^(2s) = N^2
+    < 2^64, so 8-byte fields always suffice.
+    """
+    if len(cols) > 2 * array.s:
+        raise OversizedColumnSetError(f"{len(cols)} columns exceed the array width {2 * array.s}")
+    columns = array.packed_columns
+    v = array.v
+    packed = 0
+    for c in cols:
+        packed = packed * v + columns[c - 1]
+    codes = int_array(field_typecode(v, array.s))
+    codes.frombytes(packed.to_bytes(array.n_rows * codes.itemsize, sys.byteorder))
+    return codes
 
 
 def _count_projection(array: AontArray, cols: tuple[int, ...]) -> list[int]:
-    v = array.v
-    idxs = [c - 1 for c in cols]
-    counts = [0] * v ** len(cols)
-    for row in array.rows:
-        code = 0
-        for i in idxs:
-            code = code * v + row[i]
+    """How often each code of the projection onto `cols` occurs."""
+    counts = [0] * array.v ** len(cols)
+    for code in projection_codes(array, cols):
         counts[code] += 1
     return counts
 
@@ -223,17 +269,17 @@ def check_unbiased(array: AontArray, cols: Iterable[int]) -> PropertyReport:
         )
     counts = _count_projection(array, cset)
     expected = array.n_rows // array.v ** len(cset)
-    for code, count in enumerate(counts):
-        if count != expected:
-            return PropertyReport(
-                UNBIASED,
-                cset,
-                holds=False,
-                expected_multiplicity=expected,
-                first_violation=decode_index(code, array.v, len(cset)),
-                observed_count=count,
-            )
-    return PropertyReport(UNBIASED, cset, holds=True, expected_multiplicity=expected)
+    if counts.count(expected) == len(counts):
+        return PropertyReport(UNBIASED, cset, holds=True, expected_multiplicity=expected)
+    code, count = next((code, count) for code, count in enumerate(counts) if count != expected)
+    return PropertyReport(
+        UNBIASED,
+        cset,
+        holds=False,
+        expected_multiplicity=expected,
+        first_violation=decode_index(code, array.v, len(cset)),
+        observed_count=count,
+    )
 
 
 def check_covering(array: AontArray, cols: Iterable[int]) -> PropertyReport:
@@ -244,16 +290,15 @@ def check_covering(array: AontArray, cols: Iterable[int]) -> PropertyReport:
             f"column set of size {len(cset)} exceeds s={array.s}"
         )
     counts = _count_projection(array, cset)
-    for code, count in enumerate(counts):
-        if count == 0:
-            return PropertyReport(
-                COVERING,
-                cset,
-                holds=False,
-                first_violation=decode_index(code, array.v, len(cset)),
-                observed_count=0,
-            )
-    return PropertyReport(COVERING, cset, holds=True)
+    if 0 not in counts:
+        return PropertyReport(COVERING, cset, holds=True)
+    return PropertyReport(
+        COVERING,
+        cset,
+        holds=False,
+        first_violation=decode_index(counts.index(0), array.v, len(cset)),
+        observed_count=0,
+    )
 
 
 def column_set_family(s: int, t_i: int, t_o: int) -> Iterator[tuple[int, ...]]:
@@ -305,30 +350,10 @@ cached_classify = lru_cache(maxsize=512)(classify)
 
 
 def passes_unbiased_family(array: AontArray, t_i: int, t_o: int) -> bool:
-    """Fast equivalent of classify(...).verdict == AONT for search inner loops.
-
-    Aborts a column set as soon as any projected tuple exceeds its expected
-    multiplicity, which is the common failure mode during enumeration.
-    """
+    """classify(...).verdict == AONT without the covering pass; the reference
+    the rank predicate is tested against (tests/test_constructions.py)."""
     check_t_range(array.s, t_i, t_o)
-    v = array.v
-    n = array.n_rows
-    for cols in column_set_family(array.s, t_i, t_o):
-        idxs = [c - 1 for c in cols]
-        expected = n // v ** len(cols)
-        counts = [0] * v ** len(cols)
-        ok = True
-        for row in array.rows:
-            code = 0
-            for i in idxs:
-                code = code * v + row[i]
-            counts[code] += 1
-            if counts[code] > expected:
-                ok = False
-                break
-        if not ok:
-            return False
-    return True
+    return all(check_unbiased(array, cols).holds for cols in column_set_family(array.s, t_i, t_o))
 
 
 # --- CSV surface -----------------------------------------------------------
@@ -339,7 +364,7 @@ def passes_unbiased_family(array: AontArray, t_i: int, t_o: int) -> bool:
 
 
 def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> AontArray:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if lines and lines[0].lstrip().startswith("#"):
         header = lines.pop(0).lstrip("# ").strip()
         fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
@@ -355,7 +380,7 @@ def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> Ao
         v, s = header_v, header_s
     if not lines:
         raise DimensionMismatchError("no data rows")
-    rows = [tuple(tok.strip() for tok in line.split(",")) for line in lines]
+    rows = [tuple(map(str.strip, line.split(","))) for line in lines]
     width = len(rows[0])
     if s is None:
         if width % 2:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import getitem
 from typing import Iterable, Sequence
 
-from .arrays import AONT, AontArray, cached_classify, normalize_columns
-from .coding import encode_tuple, entropy_bits
+from .arrays import AONT, AontArray, cached_classify, normalize_columns, projection_codes
+from .coding import decode_index, encode_tuple, entropy_bits
 from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError
 from .models import (
     INDEPENDENT,
@@ -74,20 +75,14 @@ def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
         tables, lcms = zip(*(_over_lcm(dist.masses) for dist in model.columns))
         return [math.prod(map(getitem, tables, row)) for row in array.rows], math.prod(lcms)
     table, lcm = _over_lcm(model.block_joint.masses)
-    idxs = [c - 1 for c in model.block]
-    weights = [table[encode_tuple([row[i] for i in idxs], model.v)] for row in array.rows]
+    weights = list(map(table.__getitem__, projection_codes(array, model.block)))
     return weights, lcm * model.v ** (model.s - len(model.block))
 
 
 def _accumulate(array: AontArray, weights: Sequence[int], cols: Sequence[int]) -> list[int]:
     """Dense integer weights of the projection onto `cols` (1-based, any order)."""
-    v = array.v
-    idxs = [c - 1 for c in cols]
-    masses = [0] * v ** len(cols)
-    for row, w in zip(array.rows, weights):
-        code = 0
-        for i in idxs:
-            code = code * v + row[i]
+    masses = [0] * array.v ** len(cols)
+    for code, w in zip(projection_codes(array, cols), weights):
         masses[code] += w
     return masses
 
@@ -227,13 +222,14 @@ def completion_set(
     if len(given_x) != len(pair.x) or len(given_y) != len(pair.y):
         raise InvalidParametersError("observation tuples must match the subset sizes")
     complement = tuple(c for c in array.input_columns if c not in pair.x)
-    found: set[tuple[int, ...]] = set()
-    for row in array.rows:
-        if array.project(row, pair.x) == tuple(given_x) and array.project(row, pair.y) == tuple(
-            given_y
-        ):
-            found.add(array.project(row, complement))
-    return CompletionSet(pair, tuple(given_x), tuple(given_y), tuple(sorted(found)))
+    observed = (*given_x, *given_y)
+    found: set[int] = set()
+    # a symbol outside the alphabet matches no row, but its code could
+    if all(x in range(array.v) for x in observed):
+        matches = map(encode_tuple(observed, array.v).__eq__, projection_codes(array, pair.x + pair.y))
+        found.update(compress(projection_codes(array, complement), matches))
+    completions = tuple(decode_index(code, array.v, len(complement)) for code in sorted(found))
+    return CompletionSet(pair, tuple(given_x), tuple(given_y), completions)
 
 
 def statistical_distance(array: AontArray, model: InputModel, pair: SubsetPair) -> float:

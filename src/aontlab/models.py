@@ -30,15 +30,25 @@ BLOCK_DEPENDENT = "block-dependent"
 ONE = Fraction(1)
 
 
+def _integral(value) -> int:
+    """int(value), refusing the booleans and non-integral floats that int()
+    would silently read as 0, 1 or a truncation."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '1/4', (num, den) pairs, or Fractions."""
+    """Coerce ints, strings like '1/4', (num, den) integer pairs, or Fractions."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise MassSumError(f"refusing inexact float mass {value!r}; pass a rational")
+    if isinstance(value, bool):
+        raise MassSumError(f"mass {value!r} is not a rational")
     try:
         if isinstance(value, (tuple, list)) and len(value) == 2:
-            return Fraction(int(value[0]), int(value[1]))
+            return Fraction(_integral(value[0]), _integral(value[1]))
         return Fraction(value)
     except ZeroDivisionError:
         raise MassSumError(f"mass {value!r} has a zero denominator") from None
@@ -246,8 +256,8 @@ def dump_model_json(model: InputModel) -> str:
 def model_from_json_dict(doc: dict) -> InputModel:
     """Decode a model document; a malformed one raises an AontLabError."""
     try:
-        s = int(doc["s"])
-        v = int(doc["v"])
+        s = _integral(doc["s"])
+        v = _integral(doc["v"])
         kind = doc["kind"]
         if kind == INDEPENDENT:
             cols = [
@@ -258,7 +268,7 @@ def model_from_json_dict(doc: dict) -> InputModel:
                 raise ArityMismatchError(f"expected {s} columns, got {len(cols)}")
             return make_independent_model(cols)
         if kind == BLOCK_DEPENDENT:
-            block = tuple(int(c) for c in doc["block"]["indices"])
+            block = tuple(map(_integral, doc["block"]["indices"]))
             size = len(block)
             masses = [Fraction(0)] * v**size
             for tup, pair in doc["block"]["joint"]:

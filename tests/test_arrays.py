@@ -1,3 +1,6 @@
+import random
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +17,24 @@ from aontlab import (
     parse_array,
     parse_array_csv,
 )
-from aontlab.arrays import column_set_family, passes_unbiased_family
+from aontlab.arrays import (
+    Alphabet,
+    _count_projection,
+    column_set_family,
+    field_typecode,
+    passes_unbiased_family,
+    projection_codes,
+)
 from aontlab.constructions import _TABLE1, _TABLE3, builtin
+from aontlab.entropy import _accumulate
 from aontlab.errors import (
     DimensionMismatchError,
     InvalidParametersError,
     OversizedColumnSetError,
     UnknownSymbolError,
 )
+
+import arrays_oracle
 
 
 def test_parse_table1_glyphs(table1):
@@ -198,3 +211,96 @@ def test_csv_truncated_file_rejected():
     lines = _TABLE1.strip().splitlines()[:-1]
     with pytest.raises(DimensionMismatchError):
         parse_array_csv("\n".join(lines))
+
+
+# (v, s, typecode): v^(2s) on both sides of 2^8, 2^16 and 2^32, and on each
+# of them, since a field of w bytes holds codes below 2^(8w)
+_PACKED_SHAPES = [
+    (2, 1, "B"),
+    (3, 2, "B"),
+    (2, 4, "B"),
+    (17, 1, "H"),
+    (3, 3, "H"),
+    (2, 8, "H"),
+    (7, 3, "I"),
+    (2, 9, "I"),
+    (256, 2, "I"),
+    (257, 2, "Q"),
+]
+
+
+@lru_cache(maxsize=4)
+def _random_array(v: int, s: int, seed: int) -> AontArray:
+    """Random symbols, with the last row all v - 1 so the largest code occurs."""
+    rng = random.Random(seed)
+    symbols = iter(rng.choices(range(v), k=(v**s - 1) * 2 * s))
+    rows = [*zip(*[symbols] * (2 * s)), (v - 1,) * (2 * s)]
+    return AontArray(Alphabet(v), s, tuple(rows))
+
+
+@given(shape=st.sampled_from(_PACKED_SHAPES), seed=st.integers(0, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_projection_kernel_matches_per_row_reference(shape, seed, data):
+    v, s, typecode = shape
+    array = _random_array(v, s, seed)
+    order = data.draw(st.permutations(range(1, 2 * s + 1)))
+    cols = tuple(order[: data.draw(st.integers(0, 2 * s))])
+    codes = projection_codes(array, cols)
+    assert codes.typecode == typecode
+    assert list(codes) == arrays_oracle.codes(array, cols)
+    if v ** len(cols) > 1 << 16:
+        return  # counts are dense over all v^|cols| codes
+    assert _count_projection(array, cols) == arrays_oracle.count(array, cols)
+    rng = random.Random(seed)
+    weights = [rng.choice((0, 1, rng.getrandbits(70))) for _ in range(array.n_rows)]
+    assert _accumulate(array, weights, cols) == arrays_oracle.accumulate(array, weights, cols)
+
+
+def test_projection_codes_need_at_most_2s_columns_in_64_bits(table1):
+    with pytest.raises(OversizedColumnSetError):
+        projection_codes(table1, (1, 2, 3, 4, 1))
+    assert field_typecode(2**32, 1) == "Q"
+    with pytest.raises(InvalidParametersError):
+        field_typecode(2**32 + 1, 1)
+
+
+_TOKENS = ["0", "1", "2", "3", "-0", "07", "00", " 1", "2 ", " -1 ", "5", "a", "b", " c", "#0", "#1", "#2", "#3", "", "x y"]
+
+
+@st.composite
+def _token_tables(draw):
+    """CSV text, or raw rows of ints or of mixed ints, strings and unhashable
+    tokens, near a valid v^s x 2s shape."""
+    v, s = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    n_rows = v**s + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    kind = draw(st.sampled_from(["csv", "csv", "ints", "mixed"]))
+    if kind == "csv":
+        cells = st.sampled_from(draw(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=v + 1, unique=True)))
+    elif kind == "ints":
+        cells = st.integers(-1, v)
+    else:
+        cells = st.one_of(st.integers(0, v - 1), st.sampled_from(["0", "1", "a", "#1", [0]]))
+    widths = st.sampled_from([2 * s] * 12 + [2 * s - 1, 2 * s + 1])
+    rows = [draw(st.lists(cells, min_size=w, max_size=w)) for w in draw(st.lists(widths, min_size=n_rows, max_size=n_rows))]
+    if kind != "csv":
+        return kind, (rows, v, s)
+    header = draw(st.sampled_from(["", f"# v={v} s={s}\n", f"# v={v + 1} s={s}\n"]))
+    return kind, header + "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _outcome(parse, *args):
+    try:
+        result = parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else (result.alphabet, result.s, result.rows)
+
+
+@given(_token_tables())
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_per_token_reference(table):
+    kind, source = table
+    if kind == "csv":
+        assert _outcome(parse_array_csv, source) == _outcome(arrays_oracle.parse_array_csv, source)
+    else:
+        assert _outcome(parse_array, *source) == _outcome(arrays_oracle.parse_array, *source)

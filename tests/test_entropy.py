@@ -202,6 +202,22 @@ def test_completion_set_weak_range_all_pairs(table3):
                     assert 1 <= completion_set(table3, pair, (u,), (w,)).size <= hi
 
 
+def test_completion_set_matches_row_scan(table2, table3):
+    for array in (table2, table3):
+        for pair in (SubsetPair((1,), (4,)), SubsetPair((1, 3), (5, 6)), SubsetPair((1, 2, 3), (4,))):
+            complement = tuple(c for c in array.input_columns if c not in pair.x)
+            for row in array.rows:
+                seen = (array.project(row, pair.x), array.project(row, pair.y))
+                expected = {
+                    array.project(r, complement)
+                    for r in array.rows
+                    if (array.project(r, pair.x), array.project(r, pair.y)) == seen
+                }
+                assert completion_set(array, pair, *seen).completions == tuple(sorted(expected))
+    # a symbol outside the alphabet matches no row, though (0, 3) encodes like (1, 0)
+    assert completion_set(table2, SubsetPair((1,), (4,)), (0,), (3,)).size == 0
+
+
 def test_pair_validation(table1):
     with pytest.raises(InvalidParametersError):
         conditional_entropy(table1, example1_model(), SubsetPair((3,), (4,)))

@@ -152,6 +152,7 @@ def test_json_round_trip_block():
 
 
 _BLOCK = {"s": 2, "v": 3, "kind": "block-dependent"}
+_INDEPENDENT = {"s": 2, "v": 3, "kind": "independent"}
 
 
 @pytest.mark.parametrize(
@@ -167,6 +168,15 @@ _BLOCK = {"s": 2, "v": 3, "kind": "block-dependent"}
         {**_BLOCK, "block": {"indices": [1], "joint": [[["a"], [1, 1]]]}},
         # a negative symbol used to index the masses from the end
         {**_BLOCK, "block": {"indices": [1], "joint": [[[-1], [1, 1]]]}},
+        # booleans and non-integral numbers used to be coerced by Fraction() and int()
+        {**_INDEPENDENT, "columns": [[True, False, False], [1, 0, 0]]},
+        {**_INDEPENDENT, "columns": [[[True, 2], [1, 2], 0], [1, 0, 0]]},
+        {**_INDEPENDENT, "columns": [[[1.5, 2], [1, 2], 0], [1, 0, 0]]},
+        {**_BLOCK, "block": {"indices": [1.5], "joint": [[[0], [1, 1]]]}},
+        {**_BLOCK, "block": {"indices": [True], "joint": [[[0], [1, 1]]]}},
+        # int(inf) raised OverflowError, which escaped as a traceback
+        {**_INDEPENDENT, "s": float("inf")},
+        {**_INDEPENDENT, "columns": [[[float("inf"), 1], 0, 0], [1, 0, 0]]},
     ],
 )
 def test_malformed_model_document_raises_package_error(doc):

@@ -12,6 +12,7 @@ from aontlab import (
     dump_array_csv,
     identity_matrix,
     linear_aont,
+    parse_array_csv,
     save_model_json,
     uniform_model,
 )
@@ -331,7 +332,17 @@ def test_cli_analyze_auto_bounds_skip_block_larger_than_t(runner, tmp_path):
     assert "block of size 2 exceeds t=1" in explicit.stderr
 
 
-@pytest.mark.parametrize("masses", [[None, [1, 2], [1, 2]], [[None, 2], [1, 2], [0, 1]], ["x", [1, 2], [1, 2]]])
+@pytest.mark.parametrize(
+    "masses",
+    [
+        [None, [1, 2], [1, 2]],
+        [[None, 2], [1, 2], [0, 1]],
+        ["x", [1, 2], [1, 2]],
+        [True, False, False],
+        [[True, 2], [1, 2], [0, 1]],
+        [[1.5, 2], [1, 2], [0, 1]],
+    ],
+)
 def test_cli_analyze_non_rational_mass(runner, tmp_path, masses):
     model = _write_model(tmp_path, {"s": 2, "v": 3, "kind": "independent", "columns": [masses, [[1, 3]] * 3]})
     result = runner.invoke(cli, ["analyze", "--builtin", "table1", "--model", model, "--ti", "1", "--to", "1"])
@@ -349,6 +360,19 @@ def test_cli_rejects_non_utf8_array(runner, tmp_path, ex1_model_file):
     for result in (verify, analyze):
         assert result.exit_code == 3
         assert "not UTF-8" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "text,glyphs",
+    [("# v=2 s=1\n#1,#1\n#1,#1\n", ("#1", "#2")), ("# v=3 s=1\na,#2\n#2,a\na,a\n", ("a", "#2", "#3"))],
+)
+def test_cli_verify_pads_glyphs_past_fillers_already_used(runner, tmp_path, text, glyphs):
+    """Padding takes the next unused `#k`; it used to retry a used one forever."""
+    path = tmp_path / "glyphs.csv"
+    path.write_text(text)
+    assert parse_array_csv(text).alphabet.glyphs == glyphs
+    result = runner.invoke(cli, ["verify", "--array", str(path), "--ti", "1", "--to", "1"])
+    assert result.exit_code == 2, result.output
 
 
 def test_cli_analyze_help_lists_every_bound_tag(runner):
@@ -384,7 +408,7 @@ _model_doc = st.fixed_dictionaries(
     },
 )
 _csv_text = st.lists(
-    st.lists(st.sampled_from(["0", "1", "2", "a", "b", "-1", "x", " ", "#"]), min_size=1, max_size=6),
+    st.lists(st.sampled_from(["0", "1", "2", "a", "b", "-1", "x", " ", "#", "#0", "#1", "#2"]), min_size=1, max_size=6),
     max_size=12,
 ).map(lambda rows: "\n".join(",".join(row) for row in rows))
 _array_bytes = st.one_of(
