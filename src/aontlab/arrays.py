@@ -107,11 +107,25 @@ class AontArray:
                 f"expected {v**self.s} rows for v={v}, s={self.s}, got {len(self.rows)}"
             )
         _check_widths(self.rows, 2 * self.s)
-        if not set(chain.from_iterable(self.rows)).issubset(range(v)):
+        if not self._symbols_valid():
             for r, row in enumerate(self.rows):
                 for x in row:
+                    if not isinstance(x, int):
+                        raise UnknownSymbolError(f"row {r + 1} holds symbol {x!r}, not an integer")
                     if not 0 <= x < v:
                         raise UnknownSymbolError(f"row {r + 1} holds symbol {x} outside 0..{v - 1}")
+
+    def _symbols_valid(self) -> bool:
+        """Is every symbol an integer in 0..v-1? The set test alone passes a
+        symbol equal to one (1.0), so packing, which converts every symbol to
+        a machine integer, backs it."""
+        try:
+            if set(chain.from_iterable(self.rows)).issubset(range(self.v)):
+                self.packed_columns
+                return True
+        except TypeError:  # an unhashable or a non-integer symbol
+            pass
+        return False
 
     @cached_property
     def packed_columns(self) -> tuple[int, ...]:
@@ -325,23 +339,24 @@ def check_t_range(s: int, t_i: int, t_o: int) -> None:
 def classify(array: AontArray, t_i: int, t_o: int) -> ClassificationVerdict:
     """Full verdict: aont, weak-aont-only, or neither, with a failure witness.
 
-    The unbiased pass runs first and may stop at its first failure; the
-    covering pass then runs to completion before weak-aont-only is declared.
+    One pass counts each column set of the family once. The first set that
+    is not covering makes the array neither; otherwise the first set that is
+    not unbiased makes it weak-aont-only. An unbiased set is covering, since
+    N/v^|I| >= 1 for |I| <= s, so only sets from the first unbiased failure
+    on are tested for covering.
     """
     check_t_range(array.s, t_i, t_o)
-    family = list(column_set_family(array.s, t_i, t_o))
-
     unbiased_witness: tuple[int, ...] | None = None
-    for cols in family:
-        if not check_unbiased(array, cols).holds:
+    for cols in column_set_family(array.s, t_i, t_o):
+        counts = _count_projection(array, cols)
+        if unbiased_witness is None:
+            if counts.count(array.n_rows // array.v ** len(cols)) == len(counts):
+                continue
             unbiased_witness = cols
-            break
+        if 0 in counts:
+            return ClassificationVerdict(t_i, t_o, NEITHER, witness=cols)
     if unbiased_witness is None:
         return ClassificationVerdict(t_i, t_o, AONT)
-
-    for cols in family:
-        if not check_covering(array, cols).holds:
-            return ClassificationVerdict(t_i, t_o, NEITHER, witness=cols)
     return ClassificationVerdict(t_i, t_o, WEAK_AONT_ONLY, witness=unbiased_witness)
 
 

@@ -13,7 +13,11 @@ from math import log2
 from typing import Callable, Sequence
 
 from .arrays import AONT, WEAK_AONT_ONLY, AontArray, cached_classify, check_t_range
-from .entropy import SubsetPair, conditional_entropy, subset_entropy
+from .entropy import SubsetPair, pair_joint, prior_weights
+from .entropy import (  # unused here; perfbench/tracing.py wraps these names
+    conditional_entropy,
+    subset_entropy,
+)
 from .errors import (
     AontLabError,
     BlockTooLargeError,
@@ -159,17 +163,21 @@ def bounds_asymmetric(
     return _interval(lower, min(terms), ASYMMETRIC)
 
 
+def _check_h_y(model: InputModel, t_o: int, h_y: float) -> None:
+    """H(Y) of |Y| = s - t_o output columns lies in [0, (s - t_o) log2(v)]."""
+    top = (model.s - t_o) * log2(model.v)
+    if not -_SLACK <= h_y <= top + _SLACK:
+        raise OutputEntropyRangeError(f"H(Y)={h_y} outside [0, {top}]")
+
+
 def bounds_asymmetric_given_hy(
     model: InputModel, t_i: int, t_o: int, h_y: float
 ) -> EntropyInterval:
     """H(Y)-conditioned sandwich for full asymmetric transforms; collapses to
     the closed-form identity when t_i = t_o."""
     check_t_range(model.s, t_i, t_o)
+    _check_h_y(model, t_o, h_y)
     log_v = log2(model.v)
-    if not -_SLACK <= h_y <= (model.s - t_o) * log_v + _SLACK:
-        raise OutputEntropyRangeError(
-            f"H(Y)={h_y} outside [0, {(model.s - t_o) * log_v}]"
-        )
     total = sum(_column_entropies(model))
     lower = max(0.0, total - (t_o - t_i) * log_v - h_y)
     upper = min(total - h_y, (model.s + t_i - t_o) * log_v - h_y)
@@ -205,11 +213,7 @@ def bounds_weak(
 def bounds_weak_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
     """H(Y)-conditioned sandwich under the covering relaxation."""
     check_t_range(model.s, t_i, t_o)
-    log_v = log2(model.v)
-    if not -_SLACK <= h_y <= (model.s - t_o) * log_v + _SLACK:
-        raise OutputEntropyRangeError(
-            f"H(Y)={h_y} outside [0, {(model.s - t_o) * log_v}]"
-        )
+    _check_h_y(model, t_o, h_y)
     total = sum(_column_entropies(model))
     lower = max(0.0, total - _weak_log_term(model.v, model.s, t_i, t_o) - h_y)
     upper = total - h_y
@@ -226,33 +230,50 @@ class BoundComparison:
     attains_upper: bool
 
 
-def _h_y(array: AontArray, model: InputModel, pair: SubsetPair, h_y: float | None) -> float:
-    if h_y is not None:
-        return h_y
-    return subset_entropy(array, model, pair.y) if pair.y else 0.0
+def place(pair: SubsetPair, observed: float, interval: EntropyInterval, tolerance: float) -> BoundComparison:
+    """Where an observed H(X|Y) sits against the pair's interval."""
+    return BoundComparison(
+        pair=pair,
+        observed=observed,
+        interval=interval,
+        within=interval.contains(observed, tolerance),
+        attains_lower=abs(observed - interval.lower) <= tolerance,
+        attains_upper=abs(observed - interval.upper) <= tolerance,
+    )
 
 
 @dataclass(frozen=True)
 class TagRule:
-    """What a bound tag assumes of the array, the pair and the prior."""
+    """What a bound tag assumes of the array, the pair and the prior, and the
+    interval it then prescribes."""
 
     verdicts: tuple[str, ...]  # verdicts of classify(t_i, t_o) the tag accepts
     equal_t: bool  # needs t_i = t_o; otherwise t_i <= t_o
     # precondition on the prior at t = t_i: the error to raise, or None
     prior: Callable[[InputModel, int], AontLabError | None]
+    # (model, t_i, t_o, X columns, H(Y)) -> the tag's interval for one pair
+    interval: Callable[[InputModel, int, int, tuple[int, ...], float], EntropyInterval]
 
 
 _FULL = (AONT,)
 _COVERING = (AONT, WEAK_AONT_ONLY)
 
 TAG_RULES = {
-    SYMMETRIC: TagRule(_FULL, True, _independent),
-    NONUNIFORM_EXACT: TagRule(_FULL, True, _independent),
-    BLOCK_EXACT: TagRule(_FULL, True, _block_within_t),
-    ASYMMETRIC: TagRule(_FULL, False, _independent),
-    ASYMMETRIC_GIVEN_HY: TagRule(_FULL, False, _independent),
-    WEAK: TagRule(_COVERING, False, _independent),
-    WEAK_GIVEN_HY: TagRule(_COVERING, False, _independent),
+    SYMMETRIC: TagRule(_FULL, True, _independent, lambda m, ti, to, x, hy: bounds_symmetric(m, ti)),
+    NONUNIFORM_EXACT: TagRule(
+        _FULL, True, _independent, lambda m, ti, to, x, hy: _point(exact_nonuniform_le_t(m, ti), NONUNIFORM_EXACT)
+    ),
+    BLOCK_EXACT: TagRule(
+        _FULL, True, _block_within_t, lambda m, ti, to, x, hy: _point(exact_block_dependent(m, ti), BLOCK_EXACT)
+    ),
+    ASYMMETRIC: TagRule(_FULL, False, _independent, lambda m, ti, to, x, hy: bounds_asymmetric(m, ti, to, x)),
+    ASYMMETRIC_GIVEN_HY: TagRule(
+        _FULL, False, _independent, lambda m, ti, to, x, hy: bounds_asymmetric_given_hy(m, ti, to, hy)
+    ),
+    WEAK: TagRule(_COVERING, False, _independent, lambda m, ti, to, x, hy: bounds_weak(m, ti, to, x)),
+    WEAK_GIVEN_HY: TagRule(
+        _COVERING, False, _independent, lambda m, ti, to, x, hy: bounds_weak_given_hy(m, ti, to, hy)
+    ),
 }
 ALL_TAGS = tuple(TAG_RULES)
 # the tags `auto` tries, tightest interval first
@@ -284,69 +305,38 @@ def auto_tag(verdict: str, model: InputModel, t_i: int, t_o: int) -> str | None:
     return next((tag for tag in _AUTO_ORDER if _mismatch(tag, verdict, model, t_i, t_o) is None), None)
 
 
-def interval_for(
-    array: AontArray,
-    model: InputModel,
-    pair: SubsetPair,
-    which: str,
-    h_y: float | None = None,
-    verdict: str | None = None,
-) -> EntropyInterval:
-    """Build the interval a tag prescribes for this pair, after checking the
-    tag's rule against the array's verified class and the prior.
-
-    The H(Y)-conditioned tags use `h_y` when given and compute H(Y) otherwise;
-    `verdict` is the array's class at (|X|, s - |Y|) when already known.
-    """
+def checked_rule(which: str, verdict: str | None, model: InputModel, t_i: int, t_o: int) -> TagRule:
+    """The rule of tag `which`; raises why it does not hold for this verdict
+    (the array's class at (t_i, t_o)), prior and (t_i, t_o)."""
     if which not in TAG_RULES:
         raise InvalidParametersError(f"unknown bound tag {which!r}")
-    t_i = len(pair.x)
-    t_o = array.s - len(pair.y)
-    if verdict is None and t_i <= t_o:
-        verdict = cached_classify(array, t_i, t_o).verdict
     error = _mismatch(which, verdict, model, t_i, t_o)
     if error is not None:
         raise error
-    if which == SYMMETRIC:
-        return bounds_symmetric(model, t_i)
-    if which == NONUNIFORM_EXACT:
-        return _point(exact_nonuniform_le_t(model, t_i), NONUNIFORM_EXACT)
-    if which == BLOCK_EXACT:
-        return _point(exact_block_dependent(model, t_i), BLOCK_EXACT)
-    if which == ASYMMETRIC:
-        return bounds_asymmetric(model, t_i, t_o, x_cols=pair.x)
-    if which == WEAK:
-        return bounds_weak(model, t_i, t_o, x_cols=pair.x)
-    h_y = _h_y(array, model, pair, h_y)
-    if which == ASYMMETRIC_GIVEN_HY:
-        return bounds_asymmetric_given_hy(model, t_i, t_o, h_y)
-    return bounds_weak_given_hy(model, t_i, t_o, h_y)
+    return TAG_RULES[which]
+
+
+def _pair_rule(array: AontArray, model: InputModel, pair: SubsetPair, which: str) -> tuple[TagRule, int, int]:
+    """The checked rule of tag `which` for this pair, with its (t_i, t_o)."""
+    t_i, t_o = len(pair.x), array.s - len(pair.y)
+    verdict = cached_classify(array, t_i, t_o).verdict if t_i <= t_o else None
+    return checked_rule(which, verdict, model, t_i, t_o), t_i, t_o
+
+
+def interval_for(array: AontArray, model: InputModel, pair: SubsetPair, which: str) -> EntropyInterval:
+    """Build the interval a tag prescribes for this pair, after checking the
+    tag's rule against the array's verified class and the prior."""
+    rule, t_i, t_o = _pair_rule(array, model, pair, which)
+    h_y = pair_joint(array, *prior_weights(array, model), pair).h_y()
+    return rule.interval(model, t_i, t_o, pair.x, h_y)
 
 
 def compare(
-    array: AontArray,
-    model: InputModel,
-    pair: SubsetPair,
-    which: str,
-    tolerance: float = 1e-6,
-    observed: float | None = None,
-    h_y: float | None = None,
-    verdict: str | None = None,
+    array: AontArray, model: InputModel, pair: SubsetPair, which: str, tolerance: float = 1e-6
 ) -> BoundComparison:
-    """Place the oracle H(X|Y) against the tagged interval.
-
-    `observed` (H(X|Y)), `h_y` (H(Y)) and `verdict` (the array's class at
-    (|X|, s - |Y|)) may be passed in when already computed; whichever is
-    missing is evaluated here.
-    """
-    interval = interval_for(array, model, pair, which, h_y, verdict)
-    if observed is None:
-        observed = conditional_entropy(array, model, pair)
-    return BoundComparison(
-        pair=pair,
-        observed=observed,
-        interval=interval,
-        within=interval.contains(observed, tolerance),
-        attains_lower=abs(observed - interval.lower) <= tolerance,
-        attains_upper=abs(observed - interval.upper) <= tolerance,
-    )
+    """Place the oracle H(X|Y) against the tagged interval; H(X|Y) and H(Y)
+    come from one projection onto X u Y."""
+    rule, t_i, t_o = _pair_rule(array, model, pair, which)
+    joint = pair_joint(array, *prior_weights(array, model), pair)
+    h_y = joint.h_y()
+    return place(pair, joint.conditional(h_y), rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)

@@ -58,17 +58,17 @@ def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
     """Parse 'X cols:Y cols'; the pair must have |X| = t_i and |Y| = s - t_o."""
     try:
         x_part, y_part = spec.split(":", 1)
-        x = tuple(int(c) for c in x_part.split(",") if c)
-        y = tuple(int(c) for c in y_part.split(",") if c) if y_part else ()
+        x = {int(c) for c in x_part.split(",") if c}
+        y = {int(c) for c in y_part.split(",") if c}
     except ValueError:
         raise click.UsageError(f"bad --pair spec {spec!r}; expected e.g. '1:4' or '1,2:5'") from None
-    pair = SubsetPair(x, y)
-    if len(pair.x) != t_i or len(pair.y) != s - t_o:
+    # an empty X is never a pair, whatever t_i is
+    if not x or len(x) != t_i or len(y) != s - t_o:
         raise click.UsageError(
-            f"--pair {spec!r} has |X|={len(pair.x)}, |Y|={len(pair.y)}; "
+            f"--pair {spec!r} has |X|={len(x)}, |Y|={len(y)}; "
             f"expected |X| = t_i = {t_i} and |Y| = s - t_o = {s - t_o}"
         )
-    return pair
+    return SubsetPair(tuple(x), tuple(y))
 
 
 @click.group()

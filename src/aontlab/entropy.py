@@ -43,7 +43,8 @@ class SubsetPair:
             raise InvalidParametersError("X must be non-empty")
 
 
-def _validate_pair(array: AontArray, pair: SubsetPair) -> None:
+def check_pair(array: AontArray, pair: SubsetPair) -> None:
+    """Raise unless X lies in the inputs 1..s and Y in the outputs s+1..2s."""
     s = array.s
     if pair.x[0] < 1 or pair.x[-1] > s:
         raise InvalidParametersError(f"X columns {pair.x} outside inputs 1..{s}")
@@ -133,7 +134,7 @@ class PairJoint:
 
 def pair_joint(array: AontArray, weights: Sequence[int], denominator: int, pair: SubsetPair) -> PairJoint:
     """One projection onto X u Y, from which every per-pair quantity follows."""
-    _validate_pair(array, pair)
+    check_pair(array, pair)
     joint = _accumulate(array, weights, pair.x + pair.y)
     y_size = array.v ** len(pair.y)
     x_marginal = [sum(joint[i : i + y_size]) for i in range(0, len(joint), y_size)]
@@ -159,26 +160,6 @@ def conditional_entropy(array: AontArray, model: InputModel, pair: SubsetPair) -
     return joint.conditional(joint.h_y())
 
 
-def check_formula_applies(
-    array: AontArray, model: InputModel, pair: SubsetPair, verdict: str | None = None
-) -> None:
-    """Raise unless the closed form holds: an independent model on an array
-    verified as a full symmetric transform at t = |X|, with |Y| = s - t.
-
-    `verdict` is the array's class at (t, t) when already known."""
-    if model.kind != INDEPENDENT:
-        raise FormulaPreconditionError("closed form requires an independent model")
-    t = len(pair.x)
-    if len(pair.y) != array.s - t:
-        raise FormulaPreconditionError(
-            f"closed form needs |Y| = s - |X| = {array.s - t}, got {len(pair.y)}"
-        )
-    if verdict is None:
-        verdict = cached_classify(array, t, t).verdict
-    if verdict != AONT:
-        raise FormulaPreconditionError(f"array is not a verified (t={t}) transform")
-
-
 def column_entropy_sum(model: InputModel) -> float:
     """sum_i H(X_i), the first term of the closed form."""
     return sum(column_entropy(model, i) for i in range(1, model.s + 1))
@@ -190,8 +171,14 @@ def conditional_entropy_formula(array: AontArray, model: InputModel, pair: Subse
     Valid only for an independent model on an array verified as a full
     symmetric transform at t = |X| with |Y| = s - t; anything else raises.
     """
-    _validate_pair(array, pair)
-    check_formula_applies(array, model, pair)
+    check_pair(array, pair)
+    if model.kind != INDEPENDENT:
+        raise FormulaPreconditionError("closed form requires an independent model")
+    t = len(pair.x)
+    if len(pair.y) != array.s - t:
+        raise FormulaPreconditionError(f"closed form needs |Y| = s - |X| = {array.s - t}, got {len(pair.y)}")
+    if cached_classify(array, t, t).verdict != AONT:
+        raise FormulaPreconditionError(f"array is not a verified (t={t}) transform")
     h_y = subset_entropy(array, model, pair.y) if pair.y else 0.0
     return column_entropy_sum(model) - h_y
 
@@ -218,7 +205,7 @@ def completion_set(
 ) -> CompletionSet:
     """All tuples on the inputs outside X appearing in a row that matches
     X = given_x and Y = given_y. Empty output is legal for sparse arrays."""
-    _validate_pair(array, pair)
+    check_pair(array, pair)
     if len(given_x) != len(pair.x) or len(given_y) != len(pair.y):
         raise InvalidParametersError("observation tuples must match the subset sizes")
     complement = tuple(c for c in array.input_columns if c not in pair.x)

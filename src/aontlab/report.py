@@ -17,13 +17,7 @@ from typing import Sequence
 
 from . import bounds as bnd
 from .arrays import AONT, AontArray, ClassificationVerdict, classify
-from .entropy import (
-    SubsetPair,
-    check_formula_applies,
-    column_entropy_sum,
-    pair_joint,
-    prior_weights,
-)
+from .entropy import SubsetPair, check_pair, column_entropy_sum, pair_joint, prior_weights
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     conditional_entropy,
     conditional_entropy_formula,
@@ -95,6 +89,13 @@ def build_report(
     model_label: str = "model",
     pairs: Sequence[SubsetPair] | None = None,
 ) -> AnalysisReport:
+    """Every pair's H(X|Y), closed form, SD and H(X), placed against the
+    interval of `bounds_tag` (`auto`: the tightest whose rule holds; None:
+    no bounds).
+
+    `pairs` defaults to `admissible_pairs(s, t_i, t_o)`; pairs given must
+    have |X| = t_i and |Y| = s - t_o, or InvalidParametersError is raised.
+    """
     if model.s != array.s or model.v != array.v:
         raise InvalidParametersError(
             f"model shape (s={model.s}, v={model.v}) does not match array "
@@ -119,41 +120,28 @@ def build_report(
         raise MassSumError(f"masses sum to {Fraction(total, denominator)}, expected 1")
 
     all_pairs = admissible_pairs(array.s, t_i, t_o) if pairs is None else list(pairs)
+    if not all_pairs:
+        raise InvalidParametersError("no pairs to report")
+    for pair in all_pairs:
+        if (len(pair.x), len(pair.y)) != (t_i, array.s - t_o):
+            raise InvalidParametersError(
+                f"pair {pair.x}:{pair.y} has |X|={len(pair.x)}, |Y|={len(pair.y)}; "
+                f"the report needs |X| = t_i = {t_i} and |Y| = s - t_o = {array.s - t_o}"
+            )
+        check_pair(array, pair)
+    rule = None if tag is None else bnd.checked_rule(tag, verdict.verdict, model, t_i, t_o)
     rows: list[ReportRow] = []
     for pair in all_pairs:
         joint = pair_joint(array, weights, denominator, pair)
-        # `verdict` classifies pairs of the report's own shape; `pairs` may hold others
-        known = verdict.verdict if (len(pair.x), len(pair.y)) == (t_i, array.s - t_o) else None
         h_y = joint.h_y()
         oracle = joint.conditional(h_y)
-        formula = None
-        if formula_ok:
-            check_formula_applies(array, model, pair, known)
-            formula = h_cols - h_y
-        sd = joint.stat_distance()
-        h_x = joint.h_x()
-        if tag is None:
-            rows.append(
-                ReportRow(pair.x, pair.y, oracle, formula, sd, h_x, None, None, None, None, None, None)
-            )
-        else:
-            cmp = bnd.compare(array, model, pair, tag, tolerance, observed=oracle, h_y=h_y, verdict=known)
-            rows.append(
-                ReportRow(
-                    pair.x,
-                    pair.y,
-                    oracle,
-                    formula,
-                    sd,
-                    h_x,
-                    cmp.interval.source,
-                    cmp.interval.lower,
-                    cmp.interval.upper,
-                    cmp.within,
-                    cmp.attains_lower,
-                    cmp.attains_upper,
-                )
-            )
+        formula = h_cols - h_y if formula_ok else None
+        placed: tuple = (None,) * 6
+        if rule is not None:
+            cmp = bnd.place(pair, oracle, rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)
+            iv = cmp.interval
+            placed = (iv.source, iv.lower, iv.upper, cmp.within, cmp.attains_lower, cmp.attains_upper)
+        rows.append(ReportRow(pair.x, pair.y, oracle, formula, joint.stat_distance(), joint.h_x(), *placed))
     rows.sort(key=lambda r: (r.x, r.y))
     observed = [r.oracle for r in rows]
     perfect = all(abs(r.oracle - r.h_x) <= tolerance for r in rows)

@@ -1,4 +1,5 @@
-"""Reference projection counting and CSV parsing, for cross-checking.
+"""Reference projection counting, classification and CSV parsing, for
+cross-checking.
 
 These are the per-row and per-token paths that the package's packed-column
 kernel and decode-once parser replaced. The projection helpers read only
@@ -6,6 +7,7 @@ kernel and decode-once parser replaced. The projection helpers read only
 `Alphabet.symbol` and validates row by row, as the package used to. Its
 glyph padding takes the next unused `#k` filler, which is the package's
 rule (the old loop never ended when `#<len(seen)>` was already a token).
+`classify` is the two-pass classifier the package's one-pass loop replaced.
 Columns are 1-based labels, in the order given.
 """
 
@@ -13,7 +15,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from aontlab.arrays import Alphabet
+from aontlab.arrays import (
+    AONT,
+    NEITHER,
+    WEAK_AONT_ONLY,
+    Alphabet,
+    ClassificationVerdict,
+    check_covering,
+    check_unbiased,
+    column_set_family,
+)
 from aontlab.errors import DimensionMismatchError, InvalidParametersError, UnknownSymbolError
 
 
@@ -106,3 +117,15 @@ def parse_array_csv(text: str):
         if v < 2 or v**s != len(rows):
             raise DimensionMismatchError(f"{len(rows)} rows is not a perfect s={s} power of any alphabet size")
     return parse_array(rows, v, s)
+
+
+def classify(array, t_i: int, t_o: int) -> ClassificationVerdict:
+    """The unbiased pass up to its first failure, then a full covering pass."""
+    family = list(column_set_family(array.s, t_i, t_o))
+    unbiased_witness = next((cols for cols in family if not check_unbiased(array, cols).holds), None)
+    if unbiased_witness is None:
+        return ClassificationVerdict(t_i, t_o, AONT)
+    for cols in family:
+        if not check_covering(array, cols).holds:
+            return ClassificationVerdict(t_i, t_o, NEITHER, witness=cols)
+    return ClassificationVerdict(t_i, t_o, WEAK_AONT_ONLY, witness=unbiased_witness)

@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from aontlab.arrays import (
     passes_unbiased_family,
     projection_codes,
 )
-from aontlab.constructions import _TABLE1, _TABLE3, builtin
+from aontlab.constructions import _TABLE1, _TABLE3, builtin, linear_aont, matrix_from_rows
 from aontlab.entropy import _accumulate
 from aontlab.errors import (
     DimensionMismatchError,
@@ -65,6 +66,18 @@ def test_parse_rejects_unknown_symbol():
     rows = [(0, 1, 2, 3)] + [(0, 0, 0, 0)] * 8
     with pytest.raises(UnknownSymbolError):
         parse_array(rows, v=3, s=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", [1]])
+def test_array_rejects_non_integer_symbols(bad):
+    with pytest.raises(UnknownSymbolError, match="row 1 holds symbol"):
+        AontArray(Alphabet(3), 1, ((0, bad), (1, 0), (2, 1)))
+
+
+def test_array_rejects_float_equal_to_an_earlier_symbol():
+    # a set of the symbols holds the integer 1 and drops the later 1.0
+    with pytest.raises(UnknownSymbolError, match="row 3 holds symbol 1.0, not an integer"):
+        AontArray(Alphabet(3), 1, ((0, 1), (1, 0), (2, 1.0)))
 
 
 def test_parse_infers_glyphs_by_first_appearance():
@@ -128,6 +141,46 @@ def test_classify_neither_reports_covering_witness(table1):
     verdict = classify(arr, 1, 1)
     assert verdict.verdict == NEITHER
     assert verdict.witness is not None
+
+
+def _classify_case(kind: str, v: int, s: int, rng: random.Random) -> AontArray:
+    """A linear transform, a random bijection or a random output block, with
+    up to two edits: swap the outputs of two rows (both blocks stay
+    bijections) or overwrite one symbol."""
+    inputs = list(product(range(v), repeat=s))
+    if kind == "linear":
+        matrix = matrix_from_rows(v, [[rng.randrange(v) for _ in range(s)] for _ in range(s)])
+        while not matrix.is_invertible():
+            matrix = matrix_from_rows(v, [[rng.randrange(v) for _ in range(s)] for _ in range(s)])
+        rows = [list(row) for row in linear_aont(matrix).rows]
+    elif kind == "bijection":
+        outputs = rng.sample(inputs, len(inputs))
+        rows = [list(x + y) for x, y in zip(inputs, outputs)]
+    else:
+        rows = [list(x) + [rng.randrange(v) for _ in range(s)] for x in inputs]
+    for _ in range(rng.randrange(3)):
+        a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if rng.random() < 0.7:
+            rows[a][s:], rows[b][s:] = rows[b][s:], rows[a][s:]
+        else:
+            rows[a][rng.randrange(2 * s)] = rng.randrange(v)
+    return AontArray(Alphabet(v), s, tuple(map(tuple, rows)))
+
+
+@given(
+    kind=st.sampled_from(["linear", "bijection", "random"]),
+    shape=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)]),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_pass_classify_matches_two_pass_reference(kind, shape, seed, data):
+    v, s = shape
+    array = _classify_case(kind, v, s, random.Random(seed))
+    # a weak-aont-only verdict needs a mixed set smaller than s, i.e. t_i < t_o < s
+    pairs = [(t_i, t_o) for t_o in range(1, s + 1) for t_i in range(1, t_o + 1)]
+    t_i, t_o = data.draw(st.sampled_from(pairs + [(t_i, t_o) for t_i, t_o in pairs if t_i < t_o < s] * 4))
+    assert classify(array, t_i, t_o) == arrays_oracle.classify(array, t_i, t_o)
 
 
 def test_classify_parameter_checks(table1):

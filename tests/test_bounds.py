@@ -39,6 +39,7 @@ from aontlab.errors import (
     OutputEntropyRangeError,
     TooManyNonuniformError,
 )
+from aontlab.report import build_report
 
 from conftest import example1_model, example3_model, example4_model, random_independent_model
 
@@ -249,22 +250,6 @@ def test_min_entropy_cap_is_symmetric_upper_bound():
         min_entropy_cap(make_block_dependent_model(3, 3, (), None), 1)
 
 
-@pytest.mark.parametrize("tag", [ASYMMETRIC, ASYMMETRIC_GIVEN_HY, WEAK, WEAK_GIVEN_HY])
-def test_compare_with_precomputed_values_matches_standalone(table2, tag):
-    model = example3_model()
-    pair = SubsetPair((2,), (6,))
-    alone = compare(table2, model, pair, tag)
-    given = compare(
-        table2,
-        model,
-        pair,
-        tag,
-        observed=conditional_entropy(table2, model, pair),
-        h_y=subset_entropy(table2, model, pair.y),
-    )
-    assert given == alone
-
-
 def _block_model(s: int, v: int, block: tuple[int, ...]):
     size = v ** len(block)
     return make_block_dependent_model(s, v, block, Distribution(v, len(block), (F(1, size),) * size))
@@ -303,3 +288,40 @@ def test_interval_for_checks_the_tag_rule(table1):
     with pytest.raises(InvalidParametersError):
         interval_for(table1, example1_model(), pair, "no-such-tag")
     assert interval_for(table1, _block_model(2, 3, (1,)), pair, BLOCK_EXACT).exact
+
+
+# (tag, array fixture, model, t_i, t_o): one case for each tag where its rule holds
+_TAG_CASES = [
+    (SYMMETRIC, "table1", example1_model, 1, 1),
+    (NONUNIFORM_EXACT, "table1", lambda: make_independent_model([uniform(3), (F(1, 3), F(1, 6), F(1, 2))]), 1, 1),
+    (BLOCK_EXACT, "table1", lambda: _block_model(2, 3, (1,)), 1, 1),
+    (ASYMMETRIC, "table2", example3_model, 1, 2),
+    (ASYMMETRIC_GIVEN_HY, "table2", example3_model, 1, 2),
+    (WEAK, "table3", example4_model, 1, 2),
+    (WEAK_GIVEN_HY, "table3", example4_model, 1, 2),
+]
+
+
+@pytest.mark.parametrize("tag, fixture, make_model, t_i, t_o", _TAG_CASES, ids=[c[0] for c in _TAG_CASES])
+def test_compare_matches_report_row_for_every_tag(request, tag, fixture, make_model, t_i, t_o):
+    array = request.getfixturevalue(fixture)
+    model = make_model()
+    report = build_report(array, model, t_i, t_o, bounds_tag=tag)
+    assert report.bounds_tag == tag
+    for row in report.rows:
+        pair = SubsetPair(row.x, row.y)
+        cmp = compare(array, model, pair, tag)
+        iv = cmp.interval
+        assert (cmp.observed, iv.source, iv.lower, iv.upper, cmp.within, cmp.attains_lower, cmp.attains_upper) == (
+            row.oracle, row.source, row.lower, row.upper, row.within, row.attains_lower, row.attains_upper
+        )
+        assert interval_for(array, model, pair, tag) == cmp.interval
+
+
+def test_report_rejects_pair_of_wrong_shape(table2):
+    with pytest.raises(InvalidParametersError, match="needs"):
+        build_report(table2, example3_model(), 1, 2, pairs=[SubsetPair((1,), (4, 5))])
+    with pytest.raises(InvalidParametersError, match="outside outputs"):
+        build_report(table2, example3_model(), 1, 2, pairs=[SubsetPair((1,), (3,))])
+    with pytest.raises(InvalidParametersError, match="no pairs"):
+        build_report(table2, example3_model(), 1, 2, pairs=[])

@@ -301,7 +301,7 @@ def test_cli_rejects_negative_tolerance(runner, ex1_model_file):
     assert demo.exit_code == 4 and "--tolerance" in demo.stderr
 
 
-@pytest.mark.parametrize("spec", ["1,2:3", "1:", "1:3,4"])
+@pytest.mark.parametrize("spec", ["1,2:3", "1:", "1:3,4", ":3"])
 def test_cli_analyze_rejects_pair_of_wrong_size(runner, ex1_model_file, spec):
     result = runner.invoke(
         cli,
@@ -310,6 +310,13 @@ def test_cli_analyze_rejects_pair_of_wrong_size(runner, ex1_model_file, spec):
     )
     assert result.exit_code == 4
     assert "|X| = t_i = 1 and |Y| = s - t_o = 1" in result.stderr
+
+
+def test_cli_analyze_rejects_empty_x_whatever_t_i(runner, ex1_model_file):
+    args = ["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "0", "--to", "1"]
+    result = runner.invoke(cli, args + ["--pair", ":3"])
+    assert result.exit_code == 4
+    assert "--pair ':3' has |X|=0" in result.stderr
 
 
 def _write_model(tmp_path, doc) -> str:
