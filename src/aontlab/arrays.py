@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import sys
 from array import array as int_array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .coding import decode_index
@@ -75,13 +75,33 @@ class Alphabet:
 _FIELD_TYPECODES = ("B", "H", "I", "Q")
 
 
+def _typecode_below(limit: int) -> str | None:
+    """Smallest unsigned typecode whose items hold every integer below `limit`."""
+    return next((t for t in _FIELD_TYPECODES if limit <= 1 << 8 * int_array(t).itemsize), None)
+
+
 def field_typecode(v: int, s: int) -> str:
     """Smallest unsigned `array` typecode whose items hold all v^(2s) codes
     of a projection onto up to 2s columns."""
-    for typecode in _FIELD_TYPECODES:
-        if v ** (2 * s) <= 1 << 8 * int_array(typecode).itemsize:
-            return typecode
-    raise InvalidParametersError(f"codes of {2 * s} columns over v={v} do not fit in 64 bits")
+    typecode = _typecode_below(v ** (2 * s))
+    if typecode is None:
+        raise InvalidParametersError(f"codes of {2 * s} columns over v={v} do not fit in 64 bits")
+    return typecode
+
+
+def symbol_typecode(v: int) -> str:
+    """Typecode of a stored column over {0..v-1}: 'B' for v <= 256."""
+    typecode = _typecode_below(v)
+    if typecode is None:
+        raise InvalidParametersError(f"symbols over v={v} do not fit in 64 bits")
+    return typecode
+
+
+def _below(column: int_array, v: int) -> bool:
+    """Is every item of a non-empty column below v?"""
+    if column.itemsize == 1:  # deleting the valid bytes is one C pass, with no int per item
+        return not column.tobytes().translate(None, bytes(range(v)))
+    return max(column) < v
 
 
 def _check_widths(rows: Sequence[Sequence[object]], width: int) -> None:
@@ -90,42 +110,83 @@ def _check_widths(rows: Sequence[Sequence[object]], width: int) -> None:
         raise DimensionMismatchError(f"row {r + 1} has width {len(row)}, expected {width}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class AontArray:
-    """A v^s x 2s array over {0..v-1}; immutable once built."""
+    """A v^s x 2s array over {0..v-1}; immutable once built.
+
+    It stores one `array` of typecode `symbol_typecode(v)` per column, in row
+    order: `AontArray(alphabet, s, rows)` builds it from rows and
+    `AontArray.from_columns` from columns, and both validate every symbol.
+    `rows` is a view rebuilt from the columns on each access.
+    """
 
     alphabet: Alphabet
     s: int
-    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[int_array, ...]
 
-    def __post_init__(self) -> None:
-        v = self.alphabet.size
-        if self.s < 1:
-            raise InvalidParametersError(f"s must be >= 1, got {self.s}")
-        if len(self.rows) != v**self.s:
-            raise DimensionMismatchError(
-                f"expected {v**self.s} rows for v={v}, s={self.s}, got {len(self.rows)}"
-            )
-        _check_widths(self.rows, 2 * self.s)
-        if not self._symbols_valid():
-            for r, row in enumerate(self.rows):
+    def __init__(self, alphabet: Alphabet, s: int, rows: Sequence[Sequence[int]]) -> None:
+        v = alphabet.size
+        if s < 1:
+            raise InvalidParametersError(f"s must be >= 1, got {s}")
+        if len(rows) != v**s:
+            raise DimensionMismatchError(f"expected {v**s} rows for v={v}, s={s}, got {len(rows)}")
+        width = 2 * s
+        _check_widths(rows, width)
+        try:
+            flat = int_array(symbol_typecode(v), chain.from_iterable(rows))
+        except (TypeError, OverflowError):  # a non-integer, or an integer no item holds
+            flat = None
+        if flat is None or not _below(flat, v):
+            for r, row in enumerate(rows):
                 for x in row:
                     if not isinstance(x, int):
                         raise UnknownSymbolError(f"row {r + 1} holds symbol {x!r}, not an integer")
                     if not 0 <= x < v:
                         raise UnknownSymbolError(f"row {r + 1} holds symbol {x} outside 0..{v - 1}")
+        self._store(alphabet, s, [flat[i::width] for i in range(width)])
 
-    def _symbols_valid(self) -> bool:
-        """Is every symbol an integer in 0..v-1? The set test alone passes a
-        symbol equal to one (1.0), so packing, which converts every symbol to
-        a machine integer, backs it."""
-        try:
-            if set(chain.from_iterable(self.rows)).issubset(range(self.v)):
-                self.packed_columns
-                return True
-        except TypeError:  # an unhashable or a non-integer symbol
-            pass
-        return False
+    @classmethod
+    def from_columns(cls, alphabet: Alphabet, s: int, columns: Sequence[Sequence[int]]) -> AontArray:
+        """The array whose i-th column, in row order, is `columns[i]`."""
+        v = alphabet.size
+        if s < 1:
+            raise InvalidParametersError(f"s must be >= 1, got {s}")
+        if len(columns) != 2 * s:
+            raise DimensionMismatchError(f"expected {2 * s} columns for s={s}, got {len(columns)}")
+        typecode = symbol_typecode(v)
+        stored = []
+        for i, column in enumerate(columns):
+            try:
+                column = int_array(typecode, column)
+            except (TypeError, OverflowError):
+                raise UnknownSymbolError(
+                    f"column {i + 1} holds a symbol that is not an integer in 0..{v - 1}"
+                ) from None
+            if len(column) != v**s:
+                raise DimensionMismatchError(f"column {i + 1} has {len(column)} rows, expected {v**s}")
+            if not _below(column, v):
+                raise UnknownSymbolError(f"column {i + 1} holds symbol {max(column)} outside 0..{v - 1}")
+            stored.append(column)
+        array = cls.__new__(cls)
+        array._store(alphabet, s, stored)
+        return array
+
+    def _store(self, alphabet: Alphabet, s: int, columns: list[int_array]) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "columns", tuple(columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AontArray):
+            return NotImplemented
+        return (self.alphabet, self.s, self.columns) == (other.alphabet, other.s, other.columns)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.s, *map(bytes, self.columns)))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.columns))
 
     @cached_property
     def packed_columns(self) -> tuple[int, ...]:
@@ -135,8 +196,7 @@ class AontArray:
         `field_typecode(v, s)`, in row order."""
         typecode = field_typecode(self.v, self.s)
         return tuple(
-            int.from_bytes(int_array(typecode, map(itemgetter(i), self.rows)).tobytes(), sys.byteorder)
-            for i in range(2 * self.s)
+            int.from_bytes(int_array(typecode, column).tobytes(), sys.byteorder) for column in self.columns
         )
 
     @property
@@ -145,7 +205,7 @@ class AontArray:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
 
     @property
     def input_columns(self) -> tuple[int, ...]:
@@ -216,13 +276,20 @@ def parse_array(
 
     if all(map(isinstance, chain.from_iterable(rows), repeat(int))):
         alphabet = Alphabet(v, tuple(glyphs) if glyphs is not None else None)
-        return AontArray(alphabet, s, tuple(rows))
+        return AontArray(alphabet, s, rows)
 
-    if not all(map(isinstance, chain.from_iterable(rows), repeat(str))):
-        rows = [tuple(map(str, row)) for row in rows]
+    tokens = list(chain.from_iterable(rows))
+    if not all(map(isinstance, tokens, repeat(str))):
+        tokens = list(map(str, tokens))
+    return _decode_tokens(tokens, v, s, glyphs)
+
+
+def _decode_tokens(tokens: list[str], v: int, s: int, glyphs: Sequence[str] | None) -> AontArray:
+    """The array whose row-major symbols are `tokens`, decoded as
+    `parse_array` describes; the shape is already checked."""
     # each distinct token is decoded once, in row-major order of first
     # appearance, so the first bad token is the one a row-by-row scan meets
-    table = dict.fromkeys(chain.from_iterable(rows))
+    table = dict.fromkeys(tokens)
     if glyphs is not None:
         alphabet = Alphabet(v, tuple(glyphs))
     elif all(token.lstrip("-").isdigit() for token in table):
@@ -240,8 +307,11 @@ def parse_array(
         alphabet = Alphabet(v, tuple(seen))
     for token in table:
         table[token] = alphabet.symbol(token)
-    symbols = map(table.__getitem__, chain.from_iterable(rows))
-    return AontArray(alphabet, s, tuple(zip(*[symbols] * (2 * s))))
+    symbols = map(table.__getitem__, tokens)
+    # bytes() takes an iterator of small ints about twice as fast as array() does
+    flat = int_array("B", bytes(symbols)) if v <= 256 else int_array(symbol_typecode(v), symbols)
+    width = 2 * s
+    return AontArray.from_columns(alphabet, s, [flat[i::width] for i in range(width)])
 
 
 def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
@@ -266,12 +336,27 @@ def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
     return codes
 
 
-def _count_projection(array: AontArray, cols: tuple[int, ...]) -> list[int]:
-    """How often each code of the projection onto `cols` occurs."""
+def _count_projection(array: AontArray, cols: tuple[int, ...]) -> list[int] | dict[int, int]:
+    """How often each code of the projection onto `cols` occurs: a list over
+    all v^|cols| codes, or, when there are more codes than rows, a dict of
+    the codes that occur, in ascending order."""
+    codes = projection_codes(array, cols)
+    if array.v ** len(cols) > array.n_rows:
+        return dict(sorted(Counter(codes).items()))
     counts = [0] * array.v ** len(cols)
-    for code in projection_codes(array, cols):
+    for code in codes:
         counts[code] += 1
     return counts
+
+
+def dense_totals(totals: list[int] | dict[int, int], size: int) -> list[int]:
+    """Per-code totals of a projection as a list over all `size` codes."""
+    if isinstance(totals, list):
+        return totals
+    dense = [0] * size
+    for code, total in totals.items():
+        dense[code] = total
+    return dense
 
 
 def check_unbiased(array: AontArray, cols: Iterable[int]) -> PropertyReport:
@@ -395,19 +480,28 @@ def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> Ao
         v, s = header_v, header_s
     if not lines:
         raise DimensionMismatchError("no data rows")
-    rows = [tuple(map(str.strip, line.split(","))) for line in lines]
-    width = len(rows[0])
+    width = lines[0].count(",") + 1
     if s is None:
         if width % 2:
             raise DimensionMismatchError(f"odd row width {width}, cannot split into inputs/outputs")
         s = width // 2
     if v is None:
-        v = round(len(rows) ** (1.0 / s))
-        if v < 2 or v**s != len(rows):
+        v = round(len(lines) ** (1.0 / s))
+        if v < 2 or v**s != len(lines):
             raise DimensionMismatchError(
-                f"{len(rows)} rows is not a perfect s={s} power of any alphabet size"
+                f"{len(lines)} rows is not a perfect s={s} power of any alphabet size"
             )
-    return parse_array(rows, v, s)
+    if v < 2 or s < 1 or len(lines) != v**s or set(map(str.count, lines, repeat(","))) != {2 * s - 1}:
+        # a shape error: parse_array names it, row by row
+        return parse_array([tuple(map(str.strip, line.split(","))) for line in lines], v, s)
+    body = ",".join(lines)
+    del lines  # the body holds the same text in one string
+    tokens = body.split(",")
+    # split() drops no character only when there is no whitespace to strip
+    if body.split(maxsplit=1) != [body]:
+        tokens = list(map(str.strip, tokens))
+    del body
+    return _decode_tokens(tokens, v, s, None)
 
 
 def load_array_csv(path: str, v: int | None = None, s: int | None = None) -> AontArray:

@@ -134,6 +134,15 @@ def exact_block_dependent(model: InputModel, t: int) -> float:
     return model.block_joint.entropy_bits() + (t - len(model.block)) * log2(model.v)
 
 
+def _h_x(model: InputModel, hs: Sequence[float], t_i: int, x_cols: Sequence[int]) -> float:
+    """sum of H(X_c) over an X of t_i input columns, labels 1..s."""
+    if len(set(x_cols)) != t_i:
+        raise InvalidParametersError(f"X subset {x_cols} must have size t_i={t_i}")
+    if not set(x_cols) <= set(range(1, model.s + 1)):
+        raise InvalidParametersError(f"X subset {x_cols} outside inputs 1..{model.s}")
+    return sum(hs[c - 1] for c in x_cols)
+
+
 def bounds_asymmetric(
     model: InputModel,
     t_i: int,
@@ -157,9 +166,7 @@ def bounds_asymmetric(
         min_sum + model.s * log_v - total,
     ]
     if x_cols is not None:
-        if len(set(x_cols)) != t_i:
-            raise InvalidParametersError(f"X subset {x_cols} must have size t_i={t_i}")
-        terms.append(sum(hs[c - 1] for c in x_cols))
+        terms.append(_h_x(model, hs, t_i, x_cols))
     return _interval(lower, min(terms), ASYMMETRIC)
 
 
@@ -204,9 +211,7 @@ def bounds_weak(
     lower = max(0.0, total - (model.s - t_o) * log_v - log_term)
     terms = [_min_subset_sum(hs, t_i) + log_term]
     if x_cols is not None:
-        if len(set(x_cols)) != t_i:
-            raise InvalidParametersError(f"X subset {x_cols} must have size t_i={t_i}")
-        terms.append(sum(hs[c - 1] for c in x_cols))
+        terms.append(_h_x(model, hs, t_i, x_cols))
     return _interval(lower, min(terms), WEAK)
 
 

@@ -15,10 +15,11 @@ search independently.
 from __future__ import annotations
 
 import time
+from array import array as int_array
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 from math import prod
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .arrays import Alphabet, AontArray, check_t_range, column_set_family, parse_array
 from .arrays import passes_unbiased_family  # unused here; perfbench/tracing.py wraps this name
@@ -176,17 +177,35 @@ def identity_matrix(s: int, v: int) -> SquareMatrix:
 
 
 def linear_aont(matrix: SquareMatrix) -> AontArray:
-    """Expand (x, x @ M mod v) over all x in lexicographic order."""
+    """Expand (x, x @ M mod v) over all x in lexicographic order: the columns
+    of [I_s | M], one at a time."""
     if not matrix.is_invertible():
         raise SingularMatrixError(f"matrix {matrix.entries} has determinant 0 mod {matrix.v}")
     v = matrix.v
     s = matrix.order
-    cols = list(zip(*matrix.entries))
-    rows = []
-    for x in product(range(v), repeat=s):
-        y = tuple(sum(xi * ci for xi, ci in zip(x, col)) % v for col in cols)
-        rows.append(x + y)
-    return AontArray(Alphabet(v), s, tuple(rows))
+    identity = [tuple(int(i == j) for i in range(s)) for j in range(s)]
+    columns = [_linear_column(coefficients, v) for coefficients in identity + list(zip(*matrix.entries))]
+    return AontArray.from_columns(Alphabet(v), s, columns)
+
+
+def _linear_column(coefficients: tuple[int, ...], v: int) -> Sequence[int]:
+    """x -> sum_i x_i c_i mod v over every x in lexicographic order.
+
+    It is built from the last digit up: putting digit x_i in front of the
+    digits placed so far concatenates v copies of the column so far, the
+    copy for x_i = x shifted by x c_i mod v through a table per shift.
+    """
+    if v <= 256:  # a shift is one bytes.translate over the whole column
+        byte_shifts = [bytes((b + k) % v for b in range(256)) for k in range(v)]
+        column = b"\0"
+        for c in reversed(coefficients):
+            column = b"".join(column.translate(byte_shifts[x * c % v]) for x in range(v))
+        return int_array("B", column)
+    shifts = [[(b + k) % v for b in range(v)] for k in range(v)]
+    symbols = [0]
+    for c in reversed(coefficients):
+        symbols = list(chain.from_iterable(map(shifts[x * c % v].__getitem__, symbols) for x in range(v)))
+    return symbols
 
 
 def _gl_codes(s: int, v: int) -> Iterator[tuple[int, ...]]:

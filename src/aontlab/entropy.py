@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import getitem
 from typing import Iterable, Sequence
 
-from .arrays import AONT, AontArray, cached_classify, normalize_columns, projection_codes
+from .arrays import AONT, AontArray, cached_classify, dense_totals, normalize_columns, projection_codes
 from .coding import decode_index, encode_tuple, entropy_bits
 from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError
 from .models import (
@@ -63,7 +62,8 @@ def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
     common denominator D, so that the row's probability is weight / D.
 
     Independent model: D is the product of the per-column LCMs of the mass
-    denominators, and a weight is the product of per-column integer tables.
+    denominators, and a weight is the product of per-column integer tables,
+    looked up in their v^s-entry product table by the row's input code.
     Block model: D = lcm(block-joint denominators) * v^(s - |block|), and a
     weight is the scaled block-joint entry of the row's block symbols.
     """
@@ -74,16 +74,28 @@ def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
         )
     if model.kind == INDEPENDENT:
         tables, lcms = zip(*(_over_lcm(dist.masses) for dist in model.columns))
-        return [math.prod(map(getitem, tables, row)) for row in array.rows], math.prod(lcms)
-    table, lcm = _over_lcm(model.block_joint.masses)
-    weights = list(map(table.__getitem__, projection_codes(array, model.block)))
-    return weights, lcm * model.v ** (model.s - len(model.block))
+        table = [1]
+        for column in tables:
+            table = [w * m for w in table for m in column]
+        cols, denominator = array.input_columns, math.prod(lcms)
+    else:
+        table, lcm = _over_lcm(model.block_joint.masses)
+        cols, denominator = model.block, lcm * model.v ** (model.s - len(model.block))
+    return list(map(table.__getitem__, projection_codes(array, cols))), denominator
 
 
-def _accumulate(array: AontArray, weights: Sequence[int], cols: Sequence[int]) -> list[int]:
-    """Dense integer weights of the projection onto `cols` (1-based, any order)."""
+def _accumulate(array: AontArray, weights: Sequence[int], cols: Sequence[int]) -> list[int] | dict[int, int]:
+    """Integer weights of the projection onto `cols` (1-based, any order): a
+    list over all v^|cols| codes, or, when there are more codes than rows, a
+    dict of the codes that occur, in ascending order."""
+    codes = projection_codes(array, cols)
+    if array.v ** len(cols) > array.n_rows:
+        sparse: dict[int, int] = {}
+        for code, w in zip(codes, weights):
+            sparse[code] = sparse.get(code, 0) + w
+        return dict(sorted(sparse.items()))
     masses = [0] * array.v ** len(cols)
-    for code, w in zip(projection_codes(array, cols), weights):
+    for code, w in zip(codes, weights):
         masses[code] += w
     return masses
 
@@ -135,7 +147,8 @@ class PairJoint:
 def pair_joint(array: AontArray, weights: Sequence[int], denominator: int, pair: SubsetPair) -> PairJoint:
     """One projection onto X u Y, from which every per-pair quantity follows."""
     check_pair(array, pair)
-    joint = _accumulate(array, weights, pair.x + pair.y)
+    cols = pair.x + pair.y
+    joint = dense_totals(_accumulate(array, weights, cols), array.v ** len(cols))
     y_size = array.v ** len(pair.y)
     x_marginal = [sum(joint[i : i + y_size]) for i in range(0, len(joint), y_size)]
     y_marginal = [sum(joint[y_code::y_size]) for y_code in range(y_size)]
@@ -146,12 +159,18 @@ def marginal_distribution(array: AontArray, model: InputModel, cols: Iterable[in
     """Exact pmf the model induces on any mix of input/output columns."""
     cset = normalize_columns(cols, 2 * array.s)
     weights, denominator = prior_weights(array, model)
-    masses = tuple(Fraction(w, denominator) for w in _accumulate(array, weights, cset))
-    return Distribution(array.v, len(cset), masses)
+    masses = dense_totals(_accumulate(array, weights, cset), array.v ** len(cset))
+    return Distribution(array.v, len(cset), tuple(Fraction(w, denominator) for w in masses))
 
 
 def subset_entropy(array: AontArray, model: InputModel, cols: Iterable[int]) -> float:
-    return marginal_distribution(array, model, cols).entropy_bits()
+    """H of the marginal on `cols`, from its non-zero weights in code order;
+    w / D is the correctly rounded Fraction(w, D), so this is the entropy of
+    `marginal_distribution` bit for bit."""
+    cset = normalize_columns(cols, 2 * array.s)
+    weights, denominator = prior_weights(array, model)
+    masses = _accumulate(array, weights, cset)
+    return _bits(masses.values() if isinstance(masses, dict) else masses, denominator)
 
 
 def conditional_entropy(array: AontArray, model: InputModel, pair: SubsetPair) -> float:

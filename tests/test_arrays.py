@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -22,11 +24,12 @@ from aontlab.arrays import (
     Alphabet,
     _count_projection,
     column_set_family,
+    dense_totals,
     field_typecode,
     passes_unbiased_family,
     projection_codes,
 )
-from aontlab.constructions import _TABLE1, _TABLE3, builtin, linear_aont, matrix_from_rows
+from aontlab.constructions import _TABLE1, _TABLE3, builtin, identity_matrix, linear_aont, matrix_from_rows
 from aontlab.entropy import _accumulate
 from aontlab.errors import (
     DimensionMismatchError,
@@ -36,6 +39,7 @@ from aontlab.errors import (
 )
 
 import arrays_oracle
+from matrix_search_oracle import expand
 
 
 def test_parse_table1_glyphs(table1):
@@ -78,6 +82,46 @@ def test_array_rejects_float_equal_to_an_earlier_symbol():
     # a set of the symbols holds the integer 1 and drops the later 1.0
     with pytest.raises(UnknownSymbolError, match="row 3 holds symbol 1.0, not an integer"):
         AontArray(Alphabet(3), 1, ((0, 1), (1, 0), (2, 1.0)))
+
+
+@given(
+    shape=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (257, 1)]),
+    linear=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_arrays_built_from_rows_and_from_columns_agree(shape, linear, seed):
+    v, s = shape
+    rng = random.Random(seed)
+    if linear:  # some verdicts are aont
+        rows = expand(tuple(tuple(rng.randrange(v) for _ in range(s)) for _ in range(s)), s, v)
+    else:
+        rows = [tuple(rng.randrange(v) for _ in range(2 * s)) for _ in range(v**s)]
+    by_rows = AontArray(Alphabet(v), s, rows)
+    by_columns = AontArray.from_columns(Alphabet(v), s, [list(column) for column in zip(*rows)])
+    assert by_rows.rows == by_columns.rows == tuple(rows)
+    assert by_rows.packed_columns == by_columns.packed_columns
+    assert by_rows == by_columns and hash(by_rows) == hash(by_columns)
+    for t_o in range(1, s + 1):
+        for t_i in range(1, t_o + 1):
+            assert classify(by_rows, t_i, t_o) == classify(by_columns, t_i, t_o)
+    swapped = [rows[1], rows[0], *rows[2:]]
+    assert (AontArray(Alphabet(v), s, swapped) == by_rows) == (swapped == rows)
+
+
+@pytest.mark.parametrize(
+    "columns, error, message",
+    [
+        ([(0, 1, 2)], DimensionMismatchError, "expected 2 columns"),
+        ([(0, 1, 2), (0, 1)], DimensionMismatchError, "column 2 has 2 rows, expected 3"),
+        ([(0, 1, 2), (0, 3, 1)], UnknownSymbolError, "column 2 holds symbol 3 outside 0..2"),
+        ([(0, -1, 2), (0, 1, 2)], UnknownSymbolError, "column 1 holds a symbol that is not an integer in 0..2"),
+        ([(0, 1, 2), (0, 1.0, 2)], UnknownSymbolError, "column 2 holds a symbol that is not an integer in 0..2"),
+    ],
+)
+def test_from_columns_rejects_bad_columns(columns, error, message):
+    with pytest.raises(error, match=message):
+        AontArray.from_columns(Alphabet(3), 1, columns)
 
 
 def test_parse_infers_glyphs_by_first_appearance():
@@ -301,12 +345,31 @@ def test_projection_kernel_matches_per_row_reference(shape, seed, data):
     codes = projection_codes(array, cols)
     assert codes.typecode == typecode
     assert list(codes) == arrays_oracle.codes(array, cols)
-    if v ** len(cols) > 1 << 16:
-        return  # counts are dense over all v^|cols| codes
-    assert _count_projection(array, cols) == arrays_oracle.count(array, cols)
+    size = v ** len(cols)
+    if size > 1 << 16:
+        return  # the reference counts are dense over all v^|cols| codes
+    assert dense_totals(_count_projection(array, cols), size) == arrays_oracle.count(array, cols)
     rng = random.Random(seed)
     weights = [rng.choice((0, 1, rng.getrandbits(70))) for _ in range(array.n_rows)]
-    assert _accumulate(array, weights, cols) == arrays_oracle.accumulate(array, weights, cols)
+    assert dense_totals(_accumulate(array, weights, cols), size) == arrays_oracle.accumulate(array, weights, cols)
+
+
+def test_projections_with_more_codes_than_rows_count_sparsely():
+    # 256^4 = 2^32 codes for 2^16 rows: a dense list would not fit in memory
+    array = _random_array(256, 2, 0)
+    cols = (4, 1, 3, 2)
+    codes = arrays_oracle.codes(array, cols)
+    counts = _count_projection(array, cols)
+    assert list(counts) == sorted(counts)
+    assert counts == Counter(codes)
+    rng = random.Random(1)
+    weights = [rng.getrandbits(70) for _ in range(array.n_rows)]
+    masses = _accumulate(array, weights, cols)
+    expected = dict.fromkeys(codes, 0)
+    for code, w in zip(codes, weights):
+        expected[code] += w
+    assert list(masses) == sorted(masses)
+    assert masses == expected
 
 
 def test_projection_codes_need_at_most_2s_columns_in_64_bits(table1):
@@ -315,6 +378,19 @@ def test_projection_codes_need_at_most_2s_columns_in_64_bits(table1):
     assert field_typecode(2**32, 1) == "Q"
     with pytest.raises(InvalidParametersError):
         field_typecode(2**32 + 1, 1)
+
+
+def test_csv_parse_peak_memory_is_a_small_multiple_of_the_text():
+    # 14641 rows of 8 symbols over v=11; row tuples peaked at ~22x the text
+    text = dump_array_csv(linear_aont(identity_matrix(4, 11)))
+    tracemalloc.start()
+    try:
+        array = parse_array_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert array.n_rows == 11**4
+    assert peak < 12 * len(text)
 
 
 _TOKENS = ["0", "1", "2", "3", "-0", "07", "00", " 1", "2 ", " -1 ", "5", "a", "b", " c", "#0", "#1", "#2", "#3", "", "x y"]

@@ -158,6 +158,19 @@ def test_weak_interval_example4():
     assert iv.upper == pytest.approx(0.811278, abs=1e-5)
 
 
+# s = 3 in both models; labels 0 and -1 once read H(X_3) and H(X_2) from the end
+@pytest.mark.parametrize("x_cols", [(0,), (4,), (-1,)])
+def test_asymmetric_interval_rejects_x_outside_the_inputs(x_cols):
+    with pytest.raises(InvalidParametersError, match="outside inputs 1..3"):
+        bounds_asymmetric(example3_model(), 1, 2, x_cols=x_cols)
+
+
+@pytest.mark.parametrize("x_cols", [(0,), (4,), (-1,)])
+def test_weak_interval_rejects_x_outside_the_inputs(x_cols):
+    with pytest.raises(InvalidParametersError, match="outside inputs 1..3"):
+        bounds_weak(example4_model(), 1, 2, x_cols=x_cols)
+
+
 def test_weak_interval_uniform():
     iv = bounds_weak(uniform_model(3, 2), 1, 2, x_cols=(1,))
     assert iv.lower == pytest.approx(3 - 1 - log2(3), abs=1e-9)

@@ -31,7 +31,7 @@ from aontlab.errors import (
     UnknownNameError,
 )
 
-from matrix_search_oracle import oracle_counts
+from matrix_search_oracle import expand, oracle_counts
 
 
 def test_builtin_golden_rows(table1, table2, table3):
@@ -157,6 +157,21 @@ def test_rank_predicate_matches_expansion(case):
     codes = tuple(encode_tuple(row, m.v) for row in m.entries)
     by_rank = _unbiased_by_rank(m.order, m.v, t_i, t_o)(codes)
     assert by_rank == passes_unbiased_family(linear_aont(m), t_i, t_o)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 2), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (1, 257), (2, 257)]),
+    data=st.data(),
+)
+def test_linear_aont_matches_row_expansion(shape, data):
+    """Built column by column (byte shifts for v <= 256, list shifts above),
+    the array has the rows of the per-row expansion, in the same order."""
+    s, v = shape
+    entries = data.draw(st.lists(st.lists(st.integers(0, v - 1), min_size=s, max_size=s), min_size=s, max_size=s))
+    m = matrix_from_rows(v, entries)
+    assume(m.is_invertible())
+    assert linear_aont(m).rows == tuple(expand(m.entries, s, v))
 
 
 @pytest.mark.parametrize(

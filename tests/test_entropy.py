@@ -26,6 +26,7 @@ from aontlab import (
     subset_entropy,
     uniform_model,
 )
+from aontlab.arrays import dense_totals
 from aontlab.entropy import SubsetPair, _accumulate, prior_weights
 from aontlab.errors import FormulaPreconditionError, InvalidParametersError, MassSumError
 from aontlab.report import AUTO
@@ -293,7 +294,7 @@ def test_engine_matches_fraction_reference(seed):
     for _ in range(3):
         pair = _random_pair(rng, array.s)
         cols = pair.x + pair.y
-        exact = [F(w, denominator) for w in _accumulate(array, weights, cols)]
+        exact = [F(w, denominator) for w in dense_totals(_accumulate(array, weights, cols), array.v ** len(cols))]
         assert exact == entropy_oracle.accumulate(array, model, cols)
         assert marginal_distribution(array, model, cols).masses == tuple(
             entropy_oracle.accumulate(array, model, sorted(cols))
@@ -306,6 +307,18 @@ def test_engine_matches_fraction_reference(seed):
         assert statistical_distance(array, model, pair) == entropy_oracle.statistical_distance(
             array, model, pair.x, pair.y
         )
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_entropy_of_any_column_set_matches_fraction_reference(seed):
+    """Past s columns there are more codes than rows, and H comes from the
+    sparse marginal; it must still equal the dense reference bit for bit."""
+    rng = random.Random(seed)
+    array = _random_array(rng)
+    model = _random_model(rng, array.s, array.v)
+    cols = rng.sample(range(1, 2 * array.s + 1), rng.randint(1, 2 * array.s))
+    assert subset_entropy(array, model, cols) == entropy_oracle.subset_entropy(array, model, cols)
 
 
 @given(st.integers(0, 10**9))
