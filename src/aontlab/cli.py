@@ -214,9 +214,9 @@ def search(ctx, s, v, ti, to, cap, fmt) -> None:
     if fmt == "json":
         _echo(json.dumps(result.to_json_dict()))
     else:
-        _echo(f"{result.examined} examined, {len(result.found)} found")
-        for m in result.found:
-            _echo(json.dumps(m.to_json()))
+        lines = [f"{result.examined} examined, {len(result.found)} found"]
+        lines.extend(json.dumps(m.to_json()) for m in result.found)
+        _echo("\n".join(lines))
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -8,8 +8,9 @@ iff it is onto, i.e. iff the columns C of [I_s | M] are linearly independent
 mod v. This is the linear-AONT submatrix criterion of D'Arco, Nasr Esfahani
 and Stinson, "All or nothing at all" (EJC 2016). tests/test_constructions.py
 checks it against expanding with `linear_aont` and counting with
-`passes_unbiased_family`, and tests/matrix_search_oracle.py recounts the
-search independently.
+`passes_unbiased_family`, tests/matrix_search_oracle.py recounts the
+search independently, and tests/linear_search_reference.py walks all of
+GL(s, v) unpruned, then tests, for the pruned walk to match.
 """
 
 from __future__ import annotations
@@ -208,46 +209,6 @@ def _linear_column(coefficients: tuple[int, ...], v: int) -> Sequence[int]:
     return symbols
 
 
-def _gl_codes(s: int, v: int) -> Iterator[tuple[int, ...]]:
-    """Every invertible s x s matrix over Z_v as a tuple of row codes, in
-    lexicographic entry order.
-
-    A row code is the row's big-endian base-v index, so code order is
-    lexicographic order. Rows are chosen one at a time, each outside the span
-    of the rows above it; a span is a set of codes grown through a table of
-    vector sums. The span of all s rows is never needed, so s = 1 builds no
-    table.
-    """
-    if not is_prime(v):
-        raise NonPrimeModulusError(f"modulus {v} is not prime")
-    if s < 1:
-        raise InvalidParametersError(f"matrix order must be >= 1, got {s}")
-    n = v**s
-    if s > 1:
-        vectors = [decode_index(code, v, s) for code in range(n)]
-        add = [[encode_tuple([(x + y) % v for x, y in zip(a, b)], v) for b in vectors] for a in vectors]
-
-    def extend(prefix: tuple[int, ...], span: set[int]) -> Iterator[tuple[int, ...]]:
-        last = len(prefix) == s - 1
-        for row in range(n):
-            if row in span:
-                continue
-            rows = prefix + (row,)
-            if last:
-                yield rows
-            else:
-                multiples = [0]
-                for _ in range(v - 1):
-                    multiples.append(add[multiples[-1]][row])
-                yield from extend(rows, {add[a][m] for m in multiples for a in span})
-
-    return extend((), {0})
-
-
-def _from_codes(v: int, s: int, codes: tuple[int, ...]) -> SquareMatrix:
-    return SquareMatrix(v, tuple(decode_index(code, v, s) for code in codes))
-
-
 def _full_column_rank(rows: tuple[tuple[int, ...], ...], v: int) -> bool:
     """Do these rows over Z_v (v prime) have rank equal to their width?"""
     width = len(rows[0])
@@ -266,55 +227,126 @@ def _full_column_rank(rows: tuple[tuple[int, ...], ...], v: int) -> bool:
     return True
 
 
-def _unbiased_by_rank(s: int, v: int, t_i: int, t_o: int) -> Callable[[tuple[int, ...]], bool]:
-    """Predicate on the row codes of an invertible M: is {(x, xM)} a full
-    (t_i, t_o) transform?
+class _RankChecks:
+    """The conditions for {(x, xM)} to be a full (t_i, t_o) transform, on the
+    row codes of an invertible M, grouped by the row that completes each.
 
     A set I u J of `column_set_family` is unbiased iff the rows of M outside
     I, restricted to the columns J, have full column rank |J| mod v (the
     identity columns I clear the rows I). The input block always passes, the
     output block passes because M is invertible, and a set with J empty lies
-    in the input block. Every checked submatrix has the same shape, so its
-    verdict is memoized for the life of the predicate.
+    in the input block. A check is decided once its last row, max(keep), is
+    placed, and the rows above fix which codes of that row fail it. So the
+    failing codes are memoized per (J, rows above restricted to J), and the
+    rank verdicts behind them per submatrix, for the life of the object.
     """
-    vectors = [decode_index(code, v, s) for code in range(v**s)]
-    checks = []
-    for cols in column_set_family(s, t_i, t_o):
-        i_rows = {c - 1 for c in cols if c <= s}
-        j_cols = [c - s - 1 for c in cols if c > s]
-        if i_rows and j_cols:
-            keep = tuple(r for r in range(s) if r not in i_rows)
-            restrict = [tuple(vec[j] for j in j_cols) for vec in vectors]
-            checks.append((keep, restrict))
-    known: dict[tuple[tuple[int, ...], ...], bool] = {}
 
-    def passes(codes: tuple[int, ...]) -> bool:
-        for keep, restrict in checks:
-            sub = tuple([restrict[codes[r]] for r in keep])
-            ok = known.get(sub)
-            if ok is None:
-                ok = known[sub] = _full_column_rank(sub, v)
-            if not ok:
-                return False
-        return True
+    def __init__(self, s: int, v: int, t_i: int, t_o: int, vectors: Sequence[tuple[int, ...]]) -> None:
+        self.v = v
+        # by_depth[d]: (J, the rows above d in keep, each row code restricted to J)
+        self.by_depth: list[list[tuple]] = [[] for _ in range(s)]
+        restricts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for cols in column_set_family(s, t_i, t_o):
+            i_rows = {c - 1 for c in cols if c <= s}
+            j_cols = tuple(c - s - 1 for c in cols if c > s)
+            if i_rows and j_cols:
+                keep = tuple(r for r in range(s) if r not in i_rows)
+                if j_cols not in restricts:
+                    restricts[j_cols] = [tuple(vec[j] for j in j_cols) for vec in vectors]
+                self.by_depth[keep[-1]].append((j_cols, keep[:-1], restricts[j_cols]))
+        self._failing: dict[tuple, frozenset[int]] = {}
+        self._full_rank: dict[tuple[tuple[int, ...], ...], bool] = {}
 
-    return passes
+    def failing(self, prefix: tuple[int, ...]) -> frozenset[int]:
+        """Codes of row len(prefix) that fail a check they complete, given
+        the rows `prefix` above them."""
+        out = frozenset()
+        for j_cols, above, restrict in self.by_depth[len(prefix)]:
+            fixed = tuple([restrict[prefix[r]] for r in above])
+            key = (j_cols, fixed)
+            codes = self._failing.get(key)
+            if codes is None:
+                codes = self._failing[key] = frozenset(
+                    code for code, last in enumerate(restrict) if not self._is_full_rank(fixed + (last,))
+                )
+            out |= codes
+        return out
+
+    def _is_full_rank(self, sub: tuple[tuple[int, ...], ...]) -> bool:
+        ok = self._full_rank.get(sub)
+        if ok is None:
+            ok = self._full_rank[sub] = _full_column_rank(sub, self.v)
+        return ok
+
+    def passes(self, codes: tuple[int, ...]) -> bool:
+        """Does the invertible matrix with these row codes pass every check?"""
+        return all(codes[d] not in self.failing(codes[:d]) for d in range(len(codes)))
+
+
+def _walk(
+    s: int,
+    v: int,
+    t: tuple[int, int] | None = None,
+    settle: Callable[[int], None] = lambda count: None,
+) -> Iterator[SquareMatrix]:
+    """Every invertible s x s matrix over Z_v, or with t = (t_i, t_o) every
+    one whose linear array is a full (t_i, t_o) transform, in lexicographic
+    entry order.
+
+    Rows are placed one at a time as base-v integer codes (big-endian, so
+    code order is lexicographic order), each outside the span of the rows
+    above it; a span is a set of codes grown through a table of vector sums.
+    After row d is placed, the checks it completes run, and a row that fails
+    one is not extended. `settle(k)` reports k more invertible matrices
+    decided: the completions of a pruned row, ∏_{d<i<s}(v^s − v^i) each, are
+    counted without being walked, so the counts sum to |GL(s, v)|. The span
+    of all s rows, and of a pruned prefix, is never built.
+    """
+    if not is_prime(v):
+        raise NonPrimeModulusError(f"modulus {v} is not prime")
+    if s < 1:
+        raise InvalidParametersError(f"matrix order must be >= 1, got {s}")
+    n = v**s
+    vectors = [decode_index(code, v, s) for code in range(n)]
+    checks = None
+    if t is not None:
+        check_t_range(s, *t)
+        checks = _RankChecks(s, v, *t, vectors)
+    if s > 1:
+        add = [[encode_tuple([(x + y) % v for x, y in zip(a, b)], v) for b in vectors] for a in vectors]
+    completions = [prod(n - v**i for i in range(d + 1, s)) for d in range(s)]
+
+    def extend(prefix: tuple[int, ...], span: set[int]) -> Iterator[SquareMatrix]:
+        d = len(prefix)
+        failing = checks.failing(prefix) if checks else ()
+        kept = [row for row in range(n) if row not in span and row not in failing]
+        if d == s - 1:
+            settle(n - len(span))
+            above = tuple([vectors[code] for code in prefix])
+            for row in kept:
+                yield SquareMatrix(v, above + (vectors[row],))
+            return
+        pruned = n - len(span) - len(kept)
+        if pruned:
+            settle(pruned * completions[d])
+        for row in kept:
+            multiples = [0]
+            for _ in range(v - 1):
+                multiples.append(add[multiples[-1]][row])
+            yield from extend(prefix + (row,), {add[a][m] for m in multiples for a in span})
+
+    yield from extend((), {0})
 
 
 def iter_invertible_matrices(s: int, v: int) -> Iterator[SquareMatrix]:
     """All invertible s x s matrices over Z_v, in lexicographic entry order."""
-    for codes in _gl_codes(s, v):
-        yield _from_codes(v, s, codes)
+    return _walk(s, v)
 
 
 def iter_linear_aont_matrices(s: int, v: int, t_i: int, t_o: int) -> Iterator[SquareMatrix]:
     """Invertible matrices whose linear array is a full (t_i, t_o)
     transform, in lexicographic order."""
-    check_t_range(s, t_i, t_o)
-    passes = _unbiased_by_rank(s, v, t_i, t_o)
-    for codes in _gl_codes(s, v):
-        if passes(codes):
-            yield _from_codes(v, s, codes)
+    return _walk(s, v, (t_i, t_o))
 
 
 @dataclass(frozen=True)
@@ -345,6 +377,16 @@ def gl_order(s: int, v: int) -> int:
     return prod(v**s - v**i for i in range(s))
 
 
+def _power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """base**exponent > cap for base >= 2, in at most log2(cap) + 1 products."""
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > cap:
+            return True
+    return False
+
+
 def search_linear(
     s: int,
     v: int,
@@ -353,31 +395,31 @@ def search_linear(
     cap: int = DEFAULT_SEARCH_CAP,
     progress: Callable[[int, int], None] | None = None,
 ) -> SearchResult:
-    """Enumerate every invertible matrix and keep those whose linear array
-    is a full (t_i, t_o) transform, tested by rank without expanding it.
+    """Keep every invertible matrix whose linear array is a full (t_i, t_o)
+    transform, tested by rank without expanding it.
 
-    Enumeration order is lexicographic in the flattened entries. `progress`
-    gets (examined, |GL(s, v)|) about 64 times, the last at completion.
+    Results are in lexicographic order of the flattened entries. `examined`
+    counts every invertible matrix, pruned or walked. `progress` gets
+    (examined, |GL(s, v)|) at most 64 times, rising, the last at completion.
     """
+    check_t_range(s, t_i, t_o)
+    if v >= 2 and _power_exceeds(v, s * s, cap):
+        raise SearchSpaceError(
+            f"{v}^{s * s} candidate matrices exceed the cap of {cap}; raise the cap explicitly"
+        )
     if not is_prime(v):
         raise NonPrimeModulusError(f"modulus {v} is not prime")
-    check_t_range(s, t_i, t_o)
-    space = v ** (s * s)
-    if space > cap:
-        raise SearchSpaceError(
-            f"{space} candidate matrices exceed the cap of {cap}; raise the cap explicitly"
-        )
     total = gl_order(s, v)
     step = -(-total // 64)
     start = time.monotonic()
     examined = 0
-    found: list[SquareMatrix] = []
-    passes = _unbiased_by_rank(s, v, t_i, t_o)
-    for codes in _gl_codes(s, v):
-        examined += 1
-        if passes(codes):
-            found.append(_from_codes(v, s, codes))
-        if progress is not None and (examined % step == 0 or examined == total):
+
+    def settle(count: int) -> None:
+        nonlocal examined
+        before, examined = examined, examined + count
+        if progress is not None and (examined // step > before // step or examined == total):
             progress(examined, total)
+
+    found = tuple(_walk(s, v, (t_i, t_o), settle))
     elapsed = time.monotonic() - start
-    return SearchResult(s, v, t_i, t_o, examined, tuple(found), elapsed)
+    return SearchResult(s, v, t_i, t_o, examined, found, elapsed)

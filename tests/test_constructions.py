@@ -16,11 +16,13 @@ from aontlab import (
     search_linear,
 )
 from aontlab.arrays import check_unbiased, passes_unbiased_family
-from aontlab.coding import encode_tuple
+from aontlab.coding import decode_index, encode_tuple
 from aontlab.constructions import (
+    DEFAULT_SEARCH_CAP,
     SquareMatrix,
-    _unbiased_by_rank,
+    _RankChecks,
     gl_order,
+    is_prime,
     iter_invertible_matrices,
     iter_linear_aont_matrices,
 )
@@ -31,6 +33,7 @@ from aontlab.errors import (
     UnknownNameError,
 )
 
+from linear_search_reference import reference_search
 from matrix_search_oracle import expand, oracle_counts
 
 
@@ -154,8 +157,9 @@ def invertible_matrices_and_t(draw):
 def test_rank_predicate_matches_expansion(case):
     """The search's rank test agrees with expanding the array and counting."""
     m, t_i, t_o = case
-    codes = tuple(encode_tuple(row, m.v) for row in m.entries)
-    by_rank = _unbiased_by_rank(m.order, m.v, t_i, t_o)(codes)
+    s, v = m.order, m.v
+    codes = tuple(encode_tuple(row, v) for row in m.entries)
+    by_rank = _RankChecks(s, v, t_i, t_o, [decode_index(c, v, s) for c in range(v**s)]).passes(codes)
     assert by_rank == passes_unbiased_family(linear_aont(m), t_i, t_o)
 
 
@@ -190,14 +194,53 @@ def test_iter_linear_aont_matrices_is_search_found():
     assert tuple(iter_linear_aont_matrices(3, 2, 1, 2)) == search_linear(3, 2, 1, 2).found
 
 
+def _configs_within_default_cap():
+    """Every (s, v, t_i, t_o) with v^(s*s) <= DEFAULT_SEARCH_CAP and s >= 2.
+    For s = 1 the family has no set with both I and J non-empty, so no check
+    runs; a few primes, up to the largest within the cap, stand for all."""
+    configs = []
+    for s in range(1, 4):
+        if s == 1:
+            primes = [2, 3, 5, 7, 11, 13, 97, 19681]
+        else:
+            primes = [v for v in range(2, 20) if is_prime(v) and v ** (s * s) <= DEFAULT_SEARCH_CAP]
+        for v in primes:
+            assert v ** (s * s) <= DEFAULT_SEARCH_CAP
+            configs += [(s, v, t_i, t_o) for t_i in range(1, s + 1) for t_o in range(t_i, s + 1)]
+    return configs
+
+
+@pytest.mark.parametrize("s, v, t_i, t_o", _configs_within_default_cap())
+def test_pruned_search_matches_unpruned_walk(s, v, t_i, t_o):
+    """Pruning by prefix keeps exactly what walking every invertible matrix
+    to its last row and then testing it keeps, in the same order, and still
+    counts all of GL(s, v)."""
+    result = search_linear(s, v, t_i, t_o)
+    examined, found = reference_search(s, v, t_i, t_o)
+    assert result.examined == examined == gl_order(s, v)
+    assert [m.entries for m in result.found] == found
+    assert list(iter_linear_aont_matrices(s, v, t_i, t_o)) == list(result.found)
+
+
+@pytest.mark.parametrize("t_i, t_o", [(1, 1), (2, 2)])
+def test_search_beyond_default_cap_pinned(t_i, t_o):
+    """(3, 5) is 5^9 candidates, beyond the default cap: every invertible
+    matrix is counted, and the rank checks keep 190,464 at (1, 1) and (2, 2)."""
+    result = search_linear(3, 5, t_i, t_o, cap=5**9)
+    assert (result.examined, len(result.found)) == (1_488_000, 190_464)
+
+
 def test_search_progress_counts_examined_matrices():
-    calls = []
-    result = search_linear(2, 5, 1, 1, progress=lambda done, total: calls.append((done, total)))
-    total = gl_order(2, 5)
-    assert 1 < len(calls) <= 64
-    assert [done for done, _ in calls] == sorted({done for done, _ in calls})
-    assert {t for _, t in calls} == {total}
-    assert calls[-1] == (result.examined, total)
+    """Pruned prefixes count their completions at once: progress still
+    rises strictly, at most 64 times, and ends at (total, total)."""
+    for s, v, t_i, t_o in [(2, 5, 1, 1), (2, 2, 1, 1), (3, 3, 1, 1), (3, 3, 2, 3)]:
+        calls = []
+        result = search_linear(s, v, t_i, t_o, progress=lambda done, total: calls.append((done, total)))
+        total = gl_order(s, v)
+        assert 1 < len(calls) <= 64
+        assert [done for done, _ in calls] == sorted({done for done, _ in calls})
+        assert {t for _, t in calls} == {total}
+        assert calls[-1] == (result.examined, total) == (total, total)
 
 
 def test_search_cap():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -252,6 +254,52 @@ def test_cli_search_json(runner):
 def test_cli_search_cap_exceeded(runner):
     result = runner.invoke(cli, ["search", "--s", "4", "--v", "7", "--ti", "1", "--to", "1"])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "s, v",
+    [
+        (100000, 3),  # v^(s*s) has about 4.8e9 digits
+        (1, 1000000000000000003),  # a prime too large to test by trial division
+    ],
+)
+def test_cli_search_huge_space_exits_at_once(runner, s, v):
+    """The space is compared with the cap by bounded products, before the
+    modulus is tested for primality."""
+    started = time.monotonic()
+    result = runner.invoke(cli, ["search", "--s", str(s), "--v", str(v), "--ti", "1", "--to", "1"])
+    assert time.monotonic() - started < 2
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "exceed the cap of 19683" in result.stderr
+
+
+# sha256 of `aontlab search --format text` stdout, recorded before the search
+# pruned by prefix; the benchmark's search workload runs these configurations
+SEARCH_STDOUT_SHA256 = {
+    (2, 2, 1, 1): "c9116105ab42340f514c35f0fbe1fa481dd870b88c8d97b80c1846e4ea01bbb2",
+    (2, 3, 1, 1): "44f0cf7491a4424e4462aa79ec56b452b3b0e7ed4a7d5dbf0effea53789498fe",
+    (2, 3, 1, 2): "b016a6ed9bd6c434c4a70ef78d702a9bf0c0100805a0d315b5a57d0353273004",
+    (2, 3, 2, 2): "b016a6ed9bd6c434c4a70ef78d702a9bf0c0100805a0d315b5a57d0353273004",
+    (2, 5, 1, 1): "51ff9cce06f91f51da05db0ee73994c9cd35de005c6ef8a97fe4007aeb31d66c",
+    (2, 5, 1, 2): "7f1fb117f02197b4abb06f9f2bbb991d6af7d4202a200948b040f3e591fa8f1f",
+    (2, 5, 2, 2): "7f1fb117f02197b4abb06f9f2bbb991d6af7d4202a200948b040f3e591fa8f1f",
+    (2, 7, 1, 1): "90e6422bdec8beedcfa71be9cae6bcf77417f9b24dab0e2a9a54b1d3f0d4a832",
+    (3, 2, 1, 1): "36fe394d46b5fe464bdd4ab7d6151ce3a8a695c365d861928b43636ffccab0d4",
+    (3, 2, 1, 2): "18036a11f220a20483ea637b46a6e2c050475cdf510e798be6f288358277c3ef",
+    (3, 2, 1, 3): "ee9a0774a59741efd34c608123da3c65988708f23506912e24626406c7668da0",
+    (3, 2, 2, 2): "36fe394d46b5fe464bdd4ab7d6151ce3a8a695c365d861928b43636ffccab0d4",
+    (3, 2, 2, 3): "ee9a0774a59741efd34c608123da3c65988708f23506912e24626406c7668da0",
+    (3, 3, 1, 1): "7d2d77638ea8f27c69e214e3f55a403cff7daf93e90c5519b29162f7002cf30b",
+    (3, 3, 1, 2): "e62920c4acde5d661b72b1f364cf383067fd86f9e954168c76aeeacc2481e1f9",
+}
+
+
+@pytest.mark.parametrize("s, v, t_i, t_o", sorted(SEARCH_STDOUT_SHA256))
+def test_cli_search_text_stdout_is_golden(runner, s, v, t_i, t_o):
+    result = runner.invoke(cli, ["search", "--s", str(s), "--v", str(v), "--ti", str(t_i), "--to", str(t_o)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == SEARCH_STDOUT_SHA256[(s, v, t_i, t_o)]
 
 
 def test_cli_main_releases_redirected_stdout(ex1_model_file):
