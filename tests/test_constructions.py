@@ -195,19 +195,12 @@ def test_iter_linear_aont_matrices_is_search_found():
 
 
 def _configs_within_default_cap():
-    """Every (s, v, t_i, t_o) with v^(s*s) <= DEFAULT_SEARCH_CAP and s >= 2.
+    """Every (s, v, t_i, t_o) with s >= 2 and v^(s*s) <= DEFAULT_SEARCH_CAP.
     For s = 1 the family has no set with both I and J non-empty, so no check
     runs; a few primes, up to the largest within the cap, stand for all."""
-    configs = []
-    for s in range(1, 4):
-        if s == 1:
-            primes = [2, 3, 5, 7, 11, 13, 97, 19681]
-        else:
-            primes = [v for v in range(2, 20) if is_prime(v) and v ** (s * s) <= DEFAULT_SEARCH_CAP]
-        for v in primes:
-            assert v ** (s * s) <= DEFAULT_SEARCH_CAP
-            configs += [(s, v, t_i, t_o) for t_i in range(1, s + 1) for t_o in range(t_i, s + 1)]
-    return configs
+    shapes = [(1, v) for v in (2, 3, 5, 7, 11, 13, 97, 19681)]
+    shapes += [(s, v) for s in (2, 3) for v in range(2, 20) if is_prime(v) and v ** (s * s) <= DEFAULT_SEARCH_CAP]
+    return [(s, v, t_i, t_o) for s, v in shapes for t_i in range(1, s + 1) for t_o in range(t_i, s + 1)]
 
 
 @pytest.mark.parametrize("s, v, t_i, t_o", _configs_within_default_cap())
