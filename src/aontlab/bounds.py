@@ -321,27 +321,21 @@ def checked_rule(which: str, verdict: str | None, model: InputModel, t_i: int, t
     return TAG_RULES[which]
 
 
-def _pair_rule(array: AontArray, model: InputModel, pair: SubsetPair, which: str) -> tuple[TagRule, int, int]:
-    """The checked rule of tag `which` for this pair, with its (t_i, t_o)."""
-    t_i, t_o = len(pair.x), array.s - len(pair.y)
-    verdict = cached_classify(array, t_i, t_o).verdict if t_i <= t_o else None
-    return checked_rule(which, verdict, model, t_i, t_o), t_i, t_o
-
-
 def interval_for(array: AontArray, model: InputModel, pair: SubsetPair, which: str) -> EntropyInterval:
     """Build the interval a tag prescribes for this pair, after checking the
     tag's rule against the array's verified class and the prior."""
-    rule, t_i, t_o = _pair_rule(array, model, pair, which)
-    h_y = pair_joint(array, *prior_weights(array, model), pair).h_y()
-    return rule.interval(model, t_i, t_o, pair.x, h_y)
+    return compare(array, model, pair, which).interval
 
 
 def compare(
     array: AontArray, model: InputModel, pair: SubsetPair, which: str, tolerance: float = 1e-6
 ) -> BoundComparison:
-    """Place the oracle H(X|Y) against the tagged interval; H(X|Y) and H(Y)
-    come from one projection onto X u Y."""
-    rule, t_i, t_o = _pair_rule(array, model, pair, which)
+    """Place the oracle H(X|Y) against the tagged interval, after checking the
+    tag's rule against the array's verified class at this pair's (t_i, t_o)
+    and the prior; H(X|Y) and H(Y) come from one projection onto X u Y."""
+    t_i, t_o = len(pair.x), array.s - len(pair.y)
+    verdict = cached_classify(array, t_i, t_o).verdict if t_i <= t_o else None
+    rule = checked_rule(which, verdict, model, t_i, t_o)
     joint = pair_joint(array, *prior_weights(array, model), pair)
     h_y = joint.h_y()
     return place(pair, joint.conditional(h_y), rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)

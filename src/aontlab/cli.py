@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import Callable, TypeVar
 
 import click
 
@@ -31,6 +32,8 @@ click.exceptions.UsageError.exit_code = 4
 
 _VERDICT_EXIT = {AONT: 0, WEAK_AONT_ONLY: 1, NEITHER: 2}
 
+T = TypeVar("T")
+
 
 def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     """click.echo to the current sys.stdout or sys.stderr.
@@ -42,16 +45,21 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
 
 
+def _read(ctx: click.Context, load: Callable[[str], T], path: str) -> T:
+    """load(path), with a file that cannot be read as bad data (exit 3)."""
+    try:
+        return load(path)
+    except OSError as exc:
+        _echo(f"error: cannot read {path}: {exc.strerror or exc}", err=True)
+        ctx.exit(3)
+
+
 def _load_array(ctx: click.Context, array_path: str | None, builtin_name: str | None) -> tuple[AontArray, str]:
     if (array_path is None) == (builtin_name is None):
         raise click.UsageError("supply exactly one of --array FILE or --builtin NAME")
-    try:
-        if builtin_name is not None:
-            return builtin(builtin_name), builtin_name
-        return load_array_csv(array_path), array_path
-    except (OSError, AontLabError) as exc:
-        _echo(f"error: cannot load array: {exc}", err=True)
-        ctx.exit(3)
+    if builtin_name is not None:
+        return builtin(builtin_name), builtin_name
+    return _read(ctx, load_array_csv, array_path), array_path
 
 
 def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
@@ -71,7 +79,19 @@ def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
     return SubsetPair(tuple(x), tuple(y))
 
 
-@click.group()
+class _Cli(click.Group):
+    """Reports an AontLabError from any command as bad data: `error: ...` on
+    stderr and exit code 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except AontLabError as exc:
+            _echo(f"error: {exc}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Cli)
 @click.version_option()
 def cli() -> None:
     """Verify transform arrays and analyze their conditional entropies."""
@@ -87,11 +107,7 @@ def cli() -> None:
 def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
     """Classify an array as aont, weak-aont-only, or neither."""
     array, label = _load_array(ctx, array_path, builtin_name)
-    try:
-        verdict = classify(array, ti, to)
-    except AontLabError as exc:
-        _echo(f"error: {exc}", err=True)
-        ctx.exit(3)
+    verdict = classify(array, ti, to)
     if fmt == "json":
         _echo(
             json.dumps(
@@ -136,30 +152,19 @@ def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
 def analyze(ctx, array_path, builtin_name, model_path, ti, to, bounds, fmt, tolerance, pair_specs) -> None:
     """Full per-pair entropy and bound report for an array under a model."""
     array, label = _load_array(ctx, array_path, builtin_name)
-    try:
-        model = load_model_json(model_path)
-    except OSError as exc:
-        _echo(f"error: cannot read model: {exc}", err=True)
-        ctx.exit(3)
-    except (AontLabError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        _echo(f"error: malformed model file: {exc}", err=True)
-        ctx.exit(3)
+    model = _read(ctx, load_model_json, model_path)
     pairs = [_parse_pair_spec(spec, array.s, ti, to) for spec in pair_specs] or None
-    try:
-        report = build_report(
-            array,
-            model,
-            ti,
-            to,
-            bounds_tag=bounds,
-            tolerance=tolerance,
-            array_label=label,
-            model_label=model_path,
-            pairs=pairs,
-        )
-    except AontLabError as exc:
-        _echo(f"error: {exc}", err=True)
-        ctx.exit(3)
+    report = build_report(
+        array,
+        model,
+        ti,
+        to,
+        bounds_tag=bounds,
+        tolerance=tolerance,
+        array_label=label,
+        model_label=model_path,
+        pairs=pairs,
+    )
     if fmt == "json":
         _echo(json.dumps(report_to_json_dict(report), indent=2))
     elif fmt == "csv":
@@ -199,18 +204,13 @@ def demo(ctx, number, tolerance, fmt) -> None:
 @click.option("--cap", type=int, default=DEFAULT_SEARCH_CAP, show_default=True,
               help="max candidate matrices (v^(s*s))")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.pass_context
-def search(ctx, s, v, ti, to, cap, fmt) -> None:
+def search(s, v, ti, to, cap, fmt) -> None:
     """Exhaustively search invertible matrices for full (t_i, t_o) transforms."""
 
     def progress(done: int, total: int) -> None:
         _echo(f"examined {done}/{total} invertible matrices", err=True)
 
-    try:
-        result = search_linear(s, v, ti, to, cap=cap, progress=progress)
-    except AontLabError as exc:
-        _echo(f"error: {exc}", err=True)
-        ctx.exit(3)
+    result = search_linear(s, v, ti, to, cap=cap, progress=progress)
     if fmt == "json":
         _echo(json.dumps(result.to_json_dict()))
     else:
@@ -220,11 +220,7 @@ def search(ctx, s, v, ti, to, cap, fmt) -> None:
 
 
 def main(argv: list[str] | None = None) -> None:
-    try:
-        cli.main(args=argv, prog_name="aontlab")
-    except AontLabError as exc:  # pragma: no cover - commands catch their own
-        _echo(f"error: {exc}", err=True)
-        sys.exit(3)
+    cli.main(args=argv, prog_name="aontlab")
 
 
 if __name__ == "__main__":

@@ -112,13 +112,11 @@ def column(v: int, masses: Iterable) -> Distribution:
     return Distribution(v, 1, tuple(as_fraction(p) for p in masses))
 
 
-def _coerce_distribution(d, length: int | None = None) -> Distribution:
+def _coerce_distribution(d) -> Distribution:
     if isinstance(d, Distribution):
         return d
     masses = tuple(as_fraction(p) for p in d)
-    if length == 1 or length is None:
-        return Distribution(len(masses), 1, masses)
-    raise ArityMismatchError("joint distributions must be passed as Distribution objects")
+    return Distribution(len(masses), 1, masses)
 
 
 @dataclass(frozen=True)
@@ -219,13 +217,6 @@ def column_entropy(model: InputModel, i: int) -> float:
     return log2(model.v)
 
 
-def nonuniform_columns(model: InputModel) -> tuple[int, ...]:
-    """1-based labels of the non-uniform columns of an independent model."""
-    if model.kind != INDEPENDENT:
-        raise InvalidParametersError("only meaningful for independent models")
-    return tuple(i + 1 for i, d in enumerate(model.columns) if not d.is_uniform())
-
-
 # --- JSON surface -----------------------------------------------------------
 #
 # {"s": .., "v": .., "kind": "independent", "columns": [[[num, den], ..] per
@@ -284,8 +275,16 @@ def model_from_json_dict(doc: dict) -> InputModel:
 
 
 def load_model_json(path: str) -> InputModel:
+    """Read a model document; a file that is not UTF-8 JSON raises an
+    AontLabError."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting
+        # exhausts the decoder's recursion
+        except (ValueError, RecursionError) as exc:
+            raise InvalidParametersError(f"cannot decode {path} as UTF-8 JSON: {exc}") from None
+    return model_from_json_dict(doc)
 
 
 def save_model_json(model: InputModel, path: str) -> None:

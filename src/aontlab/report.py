@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
 from . import bounds as bnd
 from .arrays import AONT, AontArray, ClassificationVerdict, classify
@@ -174,6 +175,29 @@ def _parse_cols_label(label: str) -> tuple[int, ...]:
     return tuple(int(c) for c in label.split("+"))
 
 
+def _as_is(value):
+    return value
+
+
+def _optional(write: Callable, read: Callable) -> tuple[Callable, Callable]:
+    """A cell rule for a field that may be None, written as an empty cell."""
+    return (lambda value: "" if value is None else write(value)), (lambda cell: read(cell) if cell else None)
+
+
+# per annotated ReportRow field type: its JSON value, then its CSV (write, read)
+_ENCODINGS = {
+    "tuple[int, ...]": (list, _cols_label, _parse_cols_label),
+    "float": (_as_is, repr, float),
+    "float | None": (_as_is, *_optional(repr, float)),
+    "str | None": (_as_is, *_optional(str, str)),
+    "bool | None": (_as_is, *_optional(lambda flag: str(int(flag)), lambda cell: bool(int(cell)))),
+}
+# the JSON row keys and the CSV header: ReportRow's fields in declaration order
+_FIELDS = tuple(f.name for f in fields(ReportRow))
+_row_values = attrgetter(*_FIELDS)
+_TO_JSON, _TO_CELL, _FROM_CELL = zip(*(_ENCODINGS[f.type] for f in fields(ReportRow)))
+
+
 def report_to_json_dict(report: AnalysisReport) -> dict:
     return {
         "array": report.array_label,
@@ -185,20 +209,7 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
         "bounds": report.bounds_tag,
         "tolerance": report.tolerance,
         "rows": [
-            {
-                "x": list(r.x),
-                "y": list(r.y),
-                "oracle": r.oracle,
-                "formula": r.formula,
-                "stat_distance": r.stat_distance,
-                "h_x": r.h_x,
-                "source": r.source,
-                "lower": r.lower,
-                "upper": r.upper,
-                "within": r.within,
-                "attains_lower": r.attains_lower,
-                "attains_upper": r.attains_upper,
-            }
+            {name: enc(value) for name, enc, value in zip(_FIELDS, _TO_JSON, _row_values(r))}
             for r in report.rows
         ],
         "summary": {
@@ -210,67 +221,20 @@ def report_to_json_dict(report: AnalysisReport) -> dict:
     }
 
 
-_CSV_FIELDS = (
-    "x",
-    "y",
-    "oracle",
-    "formula",
-    "stat_distance",
-    "h_x",
-    "source",
-    "lower",
-    "upper",
-    "within",
-    "attains_lower",
-    "attains_upper",
-)
-
-
 def report_to_csv(report: AnalysisReport) -> str:
     """Full-precision CSV; parse_report_csv round-trips it exactly."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    for r in report.rows:
-        writer.writerow(
-            [
-                _cols_label(r.x),
-                _cols_label(r.y),
-                repr(r.oracle),
-                "" if r.formula is None else repr(r.formula),
-                repr(r.stat_distance),
-                repr(r.h_x),
-                "" if r.source is None else r.source,
-                "" if r.lower is None else repr(r.lower),
-                "" if r.upper is None else repr(r.upper),
-                "" if r.within is None else str(int(r.within)),
-                "" if r.attains_lower is None else str(int(r.attains_lower)),
-                "" if r.attains_upper is None else str(int(r.attains_upper)),
-            ]
-        )
+    writer.writerow(_FIELDS)
+    writer.writerows([write(value) for write, value in zip(_TO_CELL, _row_values(r))] for r in report.rows)
     return buf.getvalue()
 
 
 def parse_report_csv(text: str) -> list[dict]:
-    rows = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        rows.append(
-            {
-                "x": _parse_cols_label(rec["x"]),
-                "y": _parse_cols_label(rec["y"]),
-                "oracle": float(rec["oracle"]),
-                "formula": float(rec["formula"]) if rec["formula"] else None,
-                "stat_distance": float(rec["stat_distance"]),
-                "h_x": float(rec["h_x"]),
-                "source": rec["source"] or None,
-                "lower": float(rec["lower"]) if rec["lower"] else None,
-                "upper": float(rec["upper"]) if rec["upper"] else None,
-                "within": bool(int(rec["within"])) if rec["within"] else None,
-                "attains_lower": bool(int(rec["attains_lower"])) if rec["attains_lower"] else None,
-                "attains_upper": bool(int(rec["attains_upper"])) if rec["attains_upper"] else None,
-            }
-        )
-    return rows
+    return [
+        {name: read(rec[name]) for name, read in zip(_FIELDS, _FROM_CELL)}
+        for rec in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def report_to_table(report: AnalysisReport) -> str:

@@ -24,7 +24,7 @@ from aontlab.errors import (
     BlockRangeError,
     MassSumError,
 )
-from aontlab.models import dump_model_json, model_from_json_dict, model_to_json_dict
+from aontlab.models import dump_model_json, load_model_json, model_from_json_dict, model_to_json_dict
 
 from conftest import example1_model, random_masses
 
@@ -182,3 +182,13 @@ _INDEPENDENT = {"s": 2, "v": 3, "kind": "independent"}
 def test_malformed_model_document_raises_package_error(doc):
     with pytest.raises(AontLabError):
         model_from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "content", [b"{not json", b"\xff\xfe{}", b"", b"[" * 100_000], ids=["not-json", "not-utf8", "empty", "deep"]
+)
+def test_model_file_that_is_not_utf8_json_raises_package_error(tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(AontLabError, match="as UTF-8 JSON"):
+        load_model_json(str(path))

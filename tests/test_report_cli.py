@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -10,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aontlab import (
+    Distribution,
     builtin,
     dump_array_csv,
     identity_matrix,
     linear_aont,
+    make_block_dependent_model,
     parse_array_csv,
     save_model_json,
     uniform_model,
@@ -24,6 +28,7 @@ from aontlab.bounds import ALL_TAGS
 from aontlab.cli import cli
 from aontlab.demos import run_demo
 from aontlab.report import (
+    ReportRow,
     build_report,
     parse_report_csv,
     report_to_csv,
@@ -99,16 +104,24 @@ def test_report_perfect_security_flag(table1):
     assert report.perfect_security
 
 
-def test_csv_round_trip(table1):
-    report = build_report(table1, example1_model(), 1, 1)
-    text = report_to_csv(report)
-    parsed = parse_report_csv(text)
-    assert len(parsed) == len(report.rows)
-    for rec, row in zip(parsed, report.rows):
-        assert rec["x"] == row.x and rec["y"] == row.y
-        assert rec["oracle"] == row.oracle  # exact float round trip
-        assert rec["formula"] == row.formula
-        assert rec["lower"] == row.lower and rec["upper"] == row.upper
+def test_csv_round_trip(table1, table2, table3):
+    block_joint = Distribution(3, 1, (Fraction(1, 4), Fraction(1, 8), Fraction(5, 8)))
+    reports = [
+        build_report(table1, example1_model(), 1, 1),
+        build_report(table2, example3_model(), 1, 2),
+        build_report(table1, make_block_dependent_model(2, 3, (1,), block_joint), 1, 1),
+        build_report(table3, example4_model(), 1, 2),
+        build_report(linear_aont(identity_matrix(2, 3)), uniform_model(2, 3), 1, 1),
+    ]
+    for report in reports:
+        parsed = parse_report_csv(report_to_csv(report))
+        # every field of every row, floats bit for bit
+        assert parsed == [dataclasses.asdict(row) for row in report.rows]
+
+
+def test_json_schema_row_properties_follow_report_row():
+    row_schema = SCHEMA["properties"]["rows"]["items"]["properties"]
+    assert list(row_schema) == [f.name for f in dataclasses.fields(ReportRow)]
 
 
 def test_table_rendering_six_decimals(table1):
@@ -218,11 +231,17 @@ def test_cli_analyze_pair_filter(runner, ex1_model_file):
 
 def test_cli_analyze_bad_model_file(runner, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    result = runner.invoke(
-        cli, ["analyze", "--builtin", "table1", "--model", str(bad), "--ti", "1", "--to", "1"]
-    )
-    assert result.exit_code == 3
+    for content in (b"{not json", b"\xff\xfe{}", b"[" * 100_000, None):
+        bad.unlink(missing_ok=True)
+        if content is not None:
+            bad.write_bytes(content)
+        result = runner.invoke(
+            cli, ["analyze", "--builtin", "table1", "--model", str(bad), "--ti", "1", "--to", "1"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert ("No such file" if content is None else "as UTF-8 JSON") in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_cli_demo(runner):
@@ -300,6 +319,71 @@ def test_cli_search_text_stdout_is_golden(runner, s, v, t_i, t_o):
     result = runner.invoke(cli, ["search", "--s", str(s), "--v", str(v), "--ti", str(t_i), "--to", str(t_o)])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == SEARCH_STDOUT_SHA256[(s, v, t_i, t_o)]
+
+
+def _write_report_inputs(directory: Path) -> None:
+    """Model and array files for ANALYZE_CASES, under relative names so the
+    labels the reports print do not depend on the directory."""
+    block_joint = Distribution(3, 1, (Fraction(1, 4), Fraction(1, 8), Fraction(5, 8)))
+    save_model_json(example1_model(), str(directory / "ex1.json"))
+    save_model_json(example3_model(), str(directory / "ex3.json"))
+    save_model_json(example4_model(), str(directory / "ex4.json"))
+    save_model_json(make_block_dependent_model(2, 3, (1,), block_joint), str(directory / "block.json"))
+    save_model_json(uniform_model(2, 3), str(directory / "uniform.json"))
+    (directory / "identity.csv").write_text(dump_array_csv(linear_aont(identity_matrix(2, 3))))
+
+
+# `analyze` cases that between them emit every kind of report cell
+ANALYZE_CASES = {
+    "symmetric": ["--builtin", "table1", "--model", "ex1.json", "--ti", "1", "--to", "1"],
+    "asymmetric": ["--builtin", "table2", "--model", "ex3.json", "--ti", "1", "--to", "2"],
+    "block-exact": ["--builtin", "table1", "--model", "block.json", "--ti", "1", "--to", "1"],
+    "weak": ["--builtin", "table3", "--model", "ex4.json", "--ti", "1", "--to", "2"],
+    "neither": ["--array", "identity.csv", "--model", "uniform.json", "--ti", "1", "--to", "1"],
+}
+
+# sha256 of `aontlab analyze` stdout per (case, format), and of `aontlab demo N
+# --format json` stdout, recorded before the report rows were derived from
+# ReportRow's fields
+ANALYZE_STDOUT_SHA256 = {
+    ("asymmetric", "csv"): "cced6f81557921f8c6c0f3f9659d2caacda63c72a774f071ee0a6c265413bf1d",
+    ("asymmetric", "json"): "194118da827d1698bc0e39561119bb44c3cfd0a646d7bca6d410ca6952fe685e",
+    ("asymmetric", "table"): "6558b55332e305015c01b614f540b7ae3a5c3c85805228ea8b35433bb6dcc096",
+    ("block-exact", "csv"): "96ca75d8c205d283ffac5a662494b46d1916f4b0b7c8a638cc6c7a79fee79583",
+    ("block-exact", "json"): "71ebde7f075ae5f60ae16199a87d9b722f558fff65a85955dd48c23c0e1f5d13",
+    ("block-exact", "table"): "a73ffccb595397fb8129817fd63ac03f1152b34880ecf57bda952891a5d8de09",
+    ("neither", "csv"): "42ab5f01f962e27ffe5d14eabac67f371593da7e9fe407057aed9f73095a7eda",
+    ("neither", "json"): "7ce29779fc8daac484d38b469daa0306a0910f444415a86f598e8ba6c2f84946",
+    ("neither", "table"): "6f3848a83d4b4177c03d5ab7250808197265703a7eb9c0a98e472ebc3192383c",
+    ("symmetric", "csv"): "ce00c40f6cc63b7d0d72cb2a1b09efd9793472ca0e0ccdcf0c93c1c9ad737514",
+    ("symmetric", "json"): "0a9e9ed0a4f9e1e3f26dc97922b938ee596bb7d309e7a06049a0888a4b120cb8",
+    ("symmetric", "table"): "044f76fbabb110f63e49ff300f406807b16948067b353dc57850124798ebd363",
+    ("weak", "csv"): "73c84e19c8829507a09f58378b61829e7087155f17eab99a06962e2165cc9d2b",
+    ("weak", "json"): "f8fe132486c7538e806966ee398f910deb55793ae66520932d71c7d4daae9fd1",
+    ("weak", "table"): "a1930bd71038ef9e0955ce57692d64b4bdc775b47787d81caec69305d245181b",
+}
+DEMO_JSON_STDOUT_SHA256 = {
+    1: "a60a6cc6aee3d1f2d8fc38e41eec2734e9ba9ba177b5b01d6d70a76a5da0f75a",
+    2: "396a8aceeed09eda6eb8d2d242f9d61f7faf452bdaf8129812e2a51c14a6b374",
+    3: "4494b589f1a0803324c7b034bdd6ed4043564806b3fe182bf8b5927e69b3dafa",
+    4: "eadde98f0e01c22f92c225a517b008c98902d06b699e17b94927f1583aaaa36e",
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(ANALYZE_STDOUT_SHA256))
+def test_cli_analyze_stdout_is_golden(runner, tmp_path, monkeypatch, case, fmt):
+    _write_report_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(cli, ["analyze", *ANALYZE_CASES[case], "--format", fmt])
+    assert result.exit_code == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == ANALYZE_STDOUT_SHA256[(case, fmt)]
+
+
+@pytest.mark.parametrize("number", sorted(DEMO_JSON_STDOUT_SHA256))
+def test_cli_demo_json_stdout_is_golden(runner, number):
+    result = runner.invoke(cli, ["demo", str(number), "--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == DEMO_JSON_STDOUT_SHA256[number]
 
 
 def test_cli_main_releases_redirected_stdout(ex1_model_file):
