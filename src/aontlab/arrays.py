@@ -10,6 +10,7 @@ the relaxed transform classes.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array as int_array
 from collections import Counter
@@ -462,8 +463,54 @@ def passes_unbiased_family(array: AontArray, t_i: int, t_o: int) -> bool:
 # first line "# v=<v> s=<s>". Parsing then serializing a canonical table
 # reproduces it byte-for-byte apart from that header.
 
+_CANONICAL_HEADER = re.compile(r"# v=([0-9]+) s=([0-9]+)\n")
+_DIGITS = b"0123456789"
+_DIGIT_VALUES = bytes.maketrans(_DIGITS + b",\n", bytes(range(10)) + bytes(2))
+_DIGIT_ONES = bytes.maketrans(_DIGITS + b",\n", b"\1" * 10 + bytes(2))
+
+
+def _parse_canonical(text: str, v: int | None, s: int | None) -> AontArray | None:
+    """The array of a text laid out as `dump_array_csv` writes it with its
+    header, over v <= 100, decoded in whole-text passes with no object per
+    token; None for any other text, which `parse_array_csv` then parses
+    token by token, and so raises every error."""
+    header = _CANONICAL_HEADER.match(text)
+    if header is None or not text.isascii():
+        return None
+    header_v, header_s = int(header[1]), int(header[2])
+    if v not in (None, header_v) or s not in (None, header_s):
+        return None
+    # 2^s <= v^s rows <= len(text) bounds s before v^s is computed
+    if not (2 <= header_v <= 100 and 1 <= header_s < len(text).bit_length()):
+        return None
+    body = text[header.end() :].encode()
+    width, n_rows, size = 2 * header_s, header_v**header_s, len(body)
+    if body.translate(None, _DIGITS) != (b"," * (width - 1) + b"\n") * n_rows:
+        return None
+    # read as big-endian integers, >> 8 moves each byte one place right and
+    # << 8 one place left; no byte below exceeds 99, so nothing carries. Each
+    # del frees a text-sized integer before the next one is built.
+    ones = int.from_bytes(body.translate(_DIGIT_ONES), "big")
+    if ones & ones >> 8 & ones >> 16:  # a token of three or more digits
+        return None
+    values = int.from_bytes(body.translate(_DIGIT_VALUES), "big")
+    del body
+    last = 255 * (ones ^ (ones & ones << 8))  # 0xFF on a digit followed by a separator
+    del ones
+    symbols = values + 10 * (values >> 8)  # units + 10 tens on a token's last digit
+    del values
+    # every byte but a token's last digit is set to 0xFF, then dropped
+    flat = int_array("B", (symbols | ((1 << 8 * size) - 1) ^ last).to_bytes(size, "big").translate(None, b"\xff"))
+    # one symbol per non-empty token, so a short count means an empty token
+    if len(flat) != width * n_rows or not _below(flat, header_v):
+        return None
+    return AontArray.from_columns(Alphabet(header_v), header_s, [flat[i::width] for i in range(width)])
+
 
 def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> AontArray:
+    array = _parse_canonical(text, v, s)
+    if array is not None:
+        return array
     lines = list(filter(str.strip, text.splitlines()))
     if lines and lines[0].lstrip().startswith("#"):
         header = lines.pop(0).lstrip("# ").strip()

@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from array import array as int_array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import prod
 from typing import Callable, Iterator, Sequence
@@ -107,15 +108,46 @@ def builtin(name: str) -> AontArray:
     return parse_array(rows, v, s, glyphs=glyphs)
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Exact for n < 3.1 * 10^23, and so for every modulus `check_modulus` admits.
+
+    Below 37^2, trial division by the primes up to 37 decides. Above, a
+    number with no such factor is prime iff it is a strong probable prime to
+    each of those twelve bases, which holds for every n below that bound
+    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+    Math. Comp. 2017).
+    """
+    for p in _PRIME_BASES:
+        if p * p > n:
+            return n >= 2
+        if n % p == 0:
             return False
-        d += 1
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _PRIME_BASES:
+        x = pow(a, odd, n)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
     return True
+
+
+@lru_cache(maxsize=64)  # a search checks its modulus again for every matrix it lists
+def check_modulus(v: int) -> None:
+    """Reject a modulus that is not a prime below 2^64."""
+    if v >= 1 << 64:
+        raise InvalidParametersError(f"modulus {v} does not fit in 64 bits")
+    if not is_prime(v):
+        raise NonPrimeModulusError(f"modulus {v} is not prime")
 
 
 @dataclass(frozen=True)
@@ -126,8 +158,7 @@ class SquareMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.v):
-            raise NonPrimeModulusError(f"modulus {self.v} is not prime")
+        check_modulus(self.v)
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise InvalidParametersError("matrix must be square and non-empty")
@@ -302,8 +333,7 @@ def _walk(
     counted without being walked, so the counts sum to |GL(s, v)|. The span
     of all s rows, and of a pruned prefix, is never built.
     """
-    if not is_prime(v):
-        raise NonPrimeModulusError(f"modulus {v} is not prime")
+    check_modulus(v)
     if s < 1:
         raise InvalidParametersError(f"matrix order must be >= 1, got {s}")
     n = v**s
@@ -407,8 +437,7 @@ def search_linear(
         raise SearchSpaceError(
             f"{v}^{s * s} candidate matrices exceed the cap of {cap}; raise the cap explicitly"
         )
-    if not is_prime(v):
-        raise NonPrimeModulusError(f"modulus {v} is not prime")
+    check_modulus(v)
     total = gl_order(s, v)
     step = -(-total // 64)
     start = time.monotonic()

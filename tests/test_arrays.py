@@ -17,9 +17,11 @@ from aontlab import (
     check_unbiased,
     classify,
     dump_array_csv,
+    load_array_csv,
     parse_array,
     parse_array_csv,
 )
+from aontlab import arrays as arrays_module
 from aontlab.arrays import (
     Alphabet,
     _count_projection,
@@ -381,16 +383,46 @@ def test_projection_codes_need_at_most_2s_columns_in_64_bits(table1):
 
 
 def test_csv_parse_peak_memory_is_a_small_multiple_of_the_text():
-    # 14641 rows of 8 symbols over v=11; row tuples peaked at ~22x the text
-    text = dump_array_csv(linear_aont(identity_matrix(4, 11)))
-    tracemalloc.start()
-    try:
-        array = parse_array_csv(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert array.n_rows == 11**4
-    assert peak < 12 * len(text)
+    # row tuples peaked at ~22x the text; a file with its header takes the
+    # whole-text decode, one without it the per-token decode
+    v11 = dump_array_csv(linear_aont(identity_matrix(4, 11)))
+    for name, text, n_rows in [
+        ("v=11, s=4", v11, 11**4),
+        ("v=97, s=2", dump_array_csv(linear_aont(identity_matrix(2, 97))), 97**2),
+        ("v=11, s=4 without header", v11.partition("\n")[2], 11**4),
+    ]:
+        tracemalloc.start()
+        try:
+            array = parse_array_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert array.n_rows == n_rows
+        assert peak < 12 * len(text), name
+
+
+def test_canonical_files_take_the_whole_text_decode(monkeypatch, tmp_path):
+    rng = random.Random(7)
+    shapes = [(2, 1), (10, 2), (11, 3), (97, 2), (100, 1)]
+    arrays = [AontArray(Alphabet(v), s, [[rng.randrange(v) for _ in range(2 * s)] for _ in range(v**s)]) for v, s in shapes]
+    texts = [dump_array_csv(array) for array in arrays]
+
+    def unused(*args):
+        raise AssertionError("decoded token by token")
+
+    monkeypatch.setattr(arrays_module, "_decode_tokens", unused)
+    for array, text in zip(arrays, texts):
+        assert parse_array_csv(text) == array
+        assert parse_array_csv(text, v=array.v, s=array.s) == array
+    # universal newlines turn CRLF into LF as the file is read
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(texts[2].replace("\n", "\r\n").encode())
+    assert load_array_csv(str(path)) == arrays[2]
+    monkeypatch.undo()
+
+    big = AontArray(Alphabet(101), 1, [[100 - r, r] for r in range(101)])
+    for text in [dump_array_csv(big), texts[2].partition("\n")[2], texts[2].replace("\n", "\r\n")]:
+        assert arrays_module._parse_canonical(text, None, None) is None
 
 
 _TOKENS = ["0", "1", "2", "3", "-0", "07", "00", " 1", "2 ", " -1 ", "5", "a", "b", " c", "#0", "#1", "#2", "#3", "", "x y"]
@@ -417,6 +449,37 @@ def _token_tables(draw):
     return kind, header + "\n".join(",".join(row) for row in rows) + "\n"
 
 
+_CANONICAL_TOKEN_EDITS = ["010", "100", "00", "-1", " 1", "a", ""]
+
+
+def _splice(draw, text, old, new):
+    """`text` with one occurrence of `old`, drawn by position, replaced by `new`."""
+    starts = [i for i in range(len(text)) if text.startswith(old, i)]
+    i = draw(st.sampled_from(starts))
+    return text[:i] + new + text[i + len(old) :]
+
+
+@st.composite
+def _canonical_texts(draw):
+    """A text as `dump_array_csv` writes it with its header, with two-digit
+    symbols, left as it is or with one token, layout or header edit."""
+    v = draw(st.sampled_from([10, 11, 13, 97, 100, 101]))
+    s = draw(st.integers(1, 2)) if v < 20 else 1
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[str(rng.randrange(v)) for _ in range(2 * s)] for _ in range(v**s)]
+    header = "# v={v} s={s}"
+    edit = draw(st.sampled_from(["none", "token", "layout", "header"]))
+    if edit == "token":
+        rows[rng.randrange(v**s)][rng.randrange(2 * s)] = draw(st.sampled_from(_CANONICAL_TOKEN_EDITS + [str(v)]))
+    body = "".join(",".join(row) + "\n" for row in rows)
+    if edit == "layout":
+        layout = draw(st.sampled_from(["no final newline", ("\n", "\r\n"), ("\n", "\n\n"), (",", ",,"), ("\n", ",")]))
+        body = body[:-1] if layout == "no final newline" else _splice(draw, body, *layout)
+    if edit == "header":
+        header = draw(st.sampled_from(["#v={v} s={s}", "# v={v} s={s} ", "# s={s} v={v}", "# v={w} s={s}"]))
+    return "csv", header.format(v=v, s=s, w=draw(st.sampled_from([v - 1, v + 1]))) + "\n" + body
+
+
 def _outcome(parse, *args):
     try:
         result = parse(*args)
@@ -425,8 +488,8 @@ def _outcome(parse, *args):
     return result if isinstance(result, tuple) else (result.alphabet, result.s, result.rows)
 
 
-@given(_token_tables())
-@settings(max_examples=300, deadline=None)
+@given(st.one_of(_token_tables(), _canonical_texts()))
+@settings(max_examples=500, deadline=None)
 def test_parser_matches_per_token_reference(table):
     kind, source = table
     if kind == "csv":

@@ -27,6 +27,7 @@ from aontlab.constructions import (
     iter_linear_aont_matrices,
 )
 from aontlab.errors import (
+    InvalidParametersError,
     NonPrimeModulusError,
     SearchSpaceError,
     SingularMatrixError,
@@ -64,6 +65,43 @@ def test_matrix_determinants():
 def test_nonprime_modulus_rejected():
     with pytest.raises(NonPrimeModulusError):
         SquareMatrix(4, ((1, 0), (0, 1)))
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [n for n in range(-3, 10**5) if _trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (3215031751, False),  # a strong pseudoprime to bases 2, 3, 5 and 7
+        (3825123056546413051, False),  # a strong pseudoprime to every prime base up to 23
+        (1000000007 * 1000000009, False),
+        (10**18 + 3, True),
+        (2**61 - 1, True),
+        (2**64 - 59, True),  # the largest prime below 2^64
+    ],
+)
+def test_is_prime_on_large_numbers(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_large_prime_modulus_builds_a_matrix():
+    assert matrix_from_rows(10**18 + 3, [[1]]).det() == 1
+
+
+def test_modulus_of_64_bits_or_more_rejected():
+    v = 2**64 + 13  # prime, but above the range the primality test is exact on
+    with pytest.raises(InvalidParametersError, match="does not fit in 64 bits"):
+        SquareMatrix(v, ((1,),))
+    with pytest.raises(InvalidParametersError, match="does not fit in 64 bits"):
+        next(iter_invertible_matrices(1, v))
+    with pytest.raises(InvalidParametersError, match="does not fit in 64 bits"):
+        search_linear(1, v, 1, 1, cap=v)
 
 
 def test_linear_aont_good_matrix():

@@ -293,6 +293,23 @@ def test_cli_search_huge_space_exits_at_once(runner, s, v):
     assert "exceed the cap of 19683" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "v, error",
+    [
+        (1000000007 * 1000000009, "modulus 1000000016000000063 is not prime"),
+        (2**64 + 13, f"modulus {2**64 + 13} does not fit in 64 bits"),
+    ],
+)
+def test_cli_search_large_modulus_rejected_at_once(runner, v, error):
+    """With the cap raised to v, the modulus itself is rejected at once."""
+    started = time.monotonic()
+    result = runner.invoke(cli, ["search", "--s", "1", "--v", str(v), "--ti", "1", "--to", "1", "--cap", str(v)])
+    assert time.monotonic() - started < 2
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert error in result.stderr
+
+
 # sha256 of `aontlab search --format text` stdout, recorded before the search
 # pruned by prefix; the benchmark's search workload runs these configurations
 SEARCH_STDOUT_SHA256 = {
