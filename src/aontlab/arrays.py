@@ -483,8 +483,12 @@ def _parse_canonical(text: str, v: int | None, s: int | None) -> AontArray | Non
     # 2^s <= v^s rows <= len(text) bounds s before v^s is computed
     if not (2 <= header_v <= 100 and 1 <= header_s < len(text).bit_length()):
         return None
+    width, n_rows, size = 2 * header_s, header_v**header_s, len(text) - header.end()
+    # a row of width one- or two-digit tokens, each with its separator, holds
+    # 2 * width to 3 * width bytes; checked before any row-sized pattern is built
+    if not 2 * width * n_rows <= size <= 3 * width * n_rows:
+        return None
     body = text[header.end() :].encode()
-    width, n_rows, size = 2 * header_s, header_v**header_s, len(body)
     if body.translate(None, _DIGITS) != (b"," * (width - 1) + b"\n") * n_rows:
         return None
     # read as big-endian integers, >> 8 moves each byte one place right and

@@ -425,7 +425,23 @@ def test_canonical_files_take_the_whole_text_decode(monkeypatch, tmp_path):
         assert arrays_module._parse_canonical(text, None, None) is None
 
 
-_TOKENS = ["0", "1", "2", "3", "-0", "07", "00", " 1", "2 ", " -1 ", "5", "a", "b", " c", "#0", "#1", "#2", "#3", "", "x y"]
+_HUGE_HEADER_TEXTS = [
+    "# v=100 s=5\n0,0,0,0,0,0,0,0,0,0\n",
+    "# v=100 s=4\n0,0,0,0,0,0,0,0\n",
+    "# v=100 s=10\n" + ("0," * 19 + "0\n") * 30,
+]
+
+
+@pytest.mark.parametrize("text", _HUGE_HEADER_TEXTS, ids=["s=5", "s=4", "s=10"])
+def test_header_with_more_rows_than_the_text_holds_is_declined_at_once(text):
+    """The decode compares v^s with the text's size before it builds any
+    row-sized pattern; it once built (2s bytes) * v^s first."""
+    assert arrays_module._parse_canonical(text, None, None) is None
+    with pytest.raises(DimensionMismatchError, match=r"expected 100+ rows, got"):
+        parse_array_csv(text)
+
+
+_TOKENS =["0", "1", "2", "3", "-0", "07", "00", " 1", "2 ", " -1 ", "5", "a", "b", " c", "#0", "#1", "#2", "#3", "", "x y"]
 
 
 @st.composite

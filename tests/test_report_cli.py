@@ -172,6 +172,17 @@ def test_cli_verify_truncated_file(runner, tmp_path):
     assert result.exit_code > 2
 
 
+@pytest.mark.parametrize("s,n_rows", [(5, 1), (10, 30)])
+def test_cli_verify_header_larger_than_file_exits_3(runner, tmp_path, s, n_rows):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"# v=100 s={s}\n" + (",".join("0" * 2 * s) + "\n") * n_rows)
+    start = time.perf_counter()
+    result = runner.invoke(cli, ["verify", "--array", str(path), "--ti", "1", "--to", "1"])
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 3
+    assert "rows, got" in result.stderr
+
+
 def test_cli_verify_usage_error_code(runner):
     result = runner.invoke(cli, ["verify", "--ti", "1", "--to", "1"])
     assert result.exit_code == 4
