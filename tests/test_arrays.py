@@ -435,7 +435,7 @@ _HUGE_HEADER_TEXTS = [
 @pytest.mark.parametrize("text", _HUGE_HEADER_TEXTS, ids=["s=5", "s=4", "s=10"])
 def test_header_with_more_rows_than_the_text_holds_is_declined_at_once(text):
     """The decode compares v^s with the text's size before it builds any
-    row-sized pattern; it once built (2s bytes) * v^s first."""
+    row-sized pattern, so such a header costs no memory or time."""
     assert arrays_module._parse_canonical(text, None, None) is None
     with pytest.raises(DimensionMismatchError, match=r"expected 100+ rows, got"):
         parse_array_csv(text)
