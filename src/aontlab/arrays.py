@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import sys
 from array import array as int_array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
@@ -105,6 +104,15 @@ def _below(column: int_array, v: int) -> bool:
     return max(column) < v
 
 
+def _row_count_differs(n_rows: int, v: int, s: int) -> bool:
+    """n_rows != v^s for v >= 2. A header's v and s can make v^s far too
+    long to compute or print; past 2^2048 it exceeds every row count, so
+    that mismatch is raised naming v and s, without the power."""
+    if s * (v.bit_length() - 1) > 2048:
+        raise DimensionMismatchError(f"expected v^s rows for v={v}, s={s}, got {n_rows}")
+    return n_rows != v**s
+
+
 def _check_widths(rows: Sequence[Sequence[object]], width: int) -> None:
     if set(map(len, rows)) - {width}:
         r, row = next((r, row) for r, row in enumerate(rows) if len(row) != width)
@@ -129,7 +137,7 @@ class AontArray:
         v = alphabet.size
         if s < 1:
             raise InvalidParametersError(f"s must be >= 1, got {s}")
-        if len(rows) != v**s:
+        if _row_count_differs(len(rows), v, s):
             raise DimensionMismatchError(f"expected {v**s} rows for v={v}, s={s}, got {len(rows)}")
         width = 2 * s
         _check_widths(rows, width)
@@ -163,7 +171,7 @@ class AontArray:
                 raise UnknownSymbolError(
                     f"column {i + 1} holds a symbol that is not an integer in 0..{v - 1}"
                 ) from None
-            if len(column) != v**s:
+            if _row_count_differs(len(column), v, s):
                 raise DimensionMismatchError(f"column {i + 1} has {len(column)} rows, expected {v**s}")
             if not _below(column, v):
                 raise UnknownSymbolError(f"column {i + 1} holds symbol {max(column)} outside 0..{v - 1}")
@@ -271,7 +279,7 @@ def parse_array(
     if v < 2 or s < 1:
         raise InvalidParametersError(f"need v >= 2 and s >= 1, got v={v}, s={s}")
     rows = list(map(tuple, raw_rows))
-    if len(rows) != v**s:
+    if _row_count_differs(len(rows), v, s):
         raise DimensionMismatchError(f"expected {v**s} rows, got {len(rows)}")
     _check_widths(rows, 2 * s)
 
@@ -337,37 +345,28 @@ def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
     return codes
 
 
-def _count_projection(array: AontArray, cols: tuple[int, ...]) -> list[int] | dict[int, int]:
-    """How often each code of the projection onto `cols` occurs: a list over
-    all v^|cols| codes, or, when there are more codes than rows, a dict of
-    the codes that occur, in ascending order."""
-    codes = projection_codes(array, cols)
-    if array.v ** len(cols) > array.n_rows:
-        return dict(sorted(Counter(codes).items()))
+def _count_projection(array: AontArray, cols: tuple[int, ...]) -> list[int]:
+    """How often each of the v^|cols| codes of the projection onto `cols`
+    occurs; every caller stays within s columns, so v^|cols| <= N."""
     counts = [0] * array.v ** len(cols)
-    for code in codes:
+    for code in projection_codes(array, cols):
         counts[code] += 1
     return counts
 
 
-def dense_totals(totals: list[int] | dict[int, int], size: int) -> list[int]:
-    """Per-code totals of a projection as a list over all `size` codes."""
-    if isinstance(totals, list):
-        return totals
-    dense = [0] * size
-    for code, total in totals.items():
-        dense[code] = total
-    return dense
-
-
-def check_unbiased(array: AontArray, cols: Iterable[int]) -> PropertyReport:
-    """Does every |I|-tuple appear exactly N/v^|I| times in the projection?"""
+def _counted(array: AontArray, cols: Iterable[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The normalised column set, of at most s columns, and its counts."""
     cset = normalize_columns(cols, 2 * array.s)
     if len(cset) > array.s:
         raise OversizedColumnSetError(
             f"column set of size {len(cset)} exceeds s={array.s}"
         )
-    counts = _count_projection(array, cset)
+    return cset, _count_projection(array, cset)
+
+
+def check_unbiased(array: AontArray, cols: Iterable[int]) -> PropertyReport:
+    """Does every |I|-tuple appear exactly N/v^|I| times in the projection?"""
+    cset, counts = _counted(array, cols)
     expected = array.n_rows // array.v ** len(cset)
     if counts.count(expected) == len(counts):
         return PropertyReport(UNBIASED, cset, holds=True, expected_multiplicity=expected)
@@ -384,12 +383,7 @@ def check_unbiased(array: AontArray, cols: Iterable[int]) -> PropertyReport:
 
 def check_covering(array: AontArray, cols: Iterable[int]) -> PropertyReport:
     """Does every |I|-tuple appear at least once in the projection?"""
-    cset = normalize_columns(cols, 2 * array.s)
-    if len(cset) > array.s:
-        raise OversizedColumnSetError(
-            f"column set of size {len(cset)} exceeds s={array.s}"
-        )
-    counts = _count_projection(array, cset)
+    cset, counts = _counted(array, cols)
     if 0 not in counts:
         return PropertyReport(COVERING, cset, holds=True)
     return PropertyReport(
@@ -451,10 +445,9 @@ cached_classify = lru_cache(maxsize=512)(classify)
 
 
 def passes_unbiased_family(array: AontArray, t_i: int, t_o: int) -> bool:
-    """classify(...).verdict == AONT without the covering pass; the reference
-    the rank predicate is tested against (tests/test_constructions.py)."""
-    check_t_range(array.s, t_i, t_o)
-    return all(check_unbiased(array, cols).holds for cols in column_set_family(array.s, t_i, t_o))
+    """Is the array a full (t_i, t_o) transform? The reference the rank
+    predicate is tested against (tests/test_constructions.py)."""
+    return classify(array, t_i, t_o).verdict == AONT
 
 
 # --- CSV surface -----------------------------------------------------------
@@ -463,7 +456,8 @@ def passes_unbiased_family(array: AontArray, t_i: int, t_o: int) -> bool:
 # first line "# v=<v> s=<s>". Parsing then serializing a canonical table
 # reproduces it byte-for-byte apart from that header.
 
-_CANONICAL_HEADER = re.compile(r"# v=([0-9]+) s=([0-9]+)\n")
+# at most three digits each, so int() never meets a number too long to convert
+_CANONICAL_HEADER = re.compile(r"# v=([0-9]{1,3}) s=([0-9]{1,3})\n")
 _DIGITS = b"0123456789"
 _DIGIT_VALUES = bytes.maketrans(_DIGITS + b",\n", bytes(range(10)) + bytes(2))
 _DIGIT_ONES = bytes.maketrans(_DIGITS + b",\n", b"\1" * 10 + bytes(2))
@@ -542,7 +536,8 @@ def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> Ao
             raise DimensionMismatchError(
                 f"{len(lines)} rows is not a perfect s={s} power of any alphabet size"
             )
-    if v < 2 or s < 1 or len(lines) != v**s or set(map(str.count, lines, repeat(","))) != {2 * s - 1}:
+    widths = set(map(str.count, lines, repeat(",")))
+    if v < 2 or s < 1 or _row_count_differs(len(lines), v, s) or widths != {2 * s - 1}:
         # a shape error: parse_array names it, row by row
         return parse_array([tuple(map(str.strip, line.split(","))) for line in lines], v, s)
     body = ",".join(lines)

@@ -35,6 +35,10 @@ from .errors import (
 )
 
 DEFAULT_SEARCH_CAP = 3**9  # max number of candidate matrices (v^(s*s))
+# fixed bounds on `_walk`'s tables, whatever the cap: the v^s row vectors, and,
+# for s > 1, the (v^s)^2 vector sums, here at most 2^22
+_MAX_VECTORS = 1 << 16
+_MAX_SUMMED_VECTORS = 1 << 11
 
 _TABLE1 = """
 a,a,a,a
@@ -268,8 +272,9 @@ class _RankChecks:
     output block passes because M is invertible, and a set with J empty lies
     in the input block. A check is decided once its last row, max(keep), is
     placed, and the rows above fix which codes of that row fail it. So the
-    failing codes are memoized per (J, rows above restricted to J), and the
-    rank verdicts behind them per submatrix, for the life of the object.
+    failing codes are memoized per (J, rows above restricted to J), for the
+    life of the object, and each distinct restriction of the last row to J is
+    rank-tested once per key.
     """
 
     def __init__(self, s: int, v: int, t_i: int, t_o: int, vectors: Sequence[tuple[int, ...]]) -> None:
@@ -286,7 +291,6 @@ class _RankChecks:
                     restricts[j_cols] = [tuple(vec[j] for j in j_cols) for vec in vectors]
                 self.by_depth[keep[-1]].append((j_cols, keep[:-1], restricts[j_cols]))
         self._failing: dict[tuple, frozenset[int]] = {}
-        self._full_rank: dict[tuple[tuple[int, ...], ...], bool] = {}
 
     def failing(self, prefix: tuple[int, ...]) -> frozenset[int]:
         """Codes of row len(prefix) that fail a check they complete, given
@@ -297,17 +301,12 @@ class _RankChecks:
             key = (j_cols, fixed)
             codes = self._failing.get(key)
             if codes is None:
+                failed = {last for last in set(restrict) if not _full_column_rank(fixed + (last,), self.v)}
                 codes = self._failing[key] = frozenset(
-                    code for code, last in enumerate(restrict) if not self._is_full_rank(fixed + (last,))
+                    code for code, last in enumerate(restrict) if last in failed
                 )
             out |= codes
         return out
-
-    def _is_full_rank(self, sub: tuple[tuple[int, ...], ...]) -> bool:
-        ok = self._full_rank.get(sub)
-        if ok is None:
-            ok = self._full_rank[sub] = _full_column_rank(sub, self.v)
-        return ok
 
     def passes(self, codes: tuple[int, ...]) -> bool:
         """Does the invertible matrix with these row codes pass every check?"""
@@ -336,6 +335,9 @@ def _walk(
     check_modulus(v)
     if s < 1:
         raise InvalidParametersError(f"matrix order must be >= 1, got {s}")
+    limit = _MAX_VECTORS if s == 1 else _MAX_SUMMED_VECTORS
+    if _power_exceeds(v, s, limit):
+        raise SearchSpaceError(f"{v}^{s} row vectors exceed the walk's fixed bound of {limit}")
     n = v**s
     vectors = [decode_index(code, v, s) for code in range(n)]
     checks = None

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .arrays import AONT, AontArray, cached_classify, dense_totals, normalize_columns, projection_codes
+from .arrays import AONT, AontArray, cached_classify, normalize_columns, projection_codes
 from .coding import decode_index, encode_tuple, entropy_bits
 from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError
 from .models import (
@@ -84,18 +84,22 @@ def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
     return list(map(table.__getitem__, projection_codes(array, cols))), denominator
 
 
-def _accumulate(array: AontArray, weights: Sequence[int], cols: Sequence[int]) -> list[int] | dict[int, int]:
-    """Integer weights of the projection onto `cols` (1-based, any order): a
-    list over all v^|cols| codes, or, when there are more codes than rows, a
-    dict of the codes that occur, in ascending order."""
-    codes = projection_codes(array, cols)
-    if array.v ** len(cols) > array.n_rows:
-        sparse: dict[int, int] = {}
-        for code, w in zip(codes, weights):
-            sparse[code] = sparse.get(code, 0) + w
-        return dict(sorted(sparse.items()))
-    masses = [0] * array.v ** len(cols)
-    for code, w in zip(codes, weights):
+# the most codes a dense projection may list when they outnumber the rows
+_MAX_DENSE_CODES = 1 << 24
+
+
+def _accumulate(array: AontArray, weights: Sequence[int], cols: Sequence[int]) -> list[int]:
+    """Integer weights of the projection onto `cols` (1-based, any order), as
+    a list over all v^|cols| codes; refused before it is allocated when that
+    is more than max(N, 2^24) codes."""
+    size = array.v ** len(cols)
+    if size > max(array.n_rows, _MAX_DENSE_CODES):
+        raise InvalidParametersError(
+            f"a projection onto {len(cols)} columns has {array.v}^{len(cols)} codes, "
+            f"more than max(N, 2^24) for N = {array.n_rows} rows"
+        )
+    masses = [0] * size
+    for code, w in zip(projection_codes(array, cols), weights):
         masses[code] += w
     return masses
 
@@ -148,7 +152,7 @@ def pair_joint(array: AontArray, weights: Sequence[int], denominator: int, pair:
     """One projection onto X u Y, from which every per-pair quantity follows."""
     check_pair(array, pair)
     cols = pair.x + pair.y
-    joint = dense_totals(_accumulate(array, weights, cols), array.v ** len(cols))
+    joint = _accumulate(array, weights, cols)
     y_size = array.v ** len(pair.y)
     x_marginal = [sum(joint[i : i + y_size]) for i in range(0, len(joint), y_size)]
     y_marginal = [sum(joint[y_code::y_size]) for y_code in range(y_size)]
@@ -159,18 +163,23 @@ def marginal_distribution(array: AontArray, model: InputModel, cols: Iterable[in
     """Exact pmf the model induces on any mix of input/output columns."""
     cset = normalize_columns(cols, 2 * array.s)
     weights, denominator = prior_weights(array, model)
-    masses = dense_totals(_accumulate(array, weights, cset), array.v ** len(cset))
+    masses = _accumulate(array, weights, cset)
     return Distribution(array.v, len(cset), tuple(Fraction(w, denominator) for w in masses))
 
 
 def subset_entropy(array: AontArray, model: InputModel, cols: Iterable[int]) -> float:
     """H of the marginal on `cols`, from its non-zero weights in code order;
     w / D is the correctly rounded Fraction(w, D), so this is the entropy of
-    `marginal_distribution` bit for bit."""
+    `marginal_distribution` bit for bit. Past s columns the codes can
+    outnumber the rows, so only the codes that occur are summed."""
     cset = normalize_columns(cols, 2 * array.s)
     weights, denominator = prior_weights(array, model)
-    masses = _accumulate(array, weights, cset)
-    return _bits(masses.values() if isinstance(masses, dict) else masses, denominator)
+    if array.v ** len(cset) <= array.n_rows:
+        return _bits(_accumulate(array, weights, cset), denominator)
+    masses: dict[int, int] = {}
+    for code, w in zip(projection_codes(array, cset), weights):
+        masses[code] = masses.get(code, 0) + w
+    return _bits(map(masses.__getitem__, sorted(masses)), denominator)
 
 
 def conditional_entropy(array: AontArray, model: InputModel, pair: SubsetPair) -> float:

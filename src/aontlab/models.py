@@ -260,7 +260,11 @@ def model_from_json_dict(doc: dict) -> InputModel:
             return make_independent_model(cols)
         if kind == BLOCK_DEPENDENT:
             block = tuple(map(_integral, doc["block"]["indices"]))
+            if block != tuple(sorted(set(block))) or block and (block[0] < 1 or block[-1] > s):
+                raise BlockRangeError(f"block {block} must be sorted, duplicate-free and within 1..{s}")
             size = len(block)
+            if size > 24 or v**size > 1 << 24:  # past 24 columns, any v >= 2 is over
+                raise InvalidParametersError(f"a block joint over {v}^{size} tuples exceeds 2^24 entries")
             masses = [Fraction(0)] * v**size
             for tup, pair in doc["block"]["joint"]:
                 if len(tup) != size:

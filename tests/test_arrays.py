@@ -1,6 +1,6 @@
 import random
+import time
 import tracemalloc
-from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -26,13 +26,12 @@ from aontlab.arrays import (
     Alphabet,
     _count_projection,
     column_set_family,
-    dense_totals,
     field_typecode,
     passes_unbiased_family,
     projection_codes,
 )
 from aontlab.constructions import _TABLE1, _TABLE3, builtin, identity_matrix, linear_aont, matrix_from_rows
-from aontlab.entropy import _accumulate
+from aontlab.entropy import _accumulate, subset_entropy
 from aontlab.errors import (
     DimensionMismatchError,
     InvalidParametersError,
@@ -41,6 +40,8 @@ from aontlab.errors import (
 )
 
 import arrays_oracle
+import entropy_oracle
+from conftest import random_independent_model
 from matrix_search_oracle import expand
 
 
@@ -347,31 +348,25 @@ def test_projection_kernel_matches_per_row_reference(shape, seed, data):
     codes = projection_codes(array, cols)
     assert codes.typecode == typecode
     assert list(codes) == arrays_oracle.codes(array, cols)
-    size = v ** len(cols)
-    if size > 1 << 16:
-        return  # the reference counts are dense over all v^|cols| codes
-    assert dense_totals(_count_projection(array, cols), size) == arrays_oracle.count(array, cols)
+    if v ** len(cols) > 1 << 16:
+        return  # the reference totals are dense over all v^|cols| codes
+    if len(cols) <= s:  # the only column sets counting is asked for
+        assert _count_projection(array, cols) == arrays_oracle.count(array, cols)
     rng = random.Random(seed)
     weights = [rng.choice((0, 1, rng.getrandbits(70))) for _ in range(array.n_rows)]
-    assert dense_totals(_accumulate(array, weights, cols), size) == arrays_oracle.accumulate(array, weights, cols)
+    assert _accumulate(array, weights, cols) == arrays_oracle.accumulate(array, weights, cols)
 
 
-def test_projections_with_more_codes_than_rows_count_sparsely():
-    # 256^4 = 2^32 codes for 2^16 rows: a dense list would not fit in memory
+def test_subset_entropy_past_s_columns_sums_the_codes_that_occur():
+    """256^4 = 2^32 codes for 2^16 rows: a dense list would not fit in
+    memory, so H is summed over the codes that occur, in code order."""
     array = _random_array(256, 2, 0)
-    cols = (4, 1, 3, 2)
-    codes = arrays_oracle.codes(array, cols)
-    counts = _count_projection(array, cols)
-    assert list(counts) == sorted(counts)
-    assert counts == Counter(codes)
-    rng = random.Random(1)
-    weights = [rng.getrandbits(70) for _ in range(array.n_rows)]
-    masses = _accumulate(array, weights, cols)
-    expected = dict.fromkeys(codes, 0)
-    for code, w in zip(codes, weights):
-        expected[code] += w
-    assert list(masses) == sorted(masses)
-    assert masses == expected
+    model = random_independent_model(random.Random(1), 2, 256)
+    masses = {}
+    for code, row in zip(arrays_oracle.codes(array, (1, 2, 3, 4)), array.rows):
+        masses[code] = masses.get(code, 0) + entropy_oracle.joint_probability(model, row[:2])
+    expected = entropy_oracle.entropy_bits(masses[code] for code in sorted(masses))
+    assert subset_entropy(array, model, (4, 1, 3, 2)) == expected
 
 
 def test_projection_codes_need_at_most_2s_columns_in_64_bits(table1):
@@ -439,6 +434,23 @@ def test_header_with_more_rows_than_the_text_holds_is_declined_at_once(text):
     assert arrays_module._parse_canonical(text, None, None) is None
     with pytest.raises(DimensionMismatchError, match=r"expected 100+ rows, got"):
         parse_array_csv(text)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AontArray(Alphabet(3), 10000, [(0, 1)]),
+        lambda: AontArray.from_columns(Alphabet(3), 10000, [[0]] * 20000),
+        lambda: parse_array([(0, 1)], 3, 100000000),
+    ],
+    ids=["rows", "columns", "parse"],
+)
+def test_row_count_far_below_v_to_the_s_is_refused_without_the_power(build):
+    """3^10000 has 4772 digits, too many to print; 3^(10^8) takes seconds."""
+    start = time.perf_counter()
+    with pytest.raises(DimensionMismatchError, match=r"expected v\^s rows for v=3, s=10+, got "):
+        build()
+    assert time.perf_counter() - start < 2
 
 
 _TOKENS =["0", "1", "2", "3", "-0", "07", "00", " 1", "2 ", " -1 ", "5", "a", "b", " c", "#0", "#1", "#2", "#3", "", "x y"]

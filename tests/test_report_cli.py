@@ -183,6 +183,23 @@ def test_cli_verify_header_larger_than_file_exits_3(runner, tmp_path, s, n_rows)
     assert "rows, got" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["# v=3 s=10000", "# v=3 s=100000000", "# v=3 s=" + "1" * 5000, "# v=" + "1" * 5000 + " s=1"],
+    ids=["s=10^4", "s=10^8", "s of 5000 digits", "v of 5000 digits"],
+)
+def test_cli_verify_huge_header_exits_3_at_once(runner, tmp_path, header):
+    """v^s is neither computed nor printed when it is far past the row count."""
+    path = tmp_path / "huge.csv"
+    path.write_text(header + "\n0,1\n")
+    start = time.perf_counter()
+    result = runner.invoke(cli, ["verify", "--array", str(path), "--ti", "1", "--to", "1"])
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_verify_usage_error_code(runner):
     result = runner.invoke(cli, ["verify", "--ti", "1", "--to", "1"])
     assert result.exit_code == 4
@@ -302,6 +319,19 @@ def test_cli_search_huge_space_exits_at_once(runner, s, v):
     assert result.exit_code == 3
     assert result.stdout == ""
     assert "exceed the cap of 19683" in result.stderr
+
+
+def test_cli_search_with_tables_past_their_bound_exits_3_at_once(runner):
+    """A prime modulus and a raised cap pass every other check; the walk's
+    table of v^s row vectors is refused before it is built."""
+    v = 1000000000000000003
+    started = time.monotonic()
+    args = ["search", "--s", "1", "--v", str(v), "--ti", "1", "--to", "1", "--cap", str(10**19)]
+    result = runner.invoke(cli, args)
+    assert time.monotonic() - started < 2
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "row vectors exceed the walk's fixed bound of 65536" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -497,6 +527,26 @@ def test_cli_analyze_auto_bounds_skip_block_larger_than_t(runner, tmp_path):
     explicit = runner.invoke(cli, args + ["--bounds", "block-exact"])
     assert explicit.exit_code == 3
     assert "block of size 2 exceeds t=1" in explicit.stderr
+
+
+@pytest.mark.parametrize(
+    "s, v, indices, error",
+    [
+        (2, 3, [1] * 40, "must be sorted, duplicate-free and within 1..2"),
+        (2, 3, [2, 1], "must be sorted, duplicate-free and within 1..2"),
+        (21, 3, list(range(1, 22)), "block joint over 3^21 tuples exceeds 2^24 entries"),
+    ],
+)
+def test_cli_analyze_block_checked_before_its_joint_is_allocated(runner, tmp_path, s, v, indices, error):
+    model = _write_model(
+        tmp_path, {"s": s, "v": v, "kind": "block-dependent", "block": {"indices": indices, "joint": []}}
+    )
+    started = time.monotonic()
+    result = runner.invoke(cli, ["analyze", "--builtin", "table1", "--model", model, "--ti", "1", "--to", "1"])
+    assert time.monotonic() - started < 2
+    assert result.exit_code == 3
+    assert error in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize(
