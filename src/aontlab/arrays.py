@@ -551,7 +551,7 @@ def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> Ao
 
 
 def load_array_csv(path: str, v: int | None = None, s: int | None = None) -> AontArray:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

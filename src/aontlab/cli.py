@@ -7,6 +7,7 @@ validation error, 4 usage error. Progress goes to stderr, results to stdout.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Callable, TypeVar
 
@@ -79,15 +80,22 @@ def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
     return SubsetPair(tuple(x), tuple(y))
 
 
+def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """FloatRange(min=0) lets nan through: every comparison with it is false."""
+    if math.isnan(value):
+        raise click.BadParameter("nan is not a tolerance")
+    return value
+
+
 class _Cli(click.Group):
-    """Reports an AontLabError from any command as bad data: `error: ...` on
-    stderr and exit code 3."""
+    """Reports an AontLabError, or running out of memory, from any command as
+    bad data: `error: ...` on stderr and exit code 3."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except AontLabError as exc:
-            _echo(f"error: {exc}", err=True)
+        except (AontLabError, MemoryError) as exc:
+            _echo(f"error: {str(exc) or 'out of memory'}", err=True)
             ctx.exit(3)
 
 
@@ -141,7 +149,7 @@ def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
     help=f"bound family tag or 'auto' ({', '.join(ALL_TAGS)})",
 )
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
-@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True, callback=_not_nan)
 @click.option(
     "--pair",
     "pair_specs",
@@ -175,7 +183,7 @@ def analyze(ctx, array_path, builtin_name, model_path, ti, to, bounds, fmt, tole
 
 @cli.command()
 @click.argument("number", type=int)
-@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True, callback=_not_nan)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.pass_context
 def demo(ctx, number, tolerance, fmt) -> None:

@@ -19,7 +19,6 @@ import time
 from array import array as int_array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import prod
 from typing import Callable, Iterator, Sequence
 
@@ -177,25 +176,7 @@ class SquareMatrix:
 
     def det(self) -> int:
         """Determinant mod v by Gaussian elimination over the prime field."""
-        v = self.v
-        n = self.order
-        m = [list(row) for row in self.entries]
-        det = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] % v), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det % v
-            det = det * m[col][col] % v
-            inv = pow(m[col][col], -1, v)
-            for r in range(col + 1, n):
-                factor = m[r][col] * inv % v
-                if factor:
-                    for c in range(col, n):
-                        m[r][c] = (m[r][c] - factor * m[col][c]) % v
-        return det % v
+        return _pivot_product(self.entries, self.v)
 
     def is_invertible(self) -> bool:
         return self.det() != 0
@@ -229,7 +210,7 @@ def _linear_column(coefficients: tuple[int, ...], v: int) -> Sequence[int]:
 
     It is built from the last digit up: putting digit x_i in front of the
     digits placed so far concatenates v copies of the column so far, the
-    copy for x_i = x shifted by x c_i mod v through a table per shift.
+    copy for x_i = x shifted by x c_i mod v.
     """
     if v <= 256:  # a shift is one bytes.translate over the whole column
         byte_shifts = [bytes((b + k) % v for b in range(256)) for k in range(v)]
@@ -237,29 +218,36 @@ def _linear_column(coefficients: tuple[int, ...], v: int) -> Sequence[int]:
         for c in reversed(coefficients):
             column = b"".join(column.translate(byte_shifts[x * c % v]) for x in range(v))
         return int_array("B", column)
-    shifts = [[(b + k) % v for b in range(v)] for k in range(v)]
     symbols = [0]
     for c in reversed(coefficients):
-        symbols = list(chain.from_iterable(map(shifts[x * c % v].__getitem__, symbols) for x in range(v)))
+        symbols = [(y + x * c) % v for x in range(v) for y in symbols]
     return symbols
 
 
-def _full_column_rank(rows: tuple[tuple[int, ...], ...], v: int) -> bool:
-    """Do these rows over Z_v (v prime) have rank equal to their width?"""
-    width = len(rows[0])
+def _pivot_product(rows: Sequence[Sequence[int]], v: int) -> int:
+    """Row-reduce these rows over Z_v (v prime) column by column: the signed
+    product of the pivots mod v, or 0 as soon as a column has no pivot.
+
+    For a square matrix this is the determinant. For any matrix it is
+    non-zero iff the rows have full column rank.
+    """
     pending = [list(row) for row in rows]
+    width = len(pending[0])
+    product = 1
     for k in range(width):
         p = next((i for i, row in enumerate(pending) if row[k]), None)
         if p is None:
-            return False
+            return 0
+        # moving row p above the p rows before it is a cycle of sign (-1)^p
         pivot = pending.pop(p)
+        product = (-product if p % 2 else product) * pivot[k] % v
+        inv = pow(pivot[k], -1, v)
         for row in pending:
-            f = row[k]
+            f = row[k] * inv % v
             if f:
-                # pivot[k] is a unit mod v, so this clears column k and keeps the span
                 for c in range(k, width):
-                    row[c] = (row[c] * pivot[k] - f * pivot[c]) % v
-    return True
+                    row[c] = (row[c] - f * pivot[c]) % v
+    return product
 
 
 class _RankChecks:
@@ -270,11 +258,12 @@ class _RankChecks:
     I, restricted to the columns J, have full column rank |J| mod v (the
     identity columns I clear the rows I). The input block always passes, the
     output block passes because M is invertible, and a set with J empty lies
-    in the input block. A check is decided once its last row, max(keep), is
-    placed, and the rows above fix which codes of that row fail it. So the
-    failing codes are memoized per (J, rows above restricted to J), for the
-    life of the object, and each distinct restriction of the last row to J is
-    rank-tested once per key.
+    in the input block. At t_i = t_o = s every set with I non-empty has J
+    empty, so there is no check at all. A check is decided once its last
+    row, max(keep), is placed, and the rows above fix which codes of that row
+    fail it. So the failing codes are memoized per (J, rows above restricted
+    to J), for the life of the object, and each distinct restriction of the
+    last row to J is rank-tested once per key.
     """
 
     def __init__(self, s: int, v: int, t_i: int, t_o: int, vectors: Sequence[tuple[int, ...]]) -> None:
@@ -301,7 +290,7 @@ class _RankChecks:
             key = (j_cols, fixed)
             codes = self._failing.get(key)
             if codes is None:
-                failed = {last for last in set(restrict) if not _full_column_rank(fixed + (last,), self.v)}
+                failed = {last for last in set(restrict) if not _pivot_product(fixed + (last,), self.v)}
                 codes = self._failing[key] = frozenset(
                     code for code, last in enumerate(restrict) if last in failed
                 )
@@ -316,12 +305,11 @@ class _RankChecks:
 def _walk(
     s: int,
     v: int,
-    t: tuple[int, int] | None = None,
+    t: tuple[int, int],
     settle: Callable[[int], None] = lambda count: None,
 ) -> Iterator[SquareMatrix]:
-    """Every invertible s x s matrix over Z_v, or with t = (t_i, t_o) every
-    one whose linear array is a full (t_i, t_o) transform, in lexicographic
-    entry order.
+    """Every invertible s x s matrix over Z_v whose linear array is a full
+    (t_i, t_o) transform, t = (t_i, t_o), in lexicographic entry order.
 
     Rows are placed one at a time as base-v integer codes (big-endian, so
     code order is lexicographic order), each outside the span of the rows
@@ -340,17 +328,15 @@ def _walk(
         raise SearchSpaceError(f"{v}^{s} row vectors exceed the walk's fixed bound of {limit}")
     n = v**s
     vectors = [decode_index(code, v, s) for code in range(n)]
-    checks = None
-    if t is not None:
-        check_t_range(s, *t)
-        checks = _RankChecks(s, v, *t, vectors)
+    check_t_range(s, *t)
+    checks = _RankChecks(s, v, *t, vectors)
     if s > 1:
         add = [[encode_tuple([(x + y) % v for x, y in zip(a, b)], v) for b in vectors] for a in vectors]
     completions = [prod(n - v**i for i in range(d + 1, s)) for d in range(s)]
 
     def extend(prefix: tuple[int, ...], span: set[int]) -> Iterator[SquareMatrix]:
         d = len(prefix)
-        failing = checks.failing(prefix) if checks else ()
+        failing = checks.failing(prefix)
         kept = [row for row in range(n) if row not in span and row not in failing]
         if d == s - 1:
             settle(n - len(span))
@@ -371,8 +357,9 @@ def _walk(
 
 
 def iter_invertible_matrices(s: int, v: int) -> Iterator[SquareMatrix]:
-    """All invertible s x s matrices over Z_v, in lexicographic entry order."""
-    return _walk(s, v)
+    """All invertible s x s matrices over Z_v, in lexicographic entry order:
+    the walk at t_i = t_o = s, where `_RankChecks` holds no check."""
+    return _walk(s, v, (s, s))
 
 
 def iter_linear_aont_matrices(s: int, v: int, t_i: int, t_o: int) -> Iterator[SquareMatrix]:

@@ -281,7 +281,7 @@ def model_from_json_dict(doc: dict) -> InputModel:
 def load_model_json(path: str) -> InputModel:
     """Read a model document; a file that is not UTF-8 JSON raises an
     AontLabError."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting

@@ -97,6 +97,8 @@ def build_report(
     `pairs` defaults to `admissible_pairs(s, t_i, t_o)`; pairs given must
     have |X| = t_i and |Y| = s - t_o, or InvalidParametersError is raised.
     """
+    if not tolerance >= 0:  # also false for nan, which no comparison would meet
+        raise InvalidParametersError(f"tolerance must be a number >= 0, got {tolerance}")
     if model.s != array.s or model.v != array.v:
         raise InvalidParametersError(
             f"model shape (s={model.s}, v={model.v}) does not match array "

@@ -12,7 +12,7 @@ from typing import Callable, Iterator
 
 from aontlab.arrays import column_set_family
 from aontlab.coding import decode_index, encode_tuple
-from aontlab.constructions import _full_column_rank
+from aontlab.constructions import _pivot_product
 
 
 def gl_codes(s: int, v: int) -> Iterator[tuple[int, ...]]:
@@ -55,7 +55,7 @@ def unbiased_by_rank(s: int, v: int, t_i: int, t_o: int) -> Callable[[tuple[int,
             checks.append((keep, [tuple(vec[j] for j in j_cols) for vec in vectors]))
 
     def passes(codes: tuple[int, ...]) -> bool:
-        return all(_full_column_rank(tuple(restrict[codes[r]] for r in keep), v) for keep, restrict in checks)
+        return all(_pivot_product(tuple(restrict[codes[r]] for r in keep), v) for keep, restrict in checks)
 
     return passes
 

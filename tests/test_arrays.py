@@ -420,6 +420,13 @@ def test_canonical_files_take_the_whole_text_decode(monkeypatch, tmp_path):
         assert arrays_module._parse_canonical(text, None, None) is None
 
 
+def test_csv_with_a_byte_order_mark_loads(tmp_path, table1):
+    """An editor's UTF-8 CSV may start with a byte-order mark."""
+    path = tmp_path / "table1.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + dump_array_csv(table1).encode())
+    assert load_array_csv(str(path)) == table1
+
+
 _HUGE_HEADER_TEXTS = [
     "# v=100 s=5\n0,0,0,0,0,0,0,0,0,0\n",
     "# v=100 s=4\n0,0,0,0,0,0,0,0\n",

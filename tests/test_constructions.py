@@ -1,4 +1,6 @@
-from itertools import product
+import time
+import tracemalloc
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
@@ -60,6 +62,26 @@ def test_matrix_determinants():
     assert matrix_from_rows(3, [[1, 1], [2, 2]]).det() == 0
     assert identity_matrix(3, 5).det() == 1
     assert matrix_from_rows(5, [[2, 0, 0], [0, 3, 0], [0, 0, 1]]).det() == (2 * 3) % 5
+    # pivots found below the diagonal: a swap is odd, a 3-cycle even
+    assert matrix_from_rows(5, [[0, 1], [1, 0]]).det() == 4
+    assert matrix_from_rows(5, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == 1
+
+
+def _leibniz_det(entries, v):
+    """sum over permutations p of sign(p) * prod_i entries[i][p(i)], mod v."""
+    n = len(entries)
+    total = 0
+    for p in permutations(range(n)):
+        sign = (-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        total += sign * prod(entries[i][p[i]] for i in range(n))
+    return total % v
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), v=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_det_matches_leibniz_expansion(n, v, data):
+    entries = data.draw(st.lists(st.lists(st.integers(0, v - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    assert matrix_from_rows(v, entries).det() == _leibniz_det(entries, v)
 
 
 def test_nonprime_modulus_rejected():
@@ -207,13 +229,30 @@ def test_rank_predicate_matches_expansion(case):
     data=st.data(),
 )
 def test_linear_aont_matches_row_expansion(shape, data):
-    """Built column by column (byte shifts for v <= 256, list shifts above),
-    the array has the rows of the per-row expansion, in the same order."""
+    """Built column by column (byte shifts for v <= 256, modular sums per
+    symbol above), the array has the rows of the per-row expansion, in the
+    same order."""
     s, v = shape
     entries = data.draw(st.lists(st.lists(st.integers(0, v - 1), min_size=s, max_size=s), min_size=s, max_size=s))
     m = matrix_from_rows(v, entries)
     assume(m.is_invertible())
     assert linear_aont(m).rows == tuple(expand(m.entries, s, v))
+
+
+def test_linear_aont_past_a_byte_builds_no_square_table():
+    """Above v = 256 a column is built symbol by symbol, with no v x v table
+    of shifts: 4,099 rows take well under a second and a few MB."""
+    v = 4099
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        arr = linear_aont(matrix_from_rows(v, [[3]]))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.rows == tuple((x, 3 * x % v) for x in range(v))
+    assert elapsed < 1 and peak < 5 * 2**20
 
 
 @pytest.mark.parametrize(

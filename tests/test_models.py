@@ -192,3 +192,9 @@ def test_model_file_that_is_not_utf8_json_raises_package_error(tmp_path, content
     path.write_bytes(content)
     with pytest.raises(AontLabError, match="as UTF-8 JSON"):
         load_model_json(str(path))
+
+
+def test_model_file_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xef\xbb\xbf" + dump_model_json(example1_model()).encode())
+    assert model_to_json_dict(load_model_json(str(path))) == model_to_json_dict(example1_model())

@@ -27,6 +27,7 @@ from aontlab.arrays import cached_classify, classify
 from aontlab.bounds import ALL_TAGS
 from aontlab.cli import cli
 from aontlab.demos import run_demo
+from aontlab.errors import InvalidParametersError
 from aontlab.report import (
     ReportRow,
     build_report,
@@ -481,14 +482,36 @@ def test_cli_analyze_zero_denominator_mass(tmp_path, mass):
 
 
 def test_cli_rejects_negative_tolerance(runner, ex1_model_file):
-    analyze = runner.invoke(
-        cli,
-        ["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "1", "--to", "1",
-         "--tolerance", "-1"],
-    )
-    assert analyze.exit_code == 4 and "--tolerance" in analyze.stderr
-    demo = runner.invoke(cli, ["demo", "1", "--tolerance", "-1"])
-    assert demo.exit_code == 4 and "--tolerance" in demo.stderr
+    for tolerance in ["-1", "nan"]:
+        analyze = runner.invoke(
+            cli,
+            ["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "1", "--to", "1",
+             "--tolerance", tolerance],
+        )
+        assert analyze.exit_code == 4 and "--tolerance" in analyze.stderr
+        demo = runner.invoke(cli, ["demo", "1", "--tolerance", tolerance])
+        assert demo.exit_code == 4 and "--tolerance" in demo.stderr
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0])
+def test_build_report_rejects_nan_or_negative_tolerance(table1, tolerance):
+    """Either would mark every row outside its interval instead of failing:
+    every comparison with nan is false."""
+    with pytest.raises(InvalidParametersError, match="tolerance must be a number >= 0"):
+        build_report(table1, example1_model(), 1, 1, tolerance=tolerance)
+
+
+def test_cli_reports_memory_error_as_bad_data(runner, monkeypatch):
+    """Running out of memory exits 3 with `error:`, not 1 with a traceback,
+    which would read as weak-aont-only."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("aontlab.cli.search_linear", exhausted)
+    result = runner.invoke(cli, ["search", "--s", "2", "--v", "3", "--ti", "1", "--to", "1"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("spec", ["1,2:3", "1:", "1:3,4", ":3"])
