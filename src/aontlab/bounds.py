@@ -9,7 +9,7 @@ values against the applicable interval and records attainment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import isfinite, log2
 from typing import Callable, Sequence
 
 from .arrays import AONT, WEAK_AONT_ONLY, AontArray, cached_classify, check_t_range
@@ -38,6 +38,13 @@ WEAK_GIVEN_HY = "weak-hy"
 
 _EXACT_EPS = 1e-12
 _SLACK = 1e-9
+DEFAULT_TOLERANCE = 1e-6
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Reject all but a finite number >= 0: nan meets no comparison, inf every one."""
+    if not (isfinite(tolerance) and tolerance >= 0):
+        raise InvalidParametersError(f"tolerance must be a number >= 0 and finite, got {tolerance}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,7 @@ class EntropyInterval:
                 f"degenerate interval [{self.lower}, {self.upper}] from {self.source}"
             )
 
-    def contains(self, value: float, tolerance: float = 1e-6) -> bool:
+    def contains(self, value: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
         return self.lower - tolerance <= value <= self.upper + tolerance
 
 
@@ -127,8 +134,7 @@ def exact_nonuniform_le_t(model: InputModel, t: int) -> float:
 def exact_block_dependent(model: InputModel, t: int) -> float:
     """Exact H(X|Y) for a dependent block of size <= t with uniform rest:
     H(block joint) + (t - |block|) * log2(v)."""
-    if not 1 <= t <= model.s:
-        raise InvalidParametersError(f"need 1 <= t <= s, got t={t}, s={model.s}")
+    check_t_range(model.s, t, t)
     if (error := _block_within_t(model, t)) is not None:
         raise error
     return model.block_joint.entropy_bits() + (t - len(model.block)) * log2(model.v)
@@ -314,7 +320,7 @@ def checked_rule(which: str, verdict: str | None, model: InputModel, t_i: int, t
     """The rule of tag `which`; raises why it does not hold for this verdict
     (the array's class at (t_i, t_o)), prior and (t_i, t_o)."""
     if which not in TAG_RULES:
-        raise InvalidParametersError(f"unknown bound tag {which!r}")
+        raise InvalidParametersError(f"unknown bound tag {which!r}; know {ALL_TAGS}")
     error = _mismatch(which, verdict, model, t_i, t_o)
     if error is not None:
         raise error
@@ -328,11 +334,12 @@ def interval_for(array: AontArray, model: InputModel, pair: SubsetPair, which: s
 
 
 def compare(
-    array: AontArray, model: InputModel, pair: SubsetPair, which: str, tolerance: float = 1e-6
+    array: AontArray, model: InputModel, pair: SubsetPair, which: str, tolerance: float = DEFAULT_TOLERANCE
 ) -> BoundComparison:
     """Place the oracle H(X|Y) against the tagged interval, after checking the
     tag's rule against the array's verified class at this pair's (t_i, t_o)
     and the prior; H(X|Y) and H(Y) come from one projection onto X u Y."""
+    check_tolerance(tolerance)
     t_i, t_o = len(pair.x), array.s - len(pair.y)
     verdict = cached_classify(array, t_i, t_o).verdict if t_i <= t_o else None
     rule = checked_rule(which, verdict, model, t_i, t_o)

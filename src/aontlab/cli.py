@@ -7,14 +7,13 @@ validation error, 4 usage error. Progress goes to stderr, results to stdout.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from typing import Callable, TypeVar
 
 import click
 
 from .arrays import AONT, NEITHER, WEAK_AONT_ONLY, AontArray, classify, load_array_csv
-from .bounds import ALL_TAGS
+from .bounds import ALL_TAGS, DEFAULT_TOLERANCE, check_tolerance
 from .constructions import BUILTIN_NAMES, DEFAULT_SEARCH_CAP, builtin, search_linear
 from .demos import DEMO_NUMBERS, format_demo, run_demo
 from .entropy import SubsetPair
@@ -80,11 +79,19 @@ def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
     return SubsetPair(tuple(x), tuple(y))
 
 
-def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    """FloatRange(min=0) lets nan through: every comparison with it is false."""
-    if math.isnan(value):
-        raise click.BadParameter("nan is not a tolerance")
+def _checked_tolerance(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """`bounds.check_tolerance`'s verdict, as a usage error (exit 4)."""
+    try:
+        check_tolerance(value)
+    except AontLabError as exc:
+        raise click.BadParameter(str(exc)) from None
     return value
+
+
+_tolerance_option = click.option(
+    "--tolerance", type=float, default=DEFAULT_TOLERANCE, show_default=True, callback=_checked_tolerance,
+    help="a finite number >= 0",
+)
 
 
 class _Cli(click.Group):
@@ -149,7 +156,7 @@ def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
     help=f"bound family tag or 'auto' ({', '.join(ALL_TAGS)})",
 )
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
-@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True, callback=_not_nan)
+@_tolerance_option
 @click.option(
     "--pair",
     "pair_specs",
@@ -183,7 +190,7 @@ def analyze(ctx, array_path, builtin_name, model_path, ti, to, bounds, fmt, tole
 
 @cli.command()
 @click.argument("number", type=int)
-@click.option("--tolerance", type=click.FloatRange(min=0), default=1e-6, show_default=True, callback=_not_nan)
+@_tolerance_option
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.pass_context
 def demo(ctx, number, tolerance, fmt) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+from .bounds import DEFAULT_TOLERANCE
 from .constructions import builtin
 from .entropy import marginal_distribution
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
@@ -15,8 +16,6 @@ from .entropy import (  # unused here; perfbench/tracing.py wraps these names
 from .errors import UnknownNameError
 from .models import Distribution, InputModel, column_entropy, make_independent_model, uniform
 from .report import AnalysisReport, build_report
-
-DEFAULT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)

@@ -168,14 +168,12 @@ def marginal_distribution(array: AontArray, model: InputModel, cols: Iterable[in
 
 
 def subset_entropy(array: AontArray, model: InputModel, cols: Iterable[int]) -> float:
-    """H of the marginal on `cols`, from its non-zero weights in code order;
-    w / D is the correctly rounded Fraction(w, D), so this is the entropy of
-    `marginal_distribution` bit for bit. Past s columns the codes can
-    outnumber the rows, so only the codes that occur are summed."""
+    """H of the marginal on `cols`, from the weights of the codes that occur,
+    in code order; w / D is the correctly rounded Fraction(w, D), so this is
+    the entropy of `marginal_distribution` bit for bit. Past s columns the
+    codes can outnumber the rows, so no list over all codes is built."""
     cset = normalize_columns(cols, 2 * array.s)
     weights, denominator = prior_weights(array, model)
-    if array.v ** len(cset) <= array.n_rows:
-        return _bits(_accumulate(array, weights, cset), denominator)
     masses: dict[int, int] = {}
     for code, w in zip(projection_codes(array, cset), weights):
         masses[code] = masses.get(code, 0) + w

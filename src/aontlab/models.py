@@ -112,6 +112,11 @@ def column(v: int, masses: Iterable) -> Distribution:
     return Distribution(v, 1, tuple(as_fraction(p) for p in masses))
 
 
+def _check_block(block: tuple[int, ...], s: int) -> None:
+    if block != tuple(sorted(set(block))) or block and (block[0] < 1 or block[-1] > s):
+        raise BlockRangeError(f"block {block} must be sorted, duplicate-free and within 1..{s}")
+
+
 def _coerce_distribution(d) -> Distribution:
     if isinstance(d, Distribution):
         return d
@@ -140,10 +145,7 @@ class InputModel:
                         f"column distribution over {d.v}^{d.length} does not match v={self.v}"
                     )
         elif self.kind == BLOCK_DEPENDENT:
-            if self.block != tuple(sorted(set(self.block))):
-                raise BlockRangeError(f"block {self.block} must be sorted and duplicate-free")
-            if self.block and (self.block[0] < 1 or self.block[-1] > self.s):
-                raise BlockRangeError(f"block {self.block} outside 1..{self.s}")
+            _check_block(self.block, self.s)
             joint = self.block_joint
             if joint is None or joint.length != len(self.block) or joint.v != self.v:
                 raise ArityMismatchError(
@@ -174,8 +176,7 @@ def make_block_dependent_model(
     An empty block with a trivial joint degenerates to the all-uniform model.
     """
     block_t = tuple(sorted(set(int(c) for c in block)))
-    if block_t and (block_t[0] < 1 or block_t[-1] > s):
-        raise BlockRangeError(f"block {block_t} outside 1..{s}")
+    _check_block(block_t, s)
     if joint is None:
         if block_t:
             raise ArityMismatchError("non-empty block needs a joint distribution")
@@ -251,17 +252,13 @@ def model_from_json_dict(doc: dict) -> InputModel:
         v = _integral(doc["v"])
         kind = doc["kind"]
         if kind == INDEPENDENT:
-            cols = [
-                Distribution(v, 1, tuple(as_fraction(p) for p in masses))
-                for masses in doc["columns"]
-            ]
+            cols = [column(v, masses) for masses in doc["columns"]]
             if len(cols) != s:
                 raise ArityMismatchError(f"expected {s} columns, got {len(cols)}")
             return make_independent_model(cols)
         if kind == BLOCK_DEPENDENT:
             block = tuple(map(_integral, doc["block"]["indices"]))
-            if block != tuple(sorted(set(block))) or block and (block[0] < 1 or block[-1] > s):
-                raise BlockRangeError(f"block {block} must be sorted, duplicate-free and within 1..{s}")
+            _check_block(block, s)
             size = len(block)
             if size > 24 or v**size > 1 << 24:  # past 24 columns, any v >= 2 is over
                 raise InvalidParametersError(f"a block joint over {v}^{size} tuples exceeds 2^24 entries")

@@ -12,12 +12,12 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, Sequence
 
 from . import bounds as bnd
-from .arrays import AONT, AontArray, ClassificationVerdict, classify
+from .arrays import AONT, AontArray, ClassificationVerdict, classify, column_set_family
 from .entropy import SubsetPair, check_pair, column_entropy_sum, pair_joint, prior_weights
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     conditional_entropy,
@@ -71,12 +71,9 @@ class AnalysisReport:
 
 
 def admissible_pairs(s: int, t_i: int, t_o: int) -> list[SubsetPair]:
-    """All (X, Y) with |X| = t_i, |Y| = s - t_o, lexicographic by (X, Y)."""
-    pairs = []
-    for x in combinations(range(1, s + 1), t_i):
-        for y in combinations(range(s + 1, 2 * s + 1), s - t_o):
-            pairs.append(SubsetPair(x, y))
-    return pairs
+    """All (X, Y) with |X| = t_i, |Y| = s - t_o, lexicographic by (X, Y): the
+    mixed column sets of `column_set_family`, split at t_i."""
+    return [SubsetPair(cols[:t_i], cols[t_i:]) for cols in islice(column_set_family(s, t_i, t_o), 2, None)]
 
 
 def build_report(
@@ -85,7 +82,7 @@ def build_report(
     t_i: int,
     t_o: int,
     bounds_tag: str = AUTO,
-    tolerance: float = 1e-6,
+    tolerance: float = bnd.DEFAULT_TOLERANCE,
     array_label: str = "array",
     model_label: str = "model",
     pairs: Sequence[SubsetPair] | None = None,
@@ -97,26 +94,16 @@ def build_report(
     `pairs` defaults to `admissible_pairs(s, t_i, t_o)`; pairs given must
     have |X| = t_i and |Y| = s - t_o, or InvalidParametersError is raised.
     """
-    if not tolerance >= 0:  # also false for nan, which no comparison would meet
-        raise InvalidParametersError(f"tolerance must be a number >= 0, got {tolerance}")
-    if model.s != array.s or model.v != array.v:
-        raise InvalidParametersError(
-            f"model shape (s={model.s}, v={model.v}) does not match array "
-            f"(s={array.s}, v={array.v})"
-        )
+    bnd.check_tolerance(tolerance)
+    weights, denominator = prior_weights(array, model)  # checks the model's shape first
     verdict = classify(array, t_i, t_o)
-    if bounds_tag == AUTO:
-        tag = bnd.auto_tag(verdict.verdict, model, t_i, t_o)
-    else:
-        tag = bounds_tag
-        if tag is not None and tag not in bnd.ALL_TAGS:
-            raise InvalidParametersError(f"unknown bound tag {tag!r}; know {bnd.ALL_TAGS}")
+    tag = bnd.auto_tag(verdict.verdict, model, t_i, t_o) if bounds_tag == AUTO else bounds_tag
+    rule = None if tag is None else bnd.checked_rule(tag, verdict.verdict, model, t_i, t_o)
 
     formula_ok = model.kind == INDEPENDENT and t_i == t_o and verdict.verdict == AONT
     min_cap = bnd.min_entropy_cap(model, t_i) if model.kind == INDEPENDENT else None
     h_cols = column_entropy_sum(model) if formula_ok else None
 
-    weights, denominator = prior_weights(array, model)
     total = sum(weights)
     if total != denominator:  # the input block repeats or misses a tuple
 
@@ -132,7 +119,6 @@ def build_report(
                 f"the report needs |X| = t_i = {t_i} and |Y| = s - t_o = {array.s - t_o}"
             )
         check_pair(array, pair)
-    rule = None if tag is None else bnd.checked_rule(tag, verdict.verdict, model, t_i, t_o)
     rows: list[ReportRow] = []
     for pair in all_pairs:
         joint = pair_joint(array, weights, denominator, pair)

@@ -20,6 +20,7 @@ from aontlab import (
     load_array_csv,
     parse_array,
     parse_array_csv,
+    save_array_csv,
 )
 from aontlab import arrays as arrays_module
 from aontlab.arrays import (
@@ -531,3 +532,10 @@ def test_parser_matches_per_token_reference(table):
         assert _outcome(parse_array_csv, source) == _outcome(arrays_oracle.parse_array_csv, source)
     else:
         assert _outcome(parse_array, *source) == _outcome(arrays_oracle.parse_array, *source)
+
+
+def test_saved_array_loads_back(tmp_path, table1):
+    path = tmp_path / "table1.csv"
+    save_array_csv(table1, str(path))
+    assert path.read_text(encoding="utf-8") == dump_array_csv(table1)
+    assert load_array_csv(str(path)) == table1

@@ -30,7 +30,7 @@ from aontlab import (
     uniform_model,
 )
 from aontlab.arrays import AONT, NEITHER, WEAK_AONT_ONLY
-from aontlab.bounds import BLOCK_EXACT, auto_tag, interval_for, min_entropy_cap
+from aontlab.bounds import ALL_TAGS, BLOCK_EXACT, auto_tag, checked_rule, interval_for, min_entropy_cap
 from aontlab.entropy import SubsetPair
 from aontlab.errors import (
     BlockTooLargeError,
@@ -338,3 +338,30 @@ def test_report_rejects_pair_of_wrong_shape(table2):
         build_report(table2, example3_model(), 1, 2, pairs=[SubsetPair((1,), (3,))])
     with pytest.raises(InvalidParametersError, match="no pairs"):
         build_report(table2, example3_model(), 1, 2, pairs=[])
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_compare_rejects_tolerance_that_is_not_finite_and_non_negative(table3, tolerance):
+    """inf would make every placement within and attained, nan or -1 none."""
+    with pytest.raises(InvalidParametersError, match="tolerance must be a number >= 0"):
+        compare(table3, example4_model(), SubsetPair((1,), (6,)), WEAK, tolerance=tolerance)
+
+
+def test_compare_rejects_pair_wider_than_the_array(table1):
+    with pytest.raises(ClassificationMismatchError, match=r"\|X\|=2 exceeds s - \|Y\|=1"):
+        compare(table1, example1_model(), SubsetPair((1, 2), (3,)), WEAK)
+
+
+@pytest.mark.parametrize("t", [0, 3])
+def test_exact_block_dependent_checks_t_like_its_siblings(t):
+    empty = make_block_dependent_model(2, 3, (), None)
+    with pytest.raises(InvalidParametersError, match=f"need 1 <= t_i <= t_o <= s, got t_i={t}, t_o={t}, s=2"):
+        exact_block_dependent(empty, t)
+
+
+def test_unknown_bound_tag_names_the_known_ones(table1):
+    expected = rf"unknown bound tag 'nope'; know \({', '.join(repr(tag) for tag in ALL_TAGS)}\)"
+    with pytest.raises(InvalidParametersError, match=expected):
+        checked_rule("nope", AONT, example1_model(), 1, 1)
+    with pytest.raises(InvalidParametersError, match=expected):
+        build_report(table1, example1_model(), 1, 1, bounds_tag="nope")

@@ -22,9 +22,20 @@ from aontlab.errors import (
     ArityMismatchError,
     BlockColumnError,
     BlockRangeError,
+    InvalidParametersError,
     MassSumError,
+    UnknownSymbolError,
 )
-from aontlab.models import dump_model_json, load_model_json, model_from_json_dict, model_to_json_dict
+from aontlab.models import (
+    BLOCK_DEPENDENT,
+    INDEPENDENT,
+    InputModel,
+    column,
+    dump_model_json,
+    load_model_json,
+    model_from_json_dict,
+    model_to_json_dict,
+)
 
 from conftest import example1_model, random_masses
 
@@ -198,3 +209,68 @@ def test_model_file_with_a_byte_order_mark_loads(tmp_path):
     path = tmp_path / "model.json"
     path.write_bytes(b"\xef\xbb\xbf" + dump_model_json(example1_model()).encode())
     assert model_to_json_dict(load_model_json(str(path))) == model_to_json_dict(example1_model())
+
+
+_PAIR_JOINT = Distribution(2, 2, (F(1, 2), F(0), F(0), F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Distribution(1, 1, (F(1),)), InvalidParametersError, "bad distribution shape v=1"),
+        (lambda: Distribution(2, 1, (F(3, 2), F(-1, 2))), MassSumError, r"mass 3/2 outside \[0, 1\]"),
+        (lambda: uniform(3).mass((0, 1)), ArityMismatchError, "has length 2, expected 1"),
+        (lambda: uniform(3).mass((3,)), UnknownSymbolError, r"symbol 3 outside 0\.\.2"),
+        (lambda: InputModel(2, 3, INDEPENDENT, columns=(uniform(3),)), ArityMismatchError, "exactly 2 columns"),
+        (lambda: make_independent_model([uniform(3), uniform(2)]), ArityMismatchError, r"over 2\^1 does not match v=3"),
+        (lambda: make_independent_model([]), ArityMismatchError, "at least one column"),
+        (lambda: InputModel(2, 3, "mixed"), InvalidParametersError, "unknown model kind 'mixed'"),
+        (
+            lambda: InputModel(3, 2, BLOCK_DEPENDENT, block=(2, 1), block_joint=_PAIR_JOINT),
+            BlockRangeError,
+            r"block \(2, 1\) must be sorted, duplicate-free and within 1\.\.3",
+        ),
+        (
+            lambda: InputModel(3, 2, BLOCK_DEPENDENT, block=(0, 1), block_joint=_PAIR_JOINT),
+            BlockRangeError,
+            r"block \(0, 1\) must be sorted, duplicate-free and within 1\.\.3",
+        ),
+        (
+            lambda: make_block_dependent_model(3, 2, (1, 4), _PAIR_JOINT),
+            BlockRangeError,
+            r"block \(1, 4\) must be sorted, duplicate-free and within 1\.\.3",
+        ),
+        (lambda: make_block_dependent_model(3, 2, (1,), _PAIR_JOINT), ArityMismatchError, r"over 2\^1"),
+        (lambda: make_block_dependent_model(3, 2, (1,), None), ArityMismatchError, "needs a joint distribution"),
+        (lambda: joint_probability(uniform_model(2, 3), (0,)), ArityMismatchError, "length 1, expected 2"),
+        (
+            lambda: joint_probability(make_block_dependent_model(3, 2, (1, 2), _PAIR_JOINT), (0, 0, 2)),
+            UnknownSymbolError,
+            r"symbol 2 outside 0\.\.1",
+        ),
+        (lambda: column_entropy(uniform_model(2, 3), 3), InvalidParametersError, r"column 3 outside 1\.\.2"),
+        (lambda: model_from_json_dict({**_INDEPENDENT, "s": 3, "columns": [[1, 0, 0]] * 2}),
+         ArityMismatchError, "expected 3 columns, got 2"),
+        (
+            lambda: model_from_json_dict({**_BLOCK, "block": {"indices": [1], "joint": [[[0, 0], [1, 1]]]}}),
+            ArityMismatchError,
+            r"joint tuple \[0, 0\] has length 2, expected 1",
+        ),
+        (lambda: model_from_json_dict({**_INDEPENDENT, "kind": "mixed"}), InvalidParametersError,
+         "unknown model kind 'mixed'"),
+    ],
+)
+def test_each_model_rule_raises_its_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_independent_joint_probability_stops_at_a_zero_mass():
+    m = make_independent_model([(F(1), F(0)), (F(1, 2), F(1, 2))])
+    assert joint_probability(m, (1, 0)) == 0
+    assert joint_probability(m, (0, 1)) == F(1, 2)
+
+
+def test_column_reads_any_rational_mass():
+    assert column(3, ["1/3", (1, 3), F(1, 3)]) == uniform(3)
+    assert model_from_json_dict(model_to_json_dict(uniform_model(2, 3))).columns == (column(3, ["1/3"] * 3),) * 2

@@ -27,7 +27,7 @@ from aontlab.arrays import cached_classify, classify
 from aontlab.bounds import ALL_TAGS
 from aontlab.cli import cli
 from aontlab.demos import run_demo
-from aontlab.errors import InvalidParametersError
+from aontlab.errors import ArityMismatchError, InvalidParametersError
 from aontlab.report import (
     ReportRow,
     build_report,
@@ -113,6 +113,7 @@ def test_csv_round_trip(table1, table2, table3):
         build_report(table1, make_block_dependent_model(2, 3, (1,), block_joint), 1, 1),
         build_report(table3, example4_model(), 1, 2),
         build_report(linear_aont(identity_matrix(2, 3)), uniform_model(2, 3), 1, 1),
+        build_report(table1, example1_model(), 1, 2),  # t_o = s: every Y is empty
     ]
     for report in reports:
         parsed = parse_report_csv(report_to_csv(report))
@@ -482,7 +483,7 @@ def test_cli_analyze_zero_denominator_mass(tmp_path, mass):
 
 
 def test_cli_rejects_negative_tolerance(runner, ex1_model_file):
-    for tolerance in ["-1", "nan"]:
+    for tolerance in ["-1", "nan", "inf"]:
         analyze = runner.invoke(
             cli,
             ["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "1", "--to", "1",
@@ -493,7 +494,7 @@ def test_cli_rejects_negative_tolerance(runner, ex1_model_file):
         assert demo.exit_code == 4 and "--tolerance" in demo.stderr
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), -1.0])
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
 def test_build_report_rejects_nan_or_negative_tolerance(table1, tolerance):
     """Either would mark every row outside its interval instead of failing:
     every comparison with nan is false."""
@@ -687,3 +688,27 @@ def test_cli_exit_code_contract_on_arbitrary_files(tmp_path_factory, array, mode
     if not result.stdout:
         assert result.exit_code in {3, 4}
     assert "Traceback" not in result.stderr
+
+
+def test_build_report_checks_the_model_shape_before_classifying(table1, monkeypatch):
+    calls = []
+    monkeypatch.setattr(report_module, "classify", lambda *args: calls.append(args) or classify(*args))
+    with pytest.raises(ArityMismatchError, match=r"model shape \(s=3, v=2\) does not match array \(s=2, v=3\)"):
+        build_report(table1, example4_model(), 1, 1)
+    assert calls == []
+
+
+def test_cli_analyze_rejects_pair_spec_that_is_not_numbers(runner, ex1_model_file):
+    result = runner.invoke(
+        cli,
+        ["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "1", "--to", "1",
+         "--pair", "x:3"],
+    )
+    assert result.exit_code == 4
+    assert "bad --pair spec 'x:3'" in result.stderr
+
+
+def test_cli_demo_rejects_unknown_number(runner):
+    result = runner.invoke(cli, ["demo", "7"])
+    assert result.exit_code == 4
+    assert "demo must be one of (1, 2, 3, 4)" in result.stderr
