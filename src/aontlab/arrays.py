@@ -324,8 +324,8 @@ def _decode_tokens(tokens: list[str], v: int, s: int, glyphs: Sequence[str] | No
 
 
 def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
-    """Mixed-radix code of every row's projection onto `cols` (1-based labels,
-    any order, at most 2s of them), as an `array` in row order.
+    """Mixed-radix code of every row's projection onto `cols` (1-based labels
+    in 1..2s, any order, at most 2s of them), as an `array` in row order.
 
     The packed columns are combined by big-integer multiply-adds, one per
     column, with no loop over rows. This is exact because no field carries
@@ -335,6 +335,8 @@ def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
     """
     if len(cols) > 2 * array.s:
         raise OversizedColumnSetError(f"{len(cols)} columns exceed the array width {2 * array.s}")
+    if cols and not 1 <= min(cols) <= max(cols) <= 2 * array.s:
+        raise InvalidParametersError(f"column labels {tuple(cols)} outside 1..{2 * array.s}")
     columns = array.packed_columns
     v = array.v
     packed = 0
@@ -399,8 +401,10 @@ def column_set_family(s: int, t_i: int, t_o: int) -> Iterator[tuple[int, ...]]:
     """Column sets the definitions quantify over, in deterministic order.
 
     Yields the input block, the output block, then every union of t_i input
-    columns with s-t_o output columns in lexicographic (I, J) order.
+    columns with s-t_o output columns in lexicographic (I, J) order. It is
+    defined for 1 <= t_i <= t_o <= s only, and checks that at its first step.
     """
+    check_t_range(s, t_i, t_o)
     yield tuple(range(1, s + 1))
     yield tuple(range(s + 1, 2 * s + 1))
     for i_cols in combinations(range(1, s + 1), t_i):
@@ -423,9 +427,9 @@ def classify(array: AontArray, t_i: int, t_o: int) -> ClassificationVerdict:
     is not covering makes the array neither; otherwise the first set that is
     not unbiased makes it weak-aont-only. An unbiased set is covering, since
     N/v^|I| >= 1 for |I| <= s, so only sets from the first unbiased failure
-    on are tested for covering.
+    on are tested for covering. Parameters outside 1 <= t_i <= t_o <= s
+    raise InvalidParametersError from the family.
     """
-    check_t_range(array.s, t_i, t_o)
     unbiased_witness: tuple[int, ...] | None = None
     for cols in column_set_family(array.s, t_i, t_o):
         counts = _count_projection(array, cols)

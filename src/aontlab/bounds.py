@@ -13,7 +13,7 @@ from math import isfinite, log2
 from typing import Callable, Sequence
 
 from .arrays import AONT, WEAK_AONT_ONLY, AontArray, cached_classify, check_t_range
-from .entropy import SubsetPair, pair_joint, prior_weights
+from .entropy import SubsetPair, check_pair, pair_joint, prior_weights
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     conditional_entropy,
     subset_entropy,
@@ -61,6 +61,7 @@ class EntropyInterval:
             )
 
     def contains(self, value: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+        check_tolerance(tolerance)
         return self.lower - tolerance <= value <= self.upper + tolerance
 
 
@@ -104,7 +105,7 @@ def min_entropy_cap(model: InputModel, t: int) -> float:
     """Sum of the t smallest column entropies of an independent model: the
     symmetric upper bound on H(X|Y) for |X| = t, which a report checks every
     observed value against."""
-    return _min_subset_sum(_column_entropies(model), t)
+    return bounds_symmetric(model, t).upper
 
 
 def bounds_symmetric(model: InputModel, t: int) -> EntropyInterval:
@@ -141,12 +142,12 @@ def exact_block_dependent(model: InputModel, t: int) -> float:
 
 
 def _h_x(model: InputModel, hs: Sequence[float], t_i: int, x_cols: Sequence[int]) -> float:
-    """sum of H(X_c) over an X of t_i input columns, labels 1..s."""
-    if len(set(x_cols)) != t_i:
+    """sum of H(X_c) over the set X of t_i input columns, labels 1..s."""
+    pair = SubsetPair(x_cols, ())
+    if len(pair.x) != t_i:
         raise InvalidParametersError(f"X subset {x_cols} must have size t_i={t_i}")
-    if not set(x_cols) <= set(range(1, model.s + 1)):
-        raise InvalidParametersError(f"X subset {x_cols} outside inputs 1..{model.s}")
-    return sum(hs[c - 1] for c in x_cols)
+    check_pair(model.s, pair)
+    return sum(hs[c - 1] for c in pair.x)
 
 
 def bounds_asymmetric(

@@ -318,7 +318,8 @@ def _walk(
     one is not extended. `settle(k)` reports k more invertible matrices
     decided: the completions of a pruned row, ∏_{d<i<s}(v^s − v^i) each, are
     counted without being walked, so the counts sum to |GL(s, v)|. The span
-    of all s rows, and of a pruned prefix, is never built.
+    of all s rows, and of a pruned prefix, is never built. The modulus, s and
+    t are checked when the walk is called, before a matrix is asked for.
     """
     check_modulus(v)
     if s < 1:
@@ -328,8 +329,7 @@ def _walk(
         raise SearchSpaceError(f"{v}^{s} row vectors exceed the walk's fixed bound of {limit}")
     n = v**s
     vectors = [decode_index(code, v, s) for code in range(n)]
-    check_t_range(s, *t)
-    checks = _RankChecks(s, v, *t, vectors)
+    checks = _RankChecks(s, v, *t, vectors)  # its column set family checks t
     if s > 1:
         add = [[encode_tuple([(x + y) % v for x, y in zip(a, b)], v) for b in vectors] for a in vectors]
     completions = [prod(n - v**i for i in range(d + 1, s)) for d in range(s)]
@@ -353,19 +353,19 @@ def _walk(
                 multiples.append(add[multiples[-1]][row])
             yield from extend(prefix + (row,), {add[a][m] for m in multiples for a in span})
 
-    yield from extend((), {0})
+    return extend((), {0})
 
 
 def iter_invertible_matrices(s: int, v: int) -> Iterator[SquareMatrix]:
     """All invertible s x s matrices over Z_v, in lexicographic entry order:
     the walk at t_i = t_o = s, where `_RankChecks` holds no check."""
-    return _walk(s, v, (s, s))
+    yield from _walk(s, v, (s, s))
 
 
 def iter_linear_aont_matrices(s: int, v: int, t_i: int, t_o: int) -> Iterator[SquareMatrix]:
     """Invertible matrices whose linear array is a full (t_i, t_o)
     transform, in lexicographic order."""
-    return _walk(s, v, (t_i, t_o))
+    yield from _walk(s, v, (t_i, t_o))
 
 
 @dataclass(frozen=True)
@@ -426,9 +426,6 @@ def search_linear(
         raise SearchSpaceError(
             f"{v}^{s * s} candidate matrices exceed the cap of {cap}; raise the cap explicitly"
         )
-    check_modulus(v)
-    total = gl_order(s, v)
-    step = -(-total // 64)
     start = time.monotonic()
     examined = 0
 
@@ -438,6 +435,9 @@ def search_linear(
         if progress is not None and (examined // step > before // step or examined == total):
             progress(examined, total)
 
-    found = tuple(_walk(s, v, (t_i, t_o), settle))
+    walk = _walk(s, v, (t_i, t_o), settle)  # checks v first: the cap skips v < 2, whose |GL| can take seconds
+    total = gl_order(s, v)
+    step = -(-total // 64)
+    found = tuple(walk)
     elapsed = time.monotonic() - start
     return SearchResult(s, v, t_i, t_o, examined, found, elapsed)

@@ -5,7 +5,7 @@ denominator D, computed once per (array, model). Joint distributions over
 column subsets are integer scatter-adds of those weights, keyed by the
 mixed-radix tuple encoding; only the final log/sum runs in floating point.
 Conditional entropy is H(X,Y) - H(Y), which is the brute-force oracle valid
-for any array, not just verified transforms.
+for any array whose rows carry the prior, not just verified transforms.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .arrays import AONT, AontArray, cached_classify, normalize_columns, projection_codes
 from .coding import decode_index, encode_tuple, entropy_bits
-from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError
+from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError, MassSumError
 from .models import (
     INDEPENDENT,
     Distribution,
@@ -42,9 +42,8 @@ class SubsetPair:
             raise InvalidParametersError("X must be non-empty")
 
 
-def check_pair(array: AontArray, pair: SubsetPair) -> None:
+def check_pair(s: int, pair: SubsetPair) -> None:
     """Raise unless X lies in the inputs 1..s and Y in the outputs s+1..2s."""
-    s = array.s
     if pair.x[0] < 1 or pair.x[-1] > s:
         raise InvalidParametersError(f"X columns {pair.x} outside inputs 1..{s}")
     if pair.y and (pair.y[0] <= s or pair.y[-1] > 2 * s):
@@ -66,6 +65,8 @@ def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
     looked up in their v^s-entry product table by the row's input code.
     Block model: D = lcm(block-joint denominators) * v^(s - |block|), and a
     weight is the scaled block-joint entry of the row's block symbols.
+    Unless the rows carry the prior, each input tuple once, the weights do
+    not sum to D and MassSumError is raised.
     """
     if (model.s, model.v) != (array.s, array.v):
         raise ArityMismatchError(
@@ -81,7 +82,10 @@ def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
     else:
         table, lcm = _over_lcm(model.block_joint.masses)
         cols, denominator = model.block, lcm * model.v ** (model.s - len(model.block))
-    return list(map(table.__getitem__, projection_codes(array, cols))), denominator
+    weights = list(map(table.__getitem__, projection_codes(array, cols)))
+    if (total := sum(weights)) != denominator:  # the input block repeats or misses a tuple
+        raise MassSumError(f"masses sum to {Fraction(total, denominator)}, expected 1")
+    return weights, denominator
 
 
 # the most codes a dense projection may list when they outnumber the rows
@@ -150,7 +154,7 @@ class PairJoint:
 
 def pair_joint(array: AontArray, weights: Sequence[int], denominator: int, pair: SubsetPair) -> PairJoint:
     """One projection onto X u Y, from which every per-pair quantity follows."""
-    check_pair(array, pair)
+    check_pair(array.s, pair)
     cols = pair.x + pair.y
     joint = _accumulate(array, weights, cols)
     y_size = array.v ** len(pair.y)
@@ -197,7 +201,7 @@ def conditional_entropy_formula(array: AontArray, model: InputModel, pair: Subse
     Valid only for an independent model on an array verified as a full
     symmetric transform at t = |X| with |Y| = s - t; anything else raises.
     """
-    check_pair(array, pair)
+    check_pair(array.s, pair)
     if model.kind != INDEPENDENT:
         raise FormulaPreconditionError("closed form requires an independent model")
     t = len(pair.x)
@@ -231,7 +235,7 @@ def completion_set(
 ) -> CompletionSet:
     """All tuples on the inputs outside X appearing in a row that matches
     X = given_x and Y = given_y. Empty output is legal for sparse arrays."""
-    check_pair(array, pair)
+    check_pair(array.s, pair)
     if len(given_x) != len(pair.x) or len(given_y) != len(pair.y):
         raise InvalidParametersError("observation tuples must match the subset sizes")
     complement = tuple(c for c in array.input_columns if c not in pair.x)

@@ -11,21 +11,20 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
 from typing import Callable, Sequence
 
 from . import bounds as bnd
 from .arrays import AONT, AontArray, ClassificationVerdict, classify, column_set_family
-from .entropy import SubsetPair, check_pair, column_entropy_sum, pair_joint, prior_weights
+from .entropy import SubsetPair, column_entropy_sum, pair_joint, prior_weights
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     conditional_entropy,
     conditional_entropy_formula,
     statistical_distance,
     subset_entropy,
 )
-from .errors import InvalidParametersError, MassSumError
+from .errors import InvalidParametersError
 from .models import INDEPENDENT, InputModel
 
 AUTO = "auto"
@@ -95,7 +94,7 @@ def build_report(
     have |X| = t_i and |Y| = s - t_o, or InvalidParametersError is raised.
     """
     bnd.check_tolerance(tolerance)
-    weights, denominator = prior_weights(array, model)  # checks the model's shape first
+    weights, denominator = prior_weights(array, model)  # checks the model's shape and mass first
     verdict = classify(array, t_i, t_o)
     tag = bnd.auto_tag(verdict.verdict, model, t_i, t_o) if bounds_tag == AUTO else bounds_tag
     rule = None if tag is None else bnd.checked_rule(tag, verdict.verdict, model, t_i, t_o)
@@ -103,11 +102,6 @@ def build_report(
     formula_ok = model.kind == INDEPENDENT and t_i == t_o and verdict.verdict == AONT
     min_cap = bnd.min_entropy_cap(model, t_i) if model.kind == INDEPENDENT else None
     h_cols = column_entropy_sum(model) if formula_ok else None
-
-    total = sum(weights)
-    if total != denominator:  # the input block repeats or misses a tuple
-
-        raise MassSumError(f"masses sum to {Fraction(total, denominator)}, expected 1")
 
     all_pairs = admissible_pairs(array.s, t_i, t_o) if pairs is None else list(pairs)
     if not all_pairs:
@@ -118,7 +112,6 @@ def build_report(
                 f"pair {pair.x}:{pair.y} has |X|={len(pair.x)}, |Y|={len(pair.y)}; "
                 f"the report needs |X| = t_i = {t_i} and |Y| = s - t_o = {array.s - t_o}"
             )
-        check_pair(array, pair)
     rows: list[ReportRow] = []
     for pair in all_pairs:
         joint = pair_joint(array, weights, denominator, pair)

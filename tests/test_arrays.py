@@ -13,6 +13,7 @@ from aontlab import (
     NEITHER,
     WEAK_AONT_ONLY,
     AontArray,
+    admissible_pairs,
     check_covering,
     check_unbiased,
     classify,
@@ -236,6 +237,10 @@ def test_classify_parameter_checks(table1):
         classify(table1, 0, 1)
     with pytest.raises(InvalidParametersError):
         classify(table1, 2, 1)
+    # the family the verdict quantifies over, and the report's pairs, share the rule
+    for s, t_i, t_o in ((3, 2, 1), (2, 3, 1)):
+        with pytest.raises(InvalidParametersError, match="need 1 <= t_i <= t_o <= s"):
+            admissible_pairs(s, t_i, t_o)
 
 
 def test_family_enumeration_order():
@@ -360,14 +365,23 @@ def test_projection_kernel_matches_per_row_reference(shape, seed, data):
 
 def test_subset_entropy_past_s_columns_sums_the_codes_that_occur():
     """256^4 = 2^32 codes for 2^16 rows: a dense list would not fit in
-    memory, so H is summed over the codes that occur, in code order."""
-    array = _random_array(256, 2, 0)
+    memory, so H is summed over the codes that occur, in code order. The
+    inputs are enumerated, so the rows carry the prior; the outputs are random."""
+    outputs = (row[2:] for row in _random_array(256, 2, 0).rows)
+    array = AontArray(Alphabet(256), 2, tuple((r // 256, r % 256, *out) for r, out in enumerate(outputs)))
     model = random_independent_model(random.Random(1), 2, 256)
     masses = {}
     for code, row in zip(arrays_oracle.codes(array, (1, 2, 3, 4)), array.rows):
         masses[code] = masses.get(code, 0) + entropy_oracle.joint_probability(model, row[:2])
     expected = entropy_oracle.entropy_bits(masses[code] for code in sorted(masses))
     assert subset_entropy(array, model, (4, 1, 3, 2)) == expected
+
+
+@pytest.mark.parametrize("cols", [(0,), (5,), (1, 5), (-1, 2)])
+def test_projection_codes_reject_labels_outside_1_to_2s(table1, cols):
+    """Label 0 once read column 2s from the end, and 2s + 1 raised IndexError."""
+    with pytest.raises(InvalidParametersError, match=r"outside 1\.\.4"):
+        projection_codes(table1, cols)
 
 
 def test_projection_codes_need_at_most_2s_columns_in_64_bits(table1):

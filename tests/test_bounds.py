@@ -102,6 +102,10 @@ def test_asymmetric_interval_example3():
     iv = bounds_asymmetric(example3_model(), 1, 2, x_cols=(1,))
     assert iv.lower == pytest.approx(0.946003, abs=1e-5)
     assert iv.upper == pytest.approx(1.459148, abs=1e-5)
+    # X is a set: a repeated column counts once, in the size and in H(X)
+    assert bounds_asymmetric(example3_model(), 1, 2, x_cols=(3, 3)) == bounds_asymmetric(
+        example3_model(), 1, 2, x_cols=(3,)
+    )
 
 
 def test_asymmetric_uniform_is_point():
@@ -156,6 +160,7 @@ def test_weak_interval_example4():
     iv = bounds_weak(example4_model(), 1, 2, x_cols=(1,))
     assert iv.lower == pytest.approx(0.144611, abs=1e-5)
     assert iv.upper == pytest.approx(0.811278, abs=1e-5)
+    assert bounds_weak(example3_model(), 1, 2, x_cols=(3, 3, 3)) == bounds_weak(example3_model(), 1, 2, x_cols=(3,))
 
 
 # s = 3 in both models; labels 0 and -1 once read H(X_3) and H(X_2) from the end
@@ -193,6 +198,8 @@ def test_parameter_validation():
         bounds_asymmetric(model, 2, 1)
     with pytest.raises(InvalidParametersError):
         bounds_symmetric(uniform_model(2, 3), 3)
+    with pytest.raises(InvalidParametersError, match="X must be non-empty"):
+        bounds_asymmetric(example3_model(), 1, 2, x_cols=())
 
 
 @given(st.integers(0, 100_000))
@@ -261,6 +268,9 @@ def test_min_entropy_cap_is_symmetric_upper_bound():
     assert min_entropy_cap(model, 2) == bounds_symmetric(model, 2).upper
     with pytest.raises(InvalidParametersError):
         min_entropy_cap(make_block_dependent_model(3, 3, (), None), 1)
+    for t in (0, 4, -1):  # outside 1..s, where no pair has |X| = t
+        with pytest.raises(InvalidParametersError, match="need 1 <= t_i <= t_o <= s"):
+            min_entropy_cap(model, t)
 
 
 def _block_model(s: int, v: int, block: tuple[int, ...]):
@@ -345,6 +355,8 @@ def test_compare_rejects_tolerance_that_is_not_finite_and_non_negative(table3, t
     """inf would make every placement within and attained, nan or -1 none."""
     with pytest.raises(InvalidParametersError, match="tolerance must be a number >= 0"):
         compare(table3, example4_model(), SubsetPair((1,), (6,)), WEAK, tolerance=tolerance)
+    with pytest.raises(InvalidParametersError, match="tolerance must be a number >= 0"):
+        bounds_weak(example4_model(), 1, 2).contains(0.5, tolerance)
 
 
 def test_compare_rejects_pair_wider_than_the_array(table1):

@@ -323,6 +323,12 @@ def test_search_cap():
 def test_search_nonprime():
     with pytest.raises(NonPrimeModulusError):
         search_linear(2, 4, 1, 1)
+    # a modulus below 2 skips the cap, so it must be refused before |GL(s, v)|
+    # is multiplied out: ∏((-7)^1000 - (-7)^i) takes seconds
+    started = time.monotonic()
+    with pytest.raises(NonPrimeModulusError):
+        search_linear(1000, -7, 1, 1)
+    assert time.monotonic() - started < 2
 
 
 def test_search_result_json():

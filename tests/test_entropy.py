@@ -247,6 +247,10 @@ def test_non_bijective_inputs_rejected(table1):
         marginal_distribution(broken, example1_model(), (3,))
     with pytest.raises(MassSumError):
         build_report(broken, example1_model(), 1, 1, bounds_tag=None)
+    pair = SubsetPair((1,), (3,))
+    for entry_point, arg in ((conditional_entropy, pair), (statistical_distance, pair), (subset_entropy, (1, 2))):
+        with pytest.raises(MassSumError, match="masses sum to 25/24, expected 1"):
+            entry_point(broken, example1_model(), arg)
 
 
 # --- cross-check against the exact-rational reference engine -----------------
