@@ -5,7 +5,9 @@ labeled 1..2s, with 1..s the inputs and s+1..2s the outputs. A column set is
 *unbiased* when every projected tuple appears exactly N/v^|I| times, and
 *covering* when every projected tuple appears at least once. Classification
 checks both properties over the column-set families that define the full and
-the relaxed transform classes.
+the relaxed transform classes. A linear array {(x, xM)} over a prime v is
+recognised from its 2s columns and decided by rank, with no counting; every
+other array is decided by counting each projection.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .coding import decode_index
+from .coding import _linear_column, _pivot_product, decode_index, is_prime
 from .errors import (
     DimensionMismatchError,
     InvalidParametersError,
@@ -420,18 +422,58 @@ def check_t_range(s: int, t_i: int, t_o: int) -> None:
         )
 
 
+def _linear_matrix(array: AontArray) -> list[tuple[int, ...]] | None:
+    """The rows of M if the array is {(x, xM)} for x in lexicographic order
+    over a prime v, else None.
+
+    Row i of M is read from the outputs at row index v^(s-1-i), where x is
+    the unit vector e_i. The array is then linear iff each of its columns
+    equals that column of [I_s | M] expanded over every x; the outputs are
+    compared first, and the first mismatch ends the test. M may be singular.
+    """
+    v, s = array.v, array.s
+    if not is_prime(v):
+        return None
+    outputs = array.columns[s:]
+    m = [tuple(column[v ** (s - 1 - i)] for column in outputs) for i in range(s)]
+    identity = [tuple(int(i == j) for i in range(s)) for j in range(s)]
+    expected = zip(outputs + array.columns[:s], list(zip(*m)) + identity)
+    for column, coefficients in expected:
+        if column != int_array(column.typecode, _linear_column(coefficients, v)):
+            return None
+    return m
+
+
 def classify(array: AontArray, t_i: int, t_o: int) -> ClassificationVerdict:
     """Full verdict: aont, weak-aont-only, or neither, with a failure witness.
 
-    One pass counts each column set of the family once. The first set that
-    is not covering makes the array neither; otherwise the first set that is
-    not unbiased makes it weak-aont-only. An unbiased set is covering, since
-    N/v^|I| >= 1 for |I| <= s, so only sets from the first unbiased failure
-    on are tested for covering. Parameters outside 1 <= t_i <= t_o <= s
-    raise InvalidParametersError from the family.
+    A linear array {(x, xM)} over a prime v (see `_linear_matrix`) is decided
+    by rank: a set I u J of the family, I inputs and J outputs, is unbiased
+    iff J is empty or the rows of M outside I, restricted to the columns J,
+    have full column rank mod v. Its projections are linear maps, uniform on
+    their image, so a set is unbiased iff it is covering: the verdict is
+    aont, or neither at the first failing set, as counting would find.
+
+    Any other array is counted, each column set of the family once. The
+    first set that is not covering makes the array neither; otherwise the
+    first set that is not unbiased makes it weak-aont-only. An unbiased set
+    is covering, since N/v^|I| >= 1 for |I| <= s, so only sets from the
+    first unbiased failure on are tested for covering. Parameters outside
+    1 <= t_i <= t_o <= s raise InvalidParametersError from the family.
     """
+    family = column_set_family(array.s, t_i, t_o)
+    m = _linear_matrix(array)
+    if m is not None:
+        s = array.s
+        for cols in family:
+            j_cols = [c - s - 1 for c in cols if c > s]
+            if j_cols and not _pivot_product(
+                [[row[j] for j in j_cols] for r, row in enumerate(m, 1) if r not in cols], array.v
+            ):
+                return ClassificationVerdict(t_i, t_o, NEITHER, witness=cols)
+        return ClassificationVerdict(t_i, t_o, AONT)
     unbiased_witness: tuple[int, ...] | None = None
-    for cols in column_set_family(array.s, t_i, t_o):
+    for cols in family:
         counts = _count_projection(array, cols)
         if unbiased_witness is None:
             if counts.count(array.n_rows // array.v ** len(cols)) == len(counts):
@@ -449,8 +491,8 @@ cached_classify = lru_cache(maxsize=512)(classify)
 
 
 def passes_unbiased_family(array: AontArray, t_i: int, t_o: int) -> bool:
-    """Is the array a full (t_i, t_o) transform? The reference the rank
-    predicate is tested against (tests/test_constructions.py)."""
+    """Is the array a full (t_i, t_o) transform? `classify`'s verdict, by
+    rank for a linear array; kept as its own name for perfbench/tracing.py."""
     return classify(array, t_i, t_o).verdict == AONT
 
 

@@ -6,17 +6,17 @@ candidate: for the linear array {(x, xM)}, the projection onto a column set C
 is the linear map x -> x [I_s | M]_C, and it hits every tuple equally often
 iff it is onto, i.e. iff the columns C of [I_s | M] are linearly independent
 mod v. This is the linear-AONT submatrix criterion of D'Arco, Nasr Esfahani
-and Stinson, "All or nothing at all" (EJC 2016). tests/test_constructions.py
-checks it against expanding with `linear_aont` and counting with
-`passes_unbiased_family`, tests/matrix_search_oracle.py recounts the
-search independently, and tests/linear_search_reference.py walks all of
-GL(s, v) unpruned, then tests, for the pruned walk to match.
+and Stinson, "All or nothing at all" (EJC 2016). `arrays.classify` decides
+a recognised linear array by the same criterion, so tests/test_constructions.py
+checks it against expanding with `linear_aont` and counting row by row with
+tests/arrays_oracle.py, tests/matrix_search_oracle.py recounts the search
+independently, and tests/linear_search_reference.py walks all of GL(s, v)
+unpruned, then tests, for the pruned walk to match.
 """
 
 from __future__ import annotations
 
 import time
-from array import array as int_array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from .arrays import Alphabet, AontArray, check_t_range, column_set_family, parse_array
 from .arrays import passes_unbiased_family  # unused here; perfbench/tracing.py wraps this name
-from .coding import decode_index, encode_tuple
+from .coding import _linear_column, _pivot_product, decode_index, encode_tuple, is_prime
 from .errors import (
     InvalidParametersError,
     NonPrimeModulusError,
@@ -111,39 +111,6 @@ def builtin(name: str) -> AontArray:
     return parse_array(rows, v, s, glyphs=glyphs)
 
 
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Exact for n < 3.1 * 10^23, and so for every modulus `check_modulus` admits.
-
-    Below 37^2, trial division by the primes up to 37 decides. Above, a
-    number with no such factor is prime iff it is a strong probable prime to
-    each of those twelve bases, which holds for every n below that bound
-    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-    Math. Comp. 2017).
-    """
-    for p in _PRIME_BASES:
-        if p * p > n:
-            return n >= 2
-        if n % p == 0:
-            return False
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for a in _PRIME_BASES:
-        x = pow(a, odd, n)
-        if x == 1:
-            continue
-        for _ in range(twos):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
 @lru_cache(maxsize=64)  # a search checks its modulus again for every matrix it lists
 def check_modulus(v: int) -> None:
     """Reject a modulus that is not a prime below 2^64."""
@@ -203,51 +170,6 @@ def linear_aont(matrix: SquareMatrix) -> AontArray:
     identity = [tuple(int(i == j) for i in range(s)) for j in range(s)]
     columns = [_linear_column(coefficients, v) for coefficients in identity + list(zip(*matrix.entries))]
     return AontArray.from_columns(Alphabet(v), s, columns)
-
-
-def _linear_column(coefficients: tuple[int, ...], v: int) -> Sequence[int]:
-    """x -> sum_i x_i c_i mod v over every x in lexicographic order.
-
-    It is built from the last digit up: putting digit x_i in front of the
-    digits placed so far concatenates v copies of the column so far, the
-    copy for x_i = x shifted by x c_i mod v.
-    """
-    if v <= 256:  # a shift is one bytes.translate over the whole column
-        byte_shifts = [bytes((b + k) % v for b in range(256)) for k in range(v)]
-        column = b"\0"
-        for c in reversed(coefficients):
-            column = b"".join(column.translate(byte_shifts[x * c % v]) for x in range(v))
-        return int_array("B", column)
-    symbols = [0]
-    for c in reversed(coefficients):
-        symbols = [(y + x * c) % v for x in range(v) for y in symbols]
-    return symbols
-
-
-def _pivot_product(rows: Sequence[Sequence[int]], v: int) -> int:
-    """Row-reduce these rows over Z_v (v prime) column by column: the signed
-    product of the pivots mod v, or 0 as soon as a column has no pivot.
-
-    For a square matrix this is the determinant. For any matrix it is
-    non-zero iff the rows have full column rank.
-    """
-    pending = [list(row) for row in rows]
-    width = len(pending[0])
-    product = 1
-    for k in range(width):
-        p = next((i for i, row in enumerate(pending) if row[k]), None)
-        if p is None:
-            return 0
-        # moving row p above the p rows before it is a cycle of sign (-1)^p
-        pivot = pending.pop(p)
-        product = (-product if p % 2 else product) * pivot[k] % v
-        inv = pow(pivot[k], -1, v)
-        for row in pending:
-            f = row[k] * inv % v
-            if f:
-                for c in range(k, width):
-                    row[c] = (row[c] - f * pivot[c]) % v
-    return product
 
 
 class _RankChecks:

@@ -1,8 +1,10 @@
 import random
 import time
 import tracemalloc
+from array import array as int_array
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +28,14 @@ from aontlab import (
 from aontlab import arrays as arrays_module
 from aontlab.arrays import (
     Alphabet,
+    ClassificationVerdict,
     _count_projection,
     column_set_family,
     field_typecode,
     passes_unbiased_family,
     projection_codes,
 )
+from aontlab.coding import _linear_column, _pivot_product, encode_tuple, is_prime
 from aontlab.constructions import _TABLE1, _TABLE3, builtin, identity_matrix, linear_aont, matrix_from_rows
 from aontlab.entropy import _accumulate, subset_entropy
 from aontlab.errors import (
@@ -192,16 +196,36 @@ def test_classify_neither_reports_covering_witness(table1):
     assert verdict.witness is not None
 
 
+def _random_matrix(v: int, s: int, rng: random.Random, singular: bool) -> list[list[int]]:
+    """A random s x s matrix over Z_v: its last row a combination of the
+    rows above if `singular`, else invertible when v is prime."""
+    while True:
+        m = [[rng.randrange(v) for _ in range(s)] for _ in range(s)]
+        if singular:
+            weights = [rng.randrange(v) for _ in range(s - 1)]
+            m[-1] = [sum(w * row[j] for w, row in zip(weights, m)) % v for j in range(s)]
+            return m
+        if not is_prime(v) or _pivot_product(m, v):
+            return m
+
+
+def _linear_array(m: list[list[int]], v: int) -> AontArray:
+    """{(x, xM)} over Z_v for every x in lexicographic order, for any M."""
+    s = len(m)
+    identity = [tuple(int(i == j) for i in range(s)) for j in range(s)]
+    return AontArray.from_columns(Alphabet(v), s, [_linear_column(c, v) for c in identity + list(zip(*m))])
+
+
 def _classify_case(kind: str, v: int, s: int, rng: random.Random) -> AontArray:
-    """A linear transform, a random bijection or a random output block, with
-    up to two edits: swap the outputs of two rows (both blocks stay
-    bijections) or overwrite one symbol."""
+    """A linear array {(x, xM)} with M invertible (when v is prime) or
+    singular, a linear array with its rows shuffled, a random bijection or a
+    random output block, with up to two edits: swap the outputs of two rows
+    (both blocks stay bijections) or overwrite one symbol."""
     inputs = list(product(range(v), repeat=s))
-    if kind == "linear":
-        matrix = matrix_from_rows(v, [[rng.randrange(v) for _ in range(s)] for _ in range(s)])
-        while not matrix.is_invertible():
-            matrix = matrix_from_rows(v, [[rng.randrange(v) for _ in range(s)] for _ in range(s)])
-        rows = [list(row) for row in linear_aont(matrix).rows]
+    if kind in ("linear", "singular", "permuted"):
+        rows = [list(row) for row in _linear_array(_random_matrix(v, s, rng, kind == "singular"), v).rows]
+        if kind == "permuted":
+            rng.shuffle(rows)
     elif kind == "bijection":
         outputs = rng.sample(inputs, len(inputs))
         rows = [list(x + y) for x, y in zip(inputs, outputs)]
@@ -217,8 +241,8 @@ def _classify_case(kind: str, v: int, s: int, rng: random.Random) -> AontArray:
 
 
 @given(
-    kind=st.sampled_from(["linear", "bijection", "random"]),
-    shape=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)]),
+    kind=st.sampled_from(["linear", "singular", "permuted", "bijection", "random"]),
+    shape=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (4, 2), (2, 3), (3, 3), (2, 4)]),
     seed=st.integers(0, 2**32),
     data=st.data(),
 )
@@ -229,7 +253,85 @@ def test_one_pass_classify_matches_two_pass_reference(kind, shape, seed, data):
     # a weak-aont-only verdict needs a mixed set smaller than s, i.e. t_i < t_o < s
     pairs = [(t_i, t_o) for t_o in range(1, s + 1) for t_i in range(1, t_o + 1)]
     t_i, t_o = data.draw(st.sampled_from(pairs + [(t_i, t_o) for t_i, t_o in pairs if t_i < t_o < s] * 4))
-    assert classify(array, t_i, t_o) == arrays_oracle.classify(array, t_i, t_o)
+    with mock.patch.object(arrays_module, "_count_projection", wraps=_count_projection) as counting:
+        verdict = classify(array, t_i, t_o)
+    assert verdict == arrays_oracle.classify(array, t_i, t_o)
+    # no array over a composite v, and none whose inputs are out of order, is linear: it is counted
+    if not is_prime(v) or [row[:s] for row in array.rows] != list(product(range(v), repeat=s)):
+        assert counting.called
+
+
+class _Counted(Exception):
+    """Raised in place of projection counting, to show a verdict needs none."""
+
+
+def _counting_raises(monkeypatch) -> None:
+    def count(array, cols):
+        raise _Counted(cols)
+
+    monkeypatch.setattr(arrays_module, "_count_projection", count)
+
+
+def _cauchy(s: int, v: int) -> list[list[int]]:
+    """1 / (x - y) mod v for x in 0..s-1 and y in s..2s-1: every square
+    submatrix is invertible, so its linear array is a full transform at
+    every (t_i, t_o)."""
+    return [[pow(x - y, -1, v) for y in range(s, 2 * s)] for x in range(s)]
+
+
+def test_linear_arrays_are_decided_by_rank_without_counting(monkeypatch, table1, table2):
+    """table1 and table2 are linear over Z_3 through their glyphs; one
+    output swap makes the Cauchy array non-linear, and it is counted."""
+    cauchy = linear_aont(matrix_from_rows(11, _cauchy(5, 11)))
+    columns = [int_array("B", column) for column in cauchy.columns]
+    for column in columns[5:]:
+        column[1], column[2] = column[2], column[1]
+    swapped = AontArray.from_columns(cauchy.alphabet, 5, columns)
+    built_ins = {(table1, t): arrays_oracle.classify(table1, *t) for t in [(1, 1), (1, 2), (2, 2)]}
+    built_ins |= {(table2, t): arrays_oracle.classify(table2, *t) for t in [(1, 1), (1, 2), (2, 3), (3, 3)]}
+    _counting_raises(monkeypatch)
+    for t_i, t_o in [(1, 1), (2, 4), (3, 3)]:
+        assert classify(cauchy, t_i, t_o) == ClassificationVerdict(t_i, t_o, AONT)
+    for (array, t), verdict in built_ins.items():
+        assert classify(array, *t) == verdict
+    with pytest.raises(_Counted):
+        classify(swapped, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "m, v",
+    [([[0]], 3), ([[1, 2], [2, 4]], 5), ([[1, 0, 2], [0, 3, 1], [1, 3, 3]], 7), ([[1, 1, 0, 1]] * 4, 2)],
+)
+def test_singular_linear_array_fails_on_its_output_block(monkeypatch, m, v):
+    array = _linear_array(m, v)
+    s = len(m)
+    pairs = [(t_i, t_o) for t_o in range(1, s + 1) for t_i in range(1, t_o + 1)]
+    oracle = [arrays_oracle.classify(array, t_i, t_o) for t_i, t_o in pairs]
+    _counting_raises(monkeypatch)
+    for (t_i, t_o), verdict in zip(pairs, oracle):
+        expected = ClassificationVerdict(t_i, t_o, NEITHER, witness=array.output_columns)
+        assert classify(array, t_i, t_o) == verdict == expected
+
+
+def test_recognition_compares_every_column(monkeypatch):
+    """Rows listed in the order x -> xA keep the outputs of the linear array
+    {(y, yAM)}, so only the input columns tell it apart; so does a single
+    overwritten input symbol. Both are counted, and match the reference."""
+    v, s = 5, 2
+    base = _linear_array(_cauchy(s, v), v)
+    # x -> xA for A = [[1, 2], [0, 1]]: (x0, x1) -> (x0, 2 x0 + x1)
+    order = [encode_tuple((x0, (2 * x0 + x1) % v), v) for x0, x1 in product(range(v), repeat=s)]
+    reordered = AontArray(base.alphabet, s, tuple(base.rows[r] for r in order))
+    rows = [list(row) for row in base.rows]
+    rows[7][1] = (rows[7][1] + 1) % v
+    overwritten = AontArray(base.alphabet, s, tuple(map(tuple, rows)))
+    for array in (reordered, overwritten):
+        oracle = arrays_oracle.classify(array, 1, 1)
+        with monkeypatch.context() as patch:
+            _counting_raises(patch)
+            with pytest.raises(_Counted):
+                classify(array, 1, 1)
+        assert classify(array, 1, 1) == oracle
 
 
 def test_classify_parameter_checks(table1):
