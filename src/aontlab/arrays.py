@@ -5,9 +5,11 @@ labeled 1..2s, with 1..s the inputs and s+1..2s the outputs. A column set is
 *unbiased* when every projected tuple appears exactly N/v^|I| times, and
 *covering* when every projected tuple appears at least once. Classification
 checks both properties over the column-set families that define the full and
-the relaxed transform classes. A linear array {(x, xM)} over a prime v is
-recognised from its 2s columns and decided by rank, with no counting; every
-other array is decided by counting each projection.
+the relaxed transform classes. An array over a prime v that is linear,
+{(x, xM)}, or differs from one in fewer than half of its rows is decided by
+rank plus a correction for those rows, with no counting unless a column set
+of deficient rank needs it; every other array is decided by counting each
+projection.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import re
 import sys
 from array import array as int_array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections import Counter
+from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .coding import _linear_column, _pivot_product, decode_index, is_prime
+from .coding import _linear_columns, _pivot_product, decode_index, is_prime
 from .errors import (
     DimensionMismatchError,
     InvalidParametersError,
@@ -73,13 +77,14 @@ class Alphabet:
         return value
 
 
-# unsigned typecodes by field width: 1, 2, 4 and 8 bytes on common ABIs
-_FIELD_TYPECODES = ("B", "H", "I", "Q")
+# unsigned typecodes by field width (1, 2, 4 and 8 bytes on common ABIs),
+# each with the count of integers its items hold
+_FIELD_TYPECODES = tuple((t, 1 << 8 * int_array(t).itemsize) for t in ("B", "H", "I", "Q"))
 
 
 def _typecode_below(limit: int) -> str | None:
     """Smallest unsigned typecode whose items hold every integer below `limit`."""
-    return next((t for t in _FIELD_TYPECODES if limit <= 1 << 8 * int_array(t).itemsize), None)
+    return next((t for t, size in _FIELD_TYPECODES if limit <= size), None)
 
 
 def field_typecode(v: int, s: int) -> str:
@@ -201,14 +206,9 @@ class AontArray:
 
     @cached_property
     def packed_columns(self) -> tuple[int, ...]:
-        """Every column as one integer of fixed-width fields, one field per
-        row, packed once per array for `projection_codes`: its
-        `to_bytes(..., sys.byteorder)` is the column as an `array` of
-        `field_typecode(v, s)`, in row order."""
-        typecode = field_typecode(self.v, self.s)
-        return tuple(
-            int.from_bytes(int_array(typecode, column).tobytes(), sys.byteorder) for column in self.columns
-        )
+        """Every column packed by `_pack` into `field_typecode(v, s)` fields,
+        once per array, for `projection_codes`."""
+        return _pack(self.columns, field_typecode(self.v, self.s))
 
     @property
     def v(self) -> int:
@@ -255,13 +255,12 @@ class ClassificationVerdict:
     witness: tuple[int, ...] | None = None  # first failing column set, if any
 
 
-def normalize_columns(cols: Iterable[int], width: int) -> tuple[int, ...]:
-    """Validate and sort a 1-based column set against a 1..width label range."""
+def normalize_columns(cols: Iterable[int]) -> tuple[int, ...]:
+    """Sort and de-duplicate a non-empty 1-based column set; `projection_codes`
+    checks the labels against 1..2s."""
     out = tuple(sorted(set(int(c) for c in cols)))
     if not out:
         raise InvalidParametersError("column set must be non-empty")
-    if out[0] < 1 or out[-1] > width:
-        raise InvalidParametersError(f"column labels {out} outside 1..{width}")
     return out
 
 
@@ -339,13 +338,24 @@ def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
         raise OversizedColumnSetError(f"{len(cols)} columns exceed the array width {2 * array.s}")
     if cols and not 1 <= min(cols) <= max(cols) <= 2 * array.s:
         raise InvalidParametersError(f"column labels {tuple(cols)} outside 1..{2 * array.s}")
-    columns = array.packed_columns
-    v = array.v
-    packed = 0
+    return _codes(array.packed_columns, cols, array.v, field_typecode(array.v, array.s), array.n_rows)
+
+
+def _pack(columns: Iterable[Sequence[int]], typecode: str) -> tuple[int, ...]:
+    """Each column as one integer of fixed-width fields, one field per row:
+    its `to_bytes(..., sys.byteorder)` is the column as an `array` of
+    `typecode`, in row order."""
+    return tuple(int.from_bytes(int_array(typecode, column), sys.byteorder) for column in columns)
+
+
+def _codes(packed: Sequence[int], cols: Sequence[int], v: int, typecode: str, n_rows: int) -> int_array:
+    """The codes of `n_rows` rows on `cols` (1-based), from their columns
+    packed by `_pack` into `typecode` fields: the kernel of `projection_codes`."""
+    code = 0
     for c in cols:
-        packed = packed * v + columns[c - 1]
-    codes = int_array(field_typecode(v, array.s))
-    codes.frombytes(packed.to_bytes(array.n_rows * codes.itemsize, sys.byteorder))
+        code = code * v + packed[c - 1]
+    codes = int_array(typecode)
+    codes.frombytes(code.to_bytes(n_rows * codes.itemsize, sys.byteorder))
     return codes
 
 
@@ -360,7 +370,7 @@ def _count_projection(array: AontArray, cols: tuple[int, ...]) -> list[int]:
 
 def _counted(array: AontArray, cols: Iterable[int]) -> tuple[tuple[int, ...], list[int]]:
     """The normalised column set, of at most s columns, and its counts."""
-    cset = normalize_columns(cols, 2 * array.s)
+    cset = normalize_columns(cols)
     if len(cset) > array.s:
         raise OversizedColumnSetError(
             f"column set of size {len(cset)} exceeds s={array.s}"
@@ -422,64 +432,164 @@ def check_t_range(s: int, t_i: int, t_o: int) -> None:
         )
 
 
-def _linear_matrix(array: AontArray) -> list[tuple[int, ...]] | None:
-    """The rows of M if the array is {(x, xM)} for x in lexicographic order
-    over a prime v, else None.
+# maps every non-zero byte to 1, so `find(1)` meets each one in turn
+_NONZERO_BYTES = b"\0" + b"\1" * 255
+
+
+def _mismatched_rows(column: int_array, expected: int_array) -> list[int] | None:
+    """The row indices, in order, where two columns of one typecode differ;
+    None when that is at least half of them.
+
+    The columns are XORed as integers, so a row differs where a byte of its
+    item is non-zero; those rows are found by `bytes.find`, with no object
+    per row that agrees.
+    """
+    if column == expected:
+        return []
+    n, size = len(column), column.itemsize
+    flags = (int.from_bytes(column, "little") ^ int.from_bytes(expected, "little")).to_bytes(n * size, "little")
+    if size > 1:  # a row differs where any byte of its item does
+        merged = 0
+        for k in range(size):
+            merged |= int.from_bytes(flags[k::size], "little")
+        flags = merged.to_bytes(n, "little")
+    if 2 * (n - flags.count(0)) >= n:
+        return None
+    flags = flags.translate(_NONZERO_BYTES)
+    rows = []
+    r = flags.find(1)
+    while r >= 0:
+        rows.append(r)
+        r = flags.find(1, r + 1)
+    return rows
+
+
+def _linear_matrix(array: AontArray) -> tuple[list[tuple[int, ...]], dict[int, dict[int, int]]] | None:
+    """The rows of M, and where the array differs from {(x, xM)}, for x in
+    lexicographic order over a prime v: for each 0-based column index that
+    differs, the symbol {(x, xM)} has at each row index where it does. None
+    for a composite v, or as soon as the rows D that differ reach 2|D| >= N.
 
     Row i of M is read from the outputs at row index v^(s-1-i), where x is
-    the unit vector e_i. The array is then linear iff each of its columns
-    equals that column of [I_s | M] expanded over every x; the outputs are
-    compared first, and the first mismatch ends the test. M may be singular.
+    the unit vector e_i; M may be singular. Each column is compared with
+    that column of [I_s | M] expanded over every x, outputs first. Past half
+    the rows, correcting each column set's counts row by row (see
+    `_set_properties`) would cost more than counting them, so the
+    comparison stops there.
     """
-    v, s = array.v, array.s
+    v, s, n = array.v, array.s, array.n_rows
     if not is_prime(v):
         return None
-    outputs = array.columns[s:]
-    m = [tuple(column[v ** (s - 1 - i)] for column in outputs) for i in range(s)]
-    identity = [tuple(int(i == j) for i in range(s)) for j in range(s)]
-    expected = zip(outputs + array.columns[:s], list(zip(*m)) + identity)
-    for column, coefficients in expected:
-        if column != int_array(column.typecode, _linear_column(coefficients, v)):
+    units = [v ** (s - 1 - i) for i in range(s)]
+    m_columns = [tuple(map(column.__getitem__, units)) for column in array.columns[s:]]
+    identity = [(0,) * i + (1,) + (0,) * (s - 1 - i) for i in range(s)]
+    mismatches: dict[int, dict[int, int]] = {}
+    differing: set[int] = set()
+    order = chain(range(s, 2 * s), range(s))
+    for c, expected in zip(order, _linear_columns(m_columns + identity, v)):
+        column = array.columns[c]
+        expected = int_array(column.typecode, expected)
+        rows = _mismatched_rows(column, expected)
+        if rows is None:
             return None
-    return m
+        if rows:
+            mismatches[c] = {r: expected[r] for r in rows}
+            differing.update(rows)
+            if 2 * len(differing) >= n:
+                return None
+    return list(zip(*m_columns)), mismatches
+
+
+def _counted_properties(array: AontArray, cols: tuple[int, ...]) -> tuple[bool, bool]:
+    """(unbiased, covering) of a column set of at most s columns, by counting
+    its projection; an unbiased set is covering, since N/v^|cols| >= 1."""
+    counts = _count_projection(array, cols)
+    unbiased = counts.count(array.n_rows // array.v ** len(cols)) == len(counts)
+    return unbiased, unbiased or 0 not in counts
+
+
+def _set_properties(array: AontArray) -> Callable[[tuple[int, ...]], tuple[bool, bool]]:
+    """(unbiased, covering) of each column set of the family: by counting,
+    unless `_linear_matrix` finds M and the rows D where the array differs
+    from {(x, xM)}; then by rank plus a row correction, exactly.
+
+    The counts of the array on a set C of k columns are those of {(x, xM)},
+    less the codes of its rows D, plus the codes of the array's rows D. If
+    C has full rank (`_pivot_product`), every code has N/v^k linear rows: C
+    is unbiased iff the removed and added codes are equal as multisets, and
+    covering iff no removed code loses all of its rows. Otherwise the linear
+    image misses at least v^k - v^(k-1) codes, each needing a row of D to be
+    covered: with fewer rows in D, C is neither; with as many, C is counted.
+    """
+    recognised = _linear_matrix(array)
+    if recognised is None:
+        return partial(_counted_properties, array)
+    m, mismatches = recognised
+    v, s, n = array.v, array.s, array.n_rows
+    rows = sorted(set().union(*mismatches.values()))
+    d = len(rows)
+    typecode = field_typecode(v, s)
+    packed: tuple[int, ...] = ()
+    if d:  # each column at the rows D: first as {(x, xM)} has it, then as the array does
+        found = [[column[r] for r in rows] for column in array.columns]
+        linear = found.copy()
+        for c, symbols in mismatches.items():
+            linear[c] = list(map(symbols.get, rows, found[c]))
+        packed = _pack(map(add, linear, found), typecode)
+
+    def properties(cols: tuple[int, ...]) -> tuple[bool, bool]:
+        k = len(cols)
+        j_cols = [c - s - 1 for c in cols if c > s]
+        if j_cols and not _pivot_product(
+            [[row[j] for j in j_cols] for r, row in enumerate(m, 1) if r not in cols], v
+        ):
+            if d < v ** (k - 1) * (v - 1):
+                return False, False
+            return _counted_properties(array, cols)
+        if not d:
+            return True, True
+        codes = _codes(packed, cols, v, typecode, 2 * d)
+        removed, added = sorted(codes[:d]), sorted(codes[d:])
+        if removed == added:
+            return True, True
+        per_code = n // v**k
+        if d < per_code:  # no code can lose all of its rows
+            return False, True
+        if per_code == 1:  # removed and added differ in one size: some code loses its only row
+            return False, False
+        added_counts = Counter(added)
+        return False, all(per_code + added_counts[code] > count for code, count in Counter(removed).items())
+
+    return properties
 
 
 def classify(array: AontArray, t_i: int, t_o: int) -> ClassificationVerdict:
     """Full verdict: aont, weak-aont-only, or neither, with a failure witness.
 
-    A linear array {(x, xM)} over a prime v (see `_linear_matrix`) is decided
-    by rank: a set I u J of the family, I inputs and J outputs, is unbiased
-    iff J is empty or the rows of M outside I, restricted to the columns J,
-    have full column rank mod v. Its projections are linear maps, uniform on
-    their image, so a set is unbiased iff it is covering: the verdict is
-    aont, or neither at the first failing set, as counting would find.
+    Each column set of the family gets its (unbiased, covering) pair once,
+    in family order, from `_set_properties`: by counting, or, for an array
+    within fewer than N/2 rows D of a linear array {(x, xM)} over a prime v
+    (see `_linear_matrix`), by the rank of the set in M and a correction for
+    the rows D; an exactly linear array (D empty) counts nothing. Counting
+    still runs for every set when v is composite or 2|D| >= N (as when an
+    edited unit row misreads M), and for a rank-deficient set of k columns
+    when |D| >= v^(k-1)(v-1). Either source gives the exact pair, so the
+    verdict and witness are counting's.
 
-    Any other array is counted, each column set of the family once. The
-    first set that is not covering makes the array neither; otherwise the
-    first set that is not unbiased makes it weak-aont-only. An unbiased set
-    is covering, since N/v^|I| >= 1 for |I| <= s, so only sets from the
-    first unbiased failure on are tested for covering. Parameters outside
-    1 <= t_i <= t_o <= s raise InvalidParametersError from the family.
+    The first set that is not covering makes the array neither; otherwise
+    the first set that is not unbiased makes it weak-aont-only. Parameters
+    outside 1 <= t_i <= t_o <= s raise InvalidParametersError from the family.
     """
     family = column_set_family(array.s, t_i, t_o)
-    m = _linear_matrix(array)
-    if m is not None:
-        s = array.s
-        for cols in family:
-            j_cols = [c - s - 1 for c in cols if c > s]
-            if j_cols and not _pivot_product(
-                [[row[j] for j in j_cols] for r, row in enumerate(m, 1) if r not in cols], array.v
-            ):
-                return ClassificationVerdict(t_i, t_o, NEITHER, witness=cols)
-        return ClassificationVerdict(t_i, t_o, AONT)
+    properties = _set_properties(array)
     unbiased_witness: tuple[int, ...] | None = None
     for cols in family:
-        counts = _count_projection(array, cols)
+        unbiased, covering = properties(cols)
         if unbiased_witness is None:
-            if counts.count(array.n_rows // array.v ** len(cols)) == len(counts):
+            if unbiased:
                 continue
             unbiased_witness = cols
-        if 0 in counts:
+        if not covering:
             return ClassificationVerdict(t_i, t_o, NEITHER, witness=cols)
     if unbiased_witness is None:
         return ClassificationVerdict(t_i, t_o, AONT)

@@ -11,9 +11,8 @@ them.
 
 from __future__ import annotations
 
-from array import array as int_array
 from math import log2
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def encode_tuple(symbols: Iterable[int], v: int) -> int:
@@ -73,27 +72,38 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _linear_column(coefficients: tuple[int, ...], v: int) -> Sequence[int]:
-    """x -> sum_i x_i c_i mod v over every x in lexicographic order.
+def _linear_columns(coefficients: Iterable[tuple[int, ...]], v: int) -> Iterator[Sequence[int]]:
+    """For each coefficient tuple c in turn, the column x -> sum_i x_i c_i
+    mod v over every x in lexicographic order: `bytes` for v <= 256, else a
+    list. Columns are built one at a time, as they are asked for.
 
-    It is built from the last digit up: putting digit x_i in front of the
-    digits placed so far concatenates v copies of the column so far, the
+    A column is built from the last digit up: putting digit x_i in front of
+    the digits placed so far concatenates v copies of the column so far, the
     copy for x_i = x shifted by x c_i mod v (no shift at all when c_i = 0).
     """
-    if v <= 256:  # a shift is one bytes.translate over the whole column
-        # the table for shift k maps b -> (b + k) mod v for b < v; no byte >= v occurs
-        byte_shifts = [bytes(range(k, v)) + bytes(range(k)) + bytes(256 - v) for k in range(v)]
-        column = b"\0"
-        for c in reversed(coefficients):
+    if v > 256:
+        for column in coefficients:
+            symbols = [0]
+            for c in reversed(column):
+                symbols = [(y + x * c) % v for x in range(v) for y in symbols]
+            yield symbols
+        return
+    # adding 1 mod v to every byte is one bytes.translate (no byte >= v
+    # occurs), so the v shifts of a column are v - 1 translates in a row; the
+    # one table is built once per call, for every column
+    plus_one = bytes(range(1, v)) + bytes(257 - v)
+    for column in coefficients:
+        symbols = b"\0"
+        for c in reversed(column):
             if c:
-                column = b"".join([column.translate(byte_shifts[x * c % v]) for x in range(v)])
+                shifts = [symbols]
+                for _ in range(v - 1):
+                    shifts.append(shifts[-1].translate(plus_one))
+                # (shifts * c)[x * c] is shifts[x * c % v], for x in 0..v-1
+                symbols = b"".join((shifts * c)[::c])
             else:
-                column *= v
-        return int_array("B", column)
-    symbols = [0]
-    for c in reversed(coefficients):
-        symbols = [(y + x * c) % v for x in range(v) for y in symbols]
-    return symbols
+                symbols *= v
+        yield symbols
 
 
 def _pivot_product(rows: Sequence[Sequence[int]], v: int) -> int:

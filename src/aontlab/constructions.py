@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from .arrays import Alphabet, AontArray, check_t_range, column_set_family, parse_array
 from .arrays import passes_unbiased_family  # unused here; perfbench/tracing.py wraps this name
-from .coding import _linear_column, _pivot_product, decode_index, encode_tuple, is_prime
+from .coding import _linear_columns, _pivot_product, decode_index, encode_tuple, is_prime
 from .errors import (
     InvalidParametersError,
     NonPrimeModulusError,
@@ -168,8 +168,8 @@ def linear_aont(matrix: SquareMatrix) -> AontArray:
     v = matrix.v
     s = matrix.order
     identity = [tuple(int(i == j) for i in range(s)) for j in range(s)]
-    columns = [_linear_column(coefficients, v) for coefficients in identity + list(zip(*matrix.entries))]
-    return AontArray.from_columns(Alphabet(v), s, columns)
+    columns = _linear_columns(identity + list(zip(*matrix.entries)), v)
+    return AontArray.from_columns(Alphabet(v), s, list(columns))
 
 
 class _RankChecks:

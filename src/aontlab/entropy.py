@@ -165,7 +165,7 @@ def pair_joint(array: AontArray, weights: Sequence[int], denominator: int, pair:
 
 def marginal_distribution(array: AontArray, model: InputModel, cols: Iterable[int]) -> Distribution:
     """Exact pmf the model induces on any mix of input/output columns."""
-    cset = normalize_columns(cols, 2 * array.s)
+    cset = normalize_columns(cols)
     weights, denominator = prior_weights(array, model)
     masses = _accumulate(array, weights, cset)
     return Distribution(array.v, len(cset), tuple(Fraction(w, denominator) for w in masses))
@@ -176,7 +176,7 @@ def subset_entropy(array: AontArray, model: InputModel, cols: Iterable[int]) -> 
     in code order; w / D is the correctly rounded Fraction(w, D), so this is
     the entropy of `marginal_distribution` bit for bit. Past s columns the
     codes can outnumber the rows, so no list over all codes is built."""
-    cset = normalize_columns(cols, 2 * array.s)
+    cset = normalize_columns(cols)
     weights, denominator = prior_weights(array, model)
     masses: dict[int, int] = {}
     for code, w in zip(projection_codes(array, cset), weights):

@@ -4,6 +4,7 @@ import tracemalloc
 from array import array as int_array
 from functools import lru_cache
 from itertools import product
+from operator import ne
 from unittest import mock
 
 import pytest
@@ -35,7 +36,7 @@ from aontlab.arrays import (
     passes_unbiased_family,
     projection_codes,
 )
-from aontlab.coding import _linear_column, _pivot_product, encode_tuple, is_prime
+from aontlab.coding import _linear_columns, _pivot_product, encode_tuple, is_prime
 from aontlab.constructions import _TABLE1, _TABLE3, builtin, identity_matrix, linear_aont, matrix_from_rows
 from aontlab.entropy import _accumulate, subset_entropy
 from aontlab.errors import (
@@ -213,7 +214,7 @@ def _linear_array(m: list[list[int]], v: int) -> AontArray:
     """{(x, xM)} over Z_v for every x in lexicographic order, for any M."""
     s = len(m)
     identity = [tuple(int(i == j) for i in range(s)) for j in range(s)]
-    return AontArray.from_columns(Alphabet(v), s, [_linear_column(c, v) for c in identity + list(zip(*m))])
+    return AontArray.from_columns(Alphabet(v), s, list(_linear_columns(identity + list(zip(*m)), v)))
 
 
 def _classify_case(kind: str, v: int, s: int, rng: random.Random) -> AontArray:
@@ -256,9 +257,81 @@ def test_one_pass_classify_matches_two_pass_reference(kind, shape, seed, data):
     with mock.patch.object(arrays_module, "_count_projection", wraps=_count_projection) as counting:
         verdict = classify(array, t_i, t_o)
     assert verdict == arrays_oracle.classify(array, t_i, t_o)
-    # no array over a composite v, and none whose inputs are out of order, is linear: it is counted
-    if not is_prime(v) or [row[:s] for row in array.rows] != list(product(range(v), repeat=s)):
-        assert counting.called
+    assert counting.called == _routes_to_counting(array, verdict)
+
+
+def _linear_rows(array: AontArray) -> list[tuple[int, ...]] | None:
+    """The rows (x, xM) for every x in lexicographic order, row i of M read
+    from the array's row with input e_i, expanded row by row; None over a
+    composite v."""
+    v, s = array.v, array.s
+    if not is_prime(v):
+        return None
+    m = [array.rows[v ** (s - 1 - i)][s:] for i in range(s)]
+    return [
+        x + tuple(sum(xi * row[j] for xi, row in zip(x, m)) % v for j in range(s))
+        for x in product(range(v), repeat=s)
+    ]
+
+
+def _routes_to_counting(array: AontArray, verdict: ClassificationVerdict) -> bool:
+    """Must `classify` count to reach this verdict? Over a prime v, with the
+    array off {(x, xM)} in fewer than N/2 rows D, only a rank-deficient set
+    of k columns is counted, and only when |D| >= v^(k-1)(v-1), among the
+    sets the verdict loop visits: up to the witness for neither, else all."""
+    linear = _linear_rows(array)
+    if linear is None:
+        return True
+    d = sum(map(ne, array.rows, linear))
+    if 2 * d >= array.n_rows:
+        return True
+    v = array.v
+    family = list(column_set_family(array.s, verdict.t_i, verdict.t_o))
+    if verdict.verdict == NEITHER:
+        family = family[: family.index(verdict.witness) + 1]
+    return any(
+        len({array.project(row, cols) for row in linear}) < v ** len(cols) and d >= v ** (len(cols) - 1) * (v - 1)
+        for cols in family
+    )
+
+
+@given(
+    shape=st.sampled_from(
+        [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]
+    ),
+    singular=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=120, deadline=None)
+def test_corrected_linear_classify_matches_reference(shape, singular, seed):
+    """A linear array with 0-4 edits (output swaps, input swaps, symbol
+    overwrites in any column), each edited row drawn half the time from the
+    unit rows that M is read from: at every (t_i, t_o) the verdict and
+    witness are counting's, and counting runs exactly where the correction
+    rule says it must."""
+    v, s = shape
+    rng = random.Random(seed)
+    rows = [list(row) for row in _linear_array(_random_matrix(v, s, rng, singular), v).rows]
+    units = [v ** (s - 1 - i) for i in range(s)]
+
+    def row_index() -> int:
+        return rng.choice(units) if rng.random() < 0.5 else rng.randrange(len(rows))
+
+    for _ in range(rng.randrange(5)):
+        a, b, edit = row_index(), row_index(), rng.randrange(3)
+        if edit == 0:
+            rows[a][s:], rows[b][s:] = rows[b][s:], rows[a][s:]
+        elif edit == 1:
+            rows[a][:s], rows[b][:s] = rows[b][:s], rows[a][:s]
+        else:
+            rows[a][rng.randrange(2 * s)] = rng.randrange(v)
+    array = AontArray(Alphabet(v), s, tuple(map(tuple, rows)))
+    for t_o in range(1, s + 1):
+        for t_i in range(1, t_o + 1):
+            with mock.patch.object(arrays_module, "_count_projection", wraps=_count_projection) as counting:
+                verdict = classify(array, t_i, t_o)
+            assert verdict == arrays_oracle.classify(array, t_i, t_o)
+            assert counting.called == _routes_to_counting(array, verdict)
 
 
 class _Counted(Exception):
@@ -315,8 +388,10 @@ def test_singular_linear_array_fails_on_its_output_block(monkeypatch, m, v):
 
 def test_recognition_compares_every_column(monkeypatch):
     """Rows listed in the order x -> xA keep the outputs of the linear array
-    {(y, yAM)}, so only the input columns tell it apart; so does a single
-    overwritten input symbol. Both are counted, and match the reference."""
+    {(y, yAM)}, so only the input columns tell it apart, in most rows: it is
+    counted. A single overwritten input symbol is one row off the linear
+    array, and the correction decides it without counting. Both match the
+    reference."""
     v, s = 5, 2
     base = _linear_array(_cauchy(s, v), v)
     # x -> xA for A = [[1, 2], [0, 1]]: (x0, x1) -> (x0, 2 x0 + x1)
@@ -325,13 +400,69 @@ def test_recognition_compares_every_column(monkeypatch):
     rows = [list(row) for row in base.rows]
     rows[7][1] = (rows[7][1] + 1) % v
     overwritten = AontArray(base.alphabet, s, tuple(map(tuple, rows)))
-    for array in (reordered, overwritten):
-        oracle = arrays_oracle.classify(array, 1, 1)
-        with monkeypatch.context() as patch:
-            _counting_raises(patch)
-            with pytest.raises(_Counted):
-                classify(array, 1, 1)
-        assert classify(array, 1, 1) == oracle
+    oracle = {array: arrays_oracle.classify(array, 1, 1) for array in (reordered, overwritten)}
+    with monkeypatch.context() as patch:
+        _counting_raises(patch)
+        with pytest.raises(_Counted):
+            classify(reordered, 1, 1)
+        assert classify(overwritten, 1, 1) == oracle[overwritten]
+    assert classify(reordered, 1, 1) == oracle[reordered]
+
+
+def test_cauchy_array_three_rows_off_linear_is_decided_without_counting(monkeypatch):
+    """s=4, v=11: two rows trade outputs and a third has one output symbol
+    changed, none of them a unit row. Every set of a Cauchy matrix has full
+    rank, so every verdict comes from the correction."""
+    v, s = 11, 4
+    array = linear_aont(matrix_from_rows(v, _cauchy(s, v)))
+    columns = [int_array("B", column) for column in array.columns]
+    for column in columns[s:]:
+        column[100], column[9000] = column[9000], column[100]
+    columns[6][5000] = (columns[6][5000] + 3) % v
+    edited = AontArray.from_columns(array.alphabet, s, columns)
+    pairs = [(t_i, t_o) for t_o in range(1, s + 1) for t_i in range(1, t_o + 1)]
+    oracle = [arrays_oracle.classify(edited, t_i, t_o) for t_i, t_o in pairs]
+    assert {verdict.verdict for verdict in oracle} == {NEITHER}
+    _counting_raises(monkeypatch)
+    assert [classify(edited, t_i, t_o) for t_i, t_o in pairs] == oracle
+
+
+def test_correction_finds_a_code_that_loses_every_row(monkeypatch):
+    """v=3, s=3: on columns (1, 4) the code (0, 0) has N/v^2 = 3 rows, and
+    trading their outputs with the 3 rows of code (2, 2), none a unit row,
+    empties it. With 6 rows off linear, more than the 3 a code holds, the
+    correction must count each code's losses and gains to see it."""
+    v, s = 3, 3
+    base = linear_aont(matrix_from_rows(v, [[1, 1, 1], [1, 1, 2], [1, 2, 1]]))
+    rows = [list(row) for row in base.rows]
+    lose = [r for r, row in enumerate(rows) if (row[0], row[3]) == (0, 0)]
+    gain = [r for r, row in enumerate(rows) if (row[0], row[3]) == (2, 2)]
+    for a, b in zip(lose, gain):
+        rows[a][s:], rows[b][s:] = rows[b][s:], rows[a][s:]
+    array = AontArray(base.alphabet, s, tuple(map(tuple, rows)))
+    pairs = [(t_i, t_o) for t_o in range(1, s + 1) for t_i in range(1, t_o + 1)]
+    oracle = [arrays_oracle.classify(array, t_i, t_o) for t_i, t_o in pairs]
+    assert oracle[pairs.index((1, 2))] == ClassificationVerdict(1, 2, NEITHER, witness=(1, 4))
+    _counting_raises(monkeypatch)
+    assert [classify(array, t_i, t_o) for t_i, t_o in pairs] == oracle
+
+
+def test_near_linear_array_past_a_byte_is_decided_without_counting(monkeypatch):
+    """v = 257 stores two bytes per symbol: an edit from 0 to 256 changes only
+    the high byte, and still marks its row as off the linear array."""
+    v, s = 257, 2
+    array = linear_aont(matrix_from_rows(v, [[1, 2], [3, 5]]))
+    columns = [int_array(column.typecode, column) for column in array.columns]
+    for column in columns[s:]:
+        column[100], column[5000] = column[5000], column[100]
+    row = next(r for r in range(v + 1, v * v) if columns[2][r] == 0)
+    columns[2][row] = 256
+    edited = AontArray.from_columns(array.alphabet, s, columns)
+    pairs = [(1, 1), (1, 2), (2, 2)]
+    oracle = [arrays_oracle.classify(edited, t_i, t_o) for t_i, t_o in pairs]
+    _counting_raises(monkeypatch)
+    assert [classify(edited, t_i, t_o) for t_i, t_o in pairs] == oracle
+    assert classify(array, 1, 1) == ClassificationVerdict(1, 1, AONT)
 
 
 def test_classify_parameter_checks(table1):
@@ -484,6 +615,18 @@ def test_projection_codes_reject_labels_outside_1_to_2s(table1, cols):
     """Label 0 once read column 2s from the end, and 2s + 1 raised IndexError."""
     with pytest.raises(InvalidParametersError, match=r"outside 1\.\.4"):
         projection_codes(table1, cols)
+
+
+@pytest.mark.parametrize("cols", [(0,), (5,), (1, 5), (-1, 2)])
+def test_check_unbiased_rejects_labels_outside_1_to_2s(table1, cols):
+    with pytest.raises(InvalidParametersError, match=r"outside 1\.\.4"):
+        check_unbiased(table1, cols)
+
+
+@pytest.mark.parametrize("cols", [(0,), (5,), (1, 5), (-1, 2)])
+def test_check_covering_rejects_labels_outside_1_to_2s(table1, cols):
+    with pytest.raises(InvalidParametersError, match=r"outside 1\.\.4"):
+        check_covering(table1, cols)
 
 
 def test_projection_codes_need_at_most_2s_columns_in_64_bits(table1):

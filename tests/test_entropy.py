@@ -228,6 +228,18 @@ def test_pair_validation(table1):
         SubsetPair((), (3,))
 
 
+@pytest.mark.parametrize("cols", [(0,), (5,), (1, 5), (-1, 2)])
+def test_subset_entropy_rejects_labels_outside_1_to_2s(table1, cols):
+    with pytest.raises(InvalidParametersError, match=r"outside 1\.\.4"):
+        subset_entropy(table1, example1_model(), cols)
+
+
+@pytest.mark.parametrize("cols", [(0,), (5,), (1, 5), (-1, 2)])
+def test_marginal_distribution_rejects_labels_outside_1_to_2s(table1, cols):
+    with pytest.raises(InvalidParametersError, match=r"outside 1\.\.4"):
+        marginal_distribution(table1, example1_model(), cols)
+
+
 def test_projection_past_2_to_the_24_codes_refused_before_it_is_allocated():
     """X u Y of 8 columns over v = 11 has 11^8 > 2^24 codes for 14,641 rows;
     at s = 3 the 11^6 codes are within the bound and listed densely."""
