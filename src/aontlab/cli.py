@@ -229,8 +229,10 @@ def search(s, v, ti, to, cap, fmt) -> None:
     if fmt == "json":
         _echo(json.dumps(result.to_json_dict()))
     else:
+        # each distinct row rendered once; joined as json.dumps(m.to_json()) prints it
+        rendered = {row: json.dumps(list(row)) for row in {row for m in result.found for row in m.entries}}
         lines = [f"{result.examined} examined, {len(result.found)} found"]
-        lines.extend(json.dumps(m.to_json()) for m in result.found)
+        lines.extend("[" + ", ".join([rendered[row] for row in m.entries]) + "]" for m in result.found)
         _echo("\n".join(lines))
 
 

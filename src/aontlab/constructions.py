@@ -111,7 +111,7 @@ def builtin(name: str) -> AontArray:
     return parse_array(rows, v, s, glyphs=glyphs)
 
 
-@lru_cache(maxsize=64)  # a search checks its modulus again for every matrix it lists
+@lru_cache(maxsize=64)  # every matrix a caller builds checks its modulus, mostly one of a few
 def check_modulus(v: int) -> None:
     """Reject a modulus that is not a prime below 2^64."""
     if v >= 1 << 64:
@@ -150,6 +150,19 @@ class SquareMatrix:
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
+
+
+def _walked_matrix(v: int, entries: tuple[tuple[int, ...], ...]) -> SquareMatrix:
+    """A SquareMatrix from rows of `_walk`'s row table, without re-running
+    `__post_init__`: the walk checked v once, every row is `decode_index` of
+    a code below v^s, so each entry is an int in 0..v-1, and the walk joins s
+    such rows, so the matrix is s x s by construction."""
+    matrix = SquareMatrix.__new__(SquareMatrix)
+    # as the frozen __init__ does: on CPython 3.11, writing __dict__ itself
+    # would give each matrix a full dict, 2.5x its size
+    object.__setattr__(matrix, "v", v)
+    object.__setattr__(matrix, "entries", entries)
+    return matrix
 
 
 def matrix_from_rows(v: int, rows) -> SquareMatrix:
@@ -264,7 +277,7 @@ def _walk(
             settle(n - len(span))
             above = tuple([vectors[code] for code in prefix])
             for row in kept:
-                yield SquareMatrix(v, above + (vectors[row],))
+                yield _walked_matrix(v, above + (vectors[row],))
             return
         pruned = n - len(span) - len(kept)
         if pruned:

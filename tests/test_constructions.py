@@ -294,6 +294,24 @@ def test_pruned_search_matches_unpruned_walk(s, v, t_i, t_o):
     assert list(iter_linear_aont_matrices(s, v, t_i, t_o)) == list(result.found)
 
 
+@pytest.mark.parametrize("s, v, t_i, t_o", _configs_within_default_cap())
+def test_listed_matrices_pass_revalidation(s, v, t_i, t_o):
+    """The walk builds the matrices it lists without `__post_init__`: each
+    must still be one that validation accepts, with int entries in 0..v-1.
+    Every shape reaches t_i = t_o = s, where iter_invertible_matrices is
+    checked."""
+    listings = [search_linear(s, v, t_i, t_o).found, iter_linear_aont_matrices(s, v, t_i, t_o)]
+    if t_i == t_o == s:
+        listings.append(iter_invertible_matrices(s, v))
+    for listing in listings:
+        for m in listing:
+            assert m == SquareMatrix(m.v, m.entries) and m.v == v
+            assert type(m.entries) is tuple and len(m.entries) == s
+            for row in m.entries:
+                assert type(row) is tuple and len(row) == s
+                assert all(type(x) is int and 0 <= x < v for x in row)
+
+
 @pytest.mark.parametrize("t_i, t_o", [(1, 1), (2, 2)])
 def test_search_beyond_default_cap_pinned(t_i, t_o):
     """(3, 5) is 5^9 candidates, beyond the default cap: every invertible

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -20,12 +21,14 @@ from aontlab import (
     make_block_dependent_model,
     parse_array_csv,
     save_model_json,
+    search_linear,
     uniform_model,
 )
 from aontlab import report as report_module
 from aontlab.arrays import cached_classify, classify
 from aontlab.bounds import ALL_TAGS
 from aontlab.cli import cli
+from aontlab.constructions import DEFAULT_SEARCH_CAP
 from aontlab.demos import run_demo
 from aontlab.errors import ArityMismatchError, InvalidParametersError
 from aontlab.report import (
@@ -379,6 +382,59 @@ def test_cli_search_text_stdout_is_golden(runner, s, v, t_i, t_o):
     result = runner.invoke(cli, ["search", "--s", str(s), "--v", str(v), "--ti", str(t_i), "--to", str(t_o)])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == SEARCH_STDOUT_SHA256[(s, v, t_i, t_o)]
+
+
+# sha256 of `aontlab search --format json` stdout up to its trailing
+# `, "elapsed_seconds": …}`, recorded before the walk listed matrices without
+# re-validating them
+SEARCH_JSON_STDOUT_SHA256 = {
+    (2, 2, 1, 1): "731841d46c6ec9b88b9ac28f60d2508c39b155eac0a08bc4366d711824bfd2ea",
+    (2, 3, 1, 1): "59a65509a3e597a44d9332a9f93b43e14fe6a6ec62190ff9b5ea0840a4886e8a",
+    (2, 3, 1, 2): "597442580c62c1d8fc1cbda535894bffbbb10dd4ddfe4853022a214d1a234217",
+    (2, 3, 2, 2): "ef23d889b1cb6fefb1cb15120409d1c6a08a3d6706de65cf322b046802492306",
+    (2, 5, 1, 1): "f398c67a4046183e52e09f6ef40aad36da40583f69fed1d83f8d258c4ab31969",
+    (2, 5, 1, 2): "53d4ba8c37977930dca8bdadb87dbb4ce08eb9871ed7c714a60ce5c55f477a1e",
+    (2, 5, 2, 2): "1d2e417b5abbce183fa92a3f45d76ac078784318cc88f753cacdee9eda72bb36",
+    (2, 7, 1, 1): "cff4bcff0de32ff97c4914fa50715c1c3c7c4daebcca59330e88d6877c30363c",
+    (3, 2, 1, 1): "915a38fc97ee1edb44bce58e258a5d342896d4e6161e5cc12f250be80f665294",
+    (3, 2, 1, 2): "8c409b1f48845f1438ba01877facd587502b642955971a2f2d9fe8eebfdef08b",
+    (3, 2, 1, 3): "7c2b1753b7b57614ee35ac1aa2ba86fa615f3f8916d9c991f4481b026f100baf",
+    (3, 2, 2, 2): "b95ee3eaf5f222f748fb6ee9d81a6ca151472b8e804e817de364c105ec8e1765",
+    (3, 2, 2, 3): "a9daccff2d7fa3de199589b8ad3f58a797c273ab3c5e760ab08bc0f5ab9c1420",
+    (3, 3, 1, 1): "7fc3d1d6077ffafaf6a9ad34cd962b7b1040237f824d0c0256175afd55eab79c",
+    (3, 3, 1, 2): "5ecd699a3e12ef211db0dea7c02d167d613ca3a3d22a8fb0e064b36b130b3fca",
+}
+
+
+@pytest.mark.parametrize("s, v, t_i, t_o", sorted(SEARCH_JSON_STDOUT_SHA256))
+def test_cli_search_json_stdout_is_golden(runner, s, v, t_i, t_o):
+    argv = ["search", "--s", str(s), "--v", str(v), "--ti", str(t_i), "--to", str(t_o), "--format", "json"]
+    result = runner.invoke(cli, argv)
+    assert result.exit_code == 0
+    head, sep, tail = result.stdout.rpartition(', "elapsed_seconds": ')
+    assert sep and re.fullmatch(r"[0-9.e+-]+\}\n", tail)
+    assert hashlib.sha256(head.encode()).hexdigest() == SEARCH_JSON_STDOUT_SHA256[(s, v, t_i, t_o)]
+
+
+@pytest.mark.parametrize(
+    "s, v, t_i, t_o, cap",
+    [
+        (2, 11, 1, 1, DEFAULT_SEARCH_CAP),  # two-digit entries
+        (1, 19681, 1, 1, DEFAULT_SEARCH_CAP),  # s = 1 at a prime near the cap
+        (4, 2, 1, 1, 2**16),  # 0 found
+        (4, 2, 1, 2, 2**16),  # 4 x 4 matrices
+    ],
+)
+def test_cli_search_text_rows_are_json_of_each_matrix(runner, s, v, t_i, t_o, cap):
+    """Outside the golden configurations, text rows render each distinct row
+    once and must still print exactly `json.dumps(m.to_json())`."""
+    argv = ["search", "--s", str(s), "--v", str(v), "--ti", str(t_i), "--to", str(t_o), "--cap", str(cap)]
+    result = runner.invoke(cli, argv)
+    assert result.exit_code == 0
+    expected = search_linear(s, v, t_i, t_o, cap=cap)
+    lines = result.stdout.split("\n")
+    assert lines[0] == f"{expected.examined} examined, {len(expected.found)} found"
+    assert lines[1:] == [json.dumps(m.to_json()) for m in expected.found] + [""]
 
 
 def _write_report_inputs(directory: Path) -> None:
