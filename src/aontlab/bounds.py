@@ -41,10 +41,11 @@ _SLACK = 1e-9
 DEFAULT_TOLERANCE = 1e-6
 
 
-def check_tolerance(tolerance: float) -> None:
-    """Reject all but a finite number >= 0: nan meets no comparison, inf every one."""
+def check_tolerance(tolerance: float) -> float:
+    """The tolerance, if it is a finite number >= 0: nan meets no comparison, inf every one."""
     if not (isfinite(tolerance) and tolerance >= 0):
         raise InvalidParametersError(f"tolerance must be a number >= 0 and finite, got {tolerance}")
+    return tolerance
 
 
 @dataclass(frozen=True)

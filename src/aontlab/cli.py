@@ -6,12 +6,14 @@ validation error, 4 usage error. Progress goes to stderr, results to stdout.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
-from typing import Callable, TypeVar
+from functools import cache
+from typing import Callable, NoReturn, TypeVar
 
-import click
-
+from . import __version__
 from .arrays import AONT, NEITHER, WEAK_AONT_ONLY, AontArray, classify, load_array_csv
 from .bounds import ALL_TAGS, DEFAULT_TOLERANCE, check_tolerance
 from .constructions import BUILTIN_NAMES, DEFAULT_SEARCH_CAP, builtin, search_linear
@@ -27,39 +29,41 @@ from .report import (
     report_to_table,
 )
 
-# keep flag misuse distinguishable from the "neither" verdict (exit code 2)
-click.exceptions.UsageError.exit_code = 4
-
 _VERDICT_EXIT = {AONT: 0, WEAK_AONT_ONLY: 1, NEITHER: 2}
 
 T = TypeVar("T")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 4 on bad usage: argparse's own code 2 is the "neither" verdict."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def _echo(message: str, err: bool = False, nl: bool = True) -> None:
-    """click.echo to the current sys.stdout or sys.stderr.
-
-    Without an explicit file, click caches a wrapper per stream in a
-    WeakKeyDictionary whose value is the stream itself, so every redirected
-    stream (an in-process caller's io.StringIO) would stay alive forever.
-    """
-    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+    """Write message and its newline to the current stdout or stderr in one write, then flush."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(message + "\n" if nl else message)
+    stream.flush()
 
 
-def _read(ctx: click.Context, load: Callable[[str], T], path: str) -> T:
+def _read(load: Callable[[str], T], path: str) -> T:
     """load(path), with a file that cannot be read as bad data (exit 3)."""
     try:
         return load(path)
     except OSError as exc:
         _echo(f"error: cannot read {path}: {exc.strerror or exc}", err=True)
-        ctx.exit(3)
+        sys.exit(3)
 
 
-def _load_array(ctx: click.Context, array_path: str | None, builtin_name: str | None) -> tuple[AontArray, str]:
-    if (array_path is None) == (builtin_name is None):
-        raise click.UsageError("supply exactly one of --array FILE or --builtin NAME")
-    if builtin_name is not None:
-        return builtin(builtin_name), builtin_name
-    return _read(ctx, load_array_csv, array_path), array_path
+def _load_array(args: argparse.Namespace) -> tuple[AontArray, str]:
+    if (args.array is None) == (args.builtin is None):
+        raise argparse.ArgumentError(None, "supply exactly one of --array FILE or --builtin NAME")
+    if args.builtin is not None:
+        return builtin(args.builtin), args.builtin
+    return _read(load_array_csv, args.array), args.array
 
 
 def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
@@ -69,136 +73,72 @@ def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
         x = {int(c) for c in x_part.split(",") if c}
         y = {int(c) for c in y_part.split(",") if c}
     except ValueError:
-        raise click.UsageError(f"bad --pair spec {spec!r}; expected e.g. '1:4' or '1,2:5'") from None
+        raise argparse.ArgumentError(None, f"bad --pair spec {spec!r}; expected e.g. '1:4' or '1,2:5'") from None
     # an empty X is never a pair, whatever t_i is
     if not x or len(x) != t_i or len(y) != s - t_o:
-        raise click.UsageError(
+        raise argparse.ArgumentError(
+            None,
             f"--pair {spec!r} has |X|={len(x)}, |Y|={len(y)}; "
-            f"expected |X| = t_i = {t_i} and |Y| = s - t_o = {s - t_o}"
+            f"expected |X| = t_i = {t_i} and |Y| = s - t_o = {s - t_o}",
         )
     return SubsetPair(tuple(x), tuple(y))
 
 
-def _checked_tolerance(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    """`bounds.check_tolerance`'s verdict, as a usage error (exit 4)."""
+def _tolerance(text: str) -> float:
+    """A --tolerance that `bounds.check_tolerance` accepts; any other is a usage error (exit 4)."""
     try:
-        check_tolerance(value)
-    except AontLabError as exc:
-        raise click.BadParameter(str(exc)) from None
-    return value
+        return check_tolerance(float(text))
+    except (ValueError, AontLabError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_tolerance_option = click.option(
-    "--tolerance", type=float, default=DEFAULT_TOLERANCE, show_default=True, callback=_checked_tolerance,
-    help="a finite number >= 0",
-)
-
-
-class _Cli(click.Group):
-    """Reports an AontLabError, or running out of memory, from any command as
-    bad data: `error: ...` on stderr and exit code 3."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (AontLabError, MemoryError) as exc:
-            _echo(f"error: {str(exc) or 'out of memory'}", err=True)
-            ctx.exit(3)
-
-
-@click.group(cls=_Cli)
-@click.version_option()
-def cli() -> None:
-    """Verify transform arrays and analyze their conditional entropies."""
-
-
-@cli.command()
-@click.option("--array", "array_path", type=click.Path(), help="CSV array file")
-@click.option("--builtin", "builtin_name", type=click.Choice(BUILTIN_NAMES), help="built-in array")
-@click.option("--ti", required=True, type=int, help="protected input count t_i")
-@click.option("--to", required=True, type=int, help="missing output count t_o")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.pass_context
-def verify(ctx, array_path, builtin_name, ti, to, fmt) -> None:
+def verify(args: argparse.Namespace) -> int:
     """Classify an array as aont, weak-aont-only, or neither."""
-    array, label = _load_array(ctx, array_path, builtin_name)
-    verdict = classify(array, ti, to)
-    if fmt == "json":
-        _echo(
-            json.dumps(
-                {
-                    "array": label,
-                    "t_i": ti,
-                    "t_o": to,
-                    "verdict": verdict.verdict,
-                    "witness": list(verdict.witness) if verdict.witness else None,
-                }
-            )
-        )
+    array, label = _load_array(args)
+    verdict = classify(array, args.ti, args.to)
+    if args.format == "json":
+        doc = {"array": label, "t_i": args.ti, "t_o": args.to, "verdict": verdict.verdict,
+               "witness": list(verdict.witness) if verdict.witness else None}
+        _echo(json.dumps(doc))
     else:
-        line = f"{label}: {verdict.verdict} (t_i={ti}, t_o={to})"
+        line = f"{label}: {verdict.verdict} (t_i={args.ti}, t_o={args.to})"
         if verdict.witness:
             line += f", first failing columns {verdict.witness}"
         _echo(line)
-    ctx.exit(_VERDICT_EXIT[verdict.verdict])
+    return _VERDICT_EXIT[verdict.verdict]
 
 
-@cli.command()
-@click.option("--array", "array_path", type=click.Path(), help="CSV array file")
-@click.option("--builtin", "builtin_name", type=click.Choice(BUILTIN_NAMES), help="built-in array")
-@click.option("--model", "model_path", required=True, type=click.Path(), help="JSON model file")
-@click.option("--ti", required=True, type=int)
-@click.option("--to", required=True, type=int)
-@click.option(
-    "--bounds",
-    default=AUTO,
-    show_default=True,
-    help=f"bound family tag or 'auto' ({', '.join(ALL_TAGS)})",
-)
-@click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")
-@_tolerance_option
-@click.option(
-    "--pair",
-    "pair_specs",
-    multiple=True,
-    help="restrict to given pairs, e.g. --pair 1:4 --pair 2:4 (X cols : Y cols)",
-)
-@click.pass_context
-def analyze(ctx, array_path, builtin_name, model_path, ti, to, bounds, fmt, tolerance, pair_specs) -> None:
+def analyze(args: argparse.Namespace) -> int:
     """Full per-pair entropy and bound report for an array under a model."""
-    array, label = _load_array(ctx, array_path, builtin_name)
-    model = _read(ctx, load_model_json, model_path)
-    pairs = [_parse_pair_spec(spec, array.s, ti, to) for spec in pair_specs] or None
+    array, label = _load_array(args)
+    model = _read(load_model_json, args.model)
+    pairs = [_parse_pair_spec(spec, array.s, args.ti, args.to) for spec in args.pair] or None
     report = build_report(
         array,
         model,
-        ti,
-        to,
-        bounds_tag=bounds,
-        tolerance=tolerance,
+        args.ti,
+        args.to,
+        bounds_tag=args.bounds,
+        tolerance=args.tolerance,
         array_label=label,
-        model_label=model_path,
+        model_label=args.model,
         pairs=pairs,
     )
-    if fmt == "json":
+    if args.format == "json":
         _echo(json.dumps(report_to_json_dict(report), indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         _echo(report_to_csv(report), nl=False)
     else:
         _echo(report_to_table(report), nl=False)
+    return 0
 
 
-@cli.command()
-@click.argument("number", type=int)
-@_tolerance_option
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.pass_context
-def demo(ctx, number, tolerance, fmt) -> None:
+def demo(args: argparse.Namespace) -> int:
     """Reproduce one of the reference scenarios (1-4) and check every value."""
-    if number not in DEMO_NUMBERS:
-        raise click.UsageError(f"demo must be one of {DEMO_NUMBERS}")
-    report, checks, passed = run_demo(number, tolerance)
-    if fmt == "json":
+    if args.number not in DEMO_NUMBERS:
+        raise argparse.ArgumentError(None, f"demo must be one of {DEMO_NUMBERS}")
+    report, checks, passed = run_demo(args.number, args.tolerance)
+    if args.format == "json":
         doc = report_to_json_dict(report)
         doc["checks"] = [
             {"label": c.label, "expected": c.expected, "computed": c.computed, "ok": c.ok}
@@ -207,26 +147,18 @@ def demo(ctx, number, tolerance, fmt) -> None:
         doc["passed"] = passed
         _echo(json.dumps(doc, indent=2))
     else:
-        _echo(format_demo(number, checks, passed, tolerance), nl=False)
-    ctx.exit(0 if passed else 1)
+        _echo(format_demo(args.number, checks, passed, args.tolerance), nl=False)
+    return 0 if passed else 1
 
 
-@cli.command()
-@click.option("--s", "s", required=True, type=int, help="input block length")
-@click.option("--v", "v", required=True, type=int, help="alphabet size (prime)")
-@click.option("--ti", required=True, type=int)
-@click.option("--to", required=True, type=int)
-@click.option("--cap", type=int, default=DEFAULT_SEARCH_CAP, show_default=True,
-              help="max candidate matrices (v^(s*s))")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def search(s, v, ti, to, cap, fmt) -> None:
+def search(args: argparse.Namespace) -> int:
     """Exhaustively search invertible matrices for full (t_i, t_o) transforms."""
 
     def progress(done: int, total: int) -> None:
         _echo(f"examined {done}/{total} invertible matrices", err=True)
 
-    result = search_linear(s, v, ti, to, cap=cap, progress=progress)
-    if fmt == "json":
+    result = search_linear(args.s, args.v, args.ti, args.to, cap=args.cap, progress=progress)
+    if args.format == "json":
         _echo(json.dumps(result.to_json_dict()))
     else:
         # each distinct row rendered once; joined as json.dumps(m.to_json()) prints it
@@ -234,10 +166,77 @@ def search(s, v, ti, to, cap, fmt) -> None:
         lines = [f"{result.examined} examined, {len(result.found)} found"]
         lines.extend("[" + ", ".join([rendered[row] for row in m.entries]) + "]" for m in result.found)
         _echo("\n".join(lines))
+    return 0
 
 
-def main(argv: list[str] | None = None) -> None:
-    cli.main(args=argv, prog_name="aontlab")
+@cache
+def _parser() -> _Parser:
+    """Built on first use, not at import: building the parser costs more than a parse."""
+    parser = _Parser(prog="aontlab", description="Verify transform arrays and analyze their conditional entropies.",
+                     allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    # a named slot, or older argparse fails on a command line with no command
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run: Callable[[argparse.Namespace], int], formats: tuple[str, ...],
+                *parents: argparse.ArgumentParser) -> _Parser:
+        sub = commands.add_parser(run.__name__, parents=parents, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        sub.add_argument("--format", choices=formats, default=formats[0])
+        return sub
+
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--array", metavar="FILE", help="CSV array file")
+    source.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in array")
+    t_pair = argparse.ArgumentParser(add_help=False)
+    t_pair.add_argument("--ti", required=True, type=int, help="protected input count t_i")
+    t_pair.add_argument("--to", required=True, type=int, help="missing output count t_o")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
+                           help="a finite number >= 0 (default: %(default)s)")
+
+    command(verify, ("text", "json"), source, t_pair)
+
+    sub = command(analyze, ("table", "json", "csv"), source, t_pair, tolerance)
+    sub.add_argument("--model", required=True, metavar="FILE", help="JSON model file")
+    sub.add_argument("--bounds", default=AUTO,
+                     help=f"bound family tag or 'auto' ({', '.join(ALL_TAGS)}) (default: %(default)s)")
+    sub.add_argument("--pair", action="append", default=[],
+                     help="restrict to given pairs, e.g. --pair 1:4 --pair 2:4 (X cols : Y cols)")
+
+    sub = command(demo, ("text", "json"), tolerance)
+    sub.add_argument("number", type=int, metavar="NUMBER")
+
+    sub = command(search, ("text", "json"), t_pair)
+    sub.add_argument("--s", required=True, type=int, help="input block length")
+    sub.add_argument("--v", required=True, type=int, help="alphabet size (prime)")
+    sub.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP,
+                     help="max candidate matrices (v^(s*s)) (default: %(default)s)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Run one command line; always ends in SystemExit with its exit code."""
+    try:
+        args = _parser().parse_args(argv)
+        sys.exit(args.run(args))
+    except argparse.ArgumentError as exc:
+        args.parser.error(str(exc))
+    except (AontLabError, MemoryError) as exc:
+        _echo(f"error: {str(exc) or 'out of memory'}", err=True)
+        sys.exit(3)
+    except BrokenPipeError:  # the reader closed stdout or stderr, as under `| head -1`
+        # exit flushes both streams again, and a broken one would fail with what it still holds
+        for stream in sys.__stdout__, sys.__stderr__:
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

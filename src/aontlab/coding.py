@@ -30,11 +30,12 @@ def decode_index(idx: int, v: int, length: int) -> tuple[int, ...]:
 
 
 def entropy_bits(masses: Iterable) -> float:
-    """Shannon entropy in bits. Masses may be exact rationals; 0*log(0) = 0."""
+    """Shannon entropy in bits. Masses may be exact rationals; 0*log(0) = 0,
+    also for a mass below the smallest double, since p log p -> 0."""
     h = 0.0
     for p in masses:
-        if p:
-            pf = float(p)
+        pf = float(p)
+        if pf:
             h -= pf * log2(pf)
     return h
 

@@ -1,4 +1,7 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -48,3 +51,42 @@ def random_masses(rng: random.Random, v: int, max_weight: int = 12) -> tuple[Fra
 
 def random_independent_model(rng: random.Random, s: int, v: int) -> InputModel:
     return make_independent_model([random_masses(rng, v) for _ in range(s)])
+
+
+class _Tee(io.StringIO):
+    """One stream of a command, also copied to the interleaved output."""
+
+    def __init__(self, output: io.StringIO):
+        super().__init__()
+        self.output = output
+
+    def write(self, text: str) -> int:
+        self.output.write(text)
+        return super().write(text)
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, as written
+    exception: BaseException | None
+
+
+class CliRunner:
+    """Runs a command-line `main(argv)` in this process with stdout and stderr captured."""
+
+    def invoke(self, main, args) -> CliResult:
+        output = io.StringIO()
+        out, err = _Tee(output), _Tee(output)
+        exception = None
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                main(list(args))
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code, exception = exc.code, exc if exc.code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+        return CliResult(exit_code, out.getvalue(), err.getvalue(), output.getvalue(), exception)

@@ -11,7 +11,6 @@ from fractions import Fraction as F
 from math import log2
 
 import pytest
-from click.testing import CliRunner
 
 from aontlab import (
     Distribution,
@@ -35,12 +34,12 @@ from aontlab import (
     uniform,
     uniform_model,
 )
-from aontlab.cli import cli
+from aontlab.cli import main as cli
 from aontlab.constructions import iter_linear_aont_matrices
 from aontlab.entropy import SubsetPair
 from aontlab.report import admissible_pairs, build_report
 
-from conftest import example1_model, example3_model, example4_model, random_masses
+from conftest import CliRunner, example1_model, example3_model, example4_model, random_masses
 from matrix_search_oracle import oracle_counts
 
 GOLDEN_TOL = 1e-6

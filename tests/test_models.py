@@ -117,6 +117,14 @@ def test_entropy_permutation_invariant():
         assert entropy_bits(shuffled) == pytest.approx(entropy_bits(masses), abs=1e-12)
 
 
+def test_entropy_bits_skips_a_mass_below_the_smallest_double():
+    """Such a mass is 0.0 as a float and adds 0, since p log p -> 0."""
+    tiny = F(1, 10**400)
+    assert float(tiny) == 0.0
+    assert entropy_bits([tiny, 1 - tiny]) == entropy_bits([1 - tiny, tiny]) == 0.0
+    assert entropy_bits([F(1, 2), tiny, F(1, 2) - tiny]) == 1.0
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_joint_probability_totals_one(seed):

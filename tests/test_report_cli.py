@@ -1,19 +1,25 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aontlab import (
     Distribution,
+    __version__,
     builtin,
     dump_array_csv,
     identity_matrix,
@@ -27,7 +33,7 @@ from aontlab import (
 from aontlab import report as report_module
 from aontlab.arrays import cached_classify, classify
 from aontlab.bounds import ALL_TAGS
-from aontlab.cli import cli
+from aontlab.cli import main as cli
 from aontlab.constructions import DEFAULT_SEARCH_CAP
 from aontlab.demos import run_demo
 from aontlab.errors import ArityMismatchError, InvalidParametersError
@@ -40,7 +46,7 @@ from aontlab.report import (
     report_to_table,
 )
 
-from conftest import example1_model, example3_model, example4_model
+from conftest import CliRunner, example1_model, example3_model, example4_model
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "analysis_report.schema.json").read_text()
@@ -675,8 +681,153 @@ def test_cli_verify_pads_glyphs_past_fillers_already_used(runner, tmp_path, text
 def test_cli_analyze_help_lists_every_bound_tag(runner):
     result = runner.invoke(cli, ["analyze", "--help"])
     assert result.exit_code == 0
-    help_text = " ".join(result.output.split())
-    assert f"auto' ({', '.join(ALL_TAGS)})" in help_text
+    # help text may wrap anywhere, inside a tag at its hyphen too
+    help_text = "".join(result.output.split())
+    assert "".join(f"auto' ({', '.join(ALL_TAGS)})".split()) in help_text
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ([], "COMMAND"),
+        (["nope"], "'nope'"),
+        (["verify", "--bogus", "--builtin", "table1", "--ti", "1", "--to", "1"], "--bogus"),
+        (["demo", "1", "--tol", "1"], "--tol"),
+        (["verify", "--builtin", "table1", "--to", "1"], "--ti"),
+        (["verify", "--builtin", "table1", "--ti", "x", "--to", "1"], "'x'"),
+        (["verify", "--builtin", "nope", "--ti", "1", "--to", "1"], "'nope'"),
+        (["verify", "--builtin", "table1", "--ti", "1", "--to", "1", "--format", "xml"], "'xml'"),
+        (["verify", "--builtin", "table1", "--ti", "1", "--to", "1", "extra"], "extra"),
+        (["verify", "--builtin", "table1", "--array", "a.csv", "--ti", "1", "--to", "1"], "exactly one of"),
+        (["verify", "--ti", "1", "--to", "1"], "exactly one of"),
+        (["demo", "1", "--tolerance", "nan"], "--tolerance"),
+        (["demo", "1", "--tolerance", "-1"], "--tolerance"),
+        (["demo", "1", "--tolerance", "inf"], "--tolerance"),
+        (["demo", "1", "--tolerance", "abc"], "--tolerance"),
+        (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--pair", "1;3"],
+         "bad --pair spec '1;3'"),
+        (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--pair", "1,2:3"],
+         "--pair '1,2:3' has |X|=2"),
+        (["demo", "5"], "demo must be one of"),
+    ],
+)
+def test_cli_usage_errors_exit_4(runner, ex1_model_file, args, error):
+    """Exit 4, never argparse's 2, which is the "neither" verdict; nothing on stdout."""
+    result = runner.invoke(cli, [ex1_model_file if arg == "MODEL" else arg for arg in args])
+    assert result.exit_code == 4
+    assert error in result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", [[], ["verify"], ["analyze"], ["demo"], ["search"]])
+def test_cli_help_exits_0(runner, command):
+    result = runner.invoke(cli, [*command, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(" ".join(["usage: aontlab", *command]))
+
+
+def test_cli_version(runner):
+    result = runner.invoke(cli, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout == f"aontlab, version {__version__}\n"
+
+
+def test_cli_module_runs_from_a_checkout_without_click():
+    """No installed metadata is needed, click is not loaded, and the parser is
+    built on first use, not at import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    imported = subprocess.run(
+        [sys.executable, "-c", "import sys, aontlab.cli as cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'), cli._parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert imported.stdout == "[] 0\n"
+    version = subprocess.run([sys.executable, "-m", "aontlab.cli", "--version"], env=env, capture_output=True, text=True)
+    assert (version.returncode, version.stdout, version.stderr) == (0, f"aontlab, version {__version__}\n", "")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class _Recorder(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text: str) -> int:
+        self.calls.append(("write", text))
+        return len(text)
+
+    def flush(self) -> None:
+        self.calls.append(("flush",))
+
+
+def test_cli_writes_each_message_with_its_newline_then_flushes():
+    """A newline written apart can meet a reader that has gone, as under `| head -1`."""
+    out = _Recorder()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        cli(["verify", "--builtin", "table1", "--ti", "1", "--to", "1"])
+    assert out.calls == [("write", "table1: aont (t_i=1, t_o=1)\n"), ("flush",)]
+
+
+def test_cli_stdout_closed_by_its_reader_exits_1_quietly():
+    err = io.StringIO()
+    with redirect_stdout(_ClosedPipe()), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli(["verify", "--builtin", "table1", "--ti", "1", "--to", "1"])
+    assert exc.value.code == 1
+    assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "closed, args",
+    [
+        ("stdout", ["verify", "--builtin", "table1", "--ti", "1", "--to", "1"]),
+        ("stderr", ["search", "--s", "2", "--v", "3", "--ti", "1", "--to", "1"]),  # progress goes to stderr
+    ],
+)
+def test_cli_process_with_a_closed_pipe_exits_1_quietly(closed, args):
+    """With buffered streams, as from a shell, the interpreter flushes them again on exit; that
+    flush must not fail either (it printed 'Exception ignored' and exited 120)."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
+    try:
+        done = subprocess.run([sys.executable, "-m", "aontlab.cli", *args], env=env, **streams)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert (done.stdout or b"") + (done.stderr or b"") == b""
+
+
+def test_cli_interrupt_prints_aborted_and_exits_1(runner, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("aontlab.cli.search_linear", interrupted)
+    try:
+        result = runner.invoke(cli, ["search", "--s", "2", "--v", "3", "--ti", "1", "--to", "1"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert result.exit_code == 1
+    assert result.stderr == "\nAborted!\n"
+    assert result.stdout == ""
+
+
+def test_cli_analyze_prior_mass_below_the_smallest_double(runner, tmp_path):
+    """A mass of 10^-400 is 0.0 as a float; it used to end in a math domain error."""
+    big = 10**400
+    model = _write_model(
+        tmp_path, {"s": 2, "v": 3, "kind": "independent", "columns": [[[1, big], [big - 1, big], [0, 1]], [[1, 3]] * 3]}
+    )
+    result = runner.invoke(cli, ["analyze", "--builtin", "table1", "--model", model, "--ti", "1", "--to", "1"])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert "verdict: aont" in result.stdout
 
 
 _json = st.recursive(
