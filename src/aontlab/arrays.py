@@ -24,7 +24,7 @@ from itertools import chain, combinations, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .coding import _linear_columns, _pivot_product, decode_index, is_prime
+from .coding import _linear_columns, _pivot_product, _rank_split, decode_index, is_prime
 from .errors import (
     DimensionMismatchError,
     InvalidParametersError,
@@ -539,10 +539,8 @@ def _set_properties(array: AontArray) -> Callable[[tuple[int, ...]], tuple[bool,
 
     def properties(cols: tuple[int, ...]) -> tuple[bool, bool]:
         k = len(cols)
-        j_cols = [c - s - 1 for c in cols if c > s]
-        if j_cols and not _pivot_product(
-            [[row[j] for j in j_cols] for r, row in enumerate(m, 1) if r not in cols], v
-        ):
+        m_rows, j_cols = _rank_split(s, cols)
+        if j_cols and not _pivot_product([[m[r][j] for j in j_cols] for r in m_rows], v):
             if d < v ** (k - 1) * (v - 1):
                 return False, False
             return _counted_properties(array, cols)

@@ -13,6 +13,7 @@ from math import isfinite, log2
 from typing import Callable, Sequence
 
 from .arrays import AONT, WEAK_AONT_ONLY, AontArray, cached_classify, check_t_range
+from .coding import left_sum
 from .entropy import SubsetPair, check_pair, pair_joint, prior_weights
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     conditional_entropy,
@@ -90,47 +91,39 @@ def _block_within_t(model: InputModel, t: int) -> AontLabError | None:
     return None
 
 
-def _column_entropies(model: InputModel) -> list[float]:
-    if (error := _independent(model, model.s)) is not None:
+def _prior_terms(
+    model: InputModel, t_i: int, t_o: int, h_y: float | None = None
+) -> tuple[list[float], float, float, float]:
+    """The terms of the bounds: (H(X_i) for each column i, their sum, the sum
+    of the t_i smallest, log2 v). Checks 1 <= t_i <= t_o <= s, then that a
+    supplied H(Y) of s - t_o output columns lies in [0, (s - t_o) log2 v],
+    then that the prior is independent."""
+    check_t_range(model.s, t_i, t_o)
+    log_v = log2(model.v)
+    if h_y is not None:
+        top = (model.s - t_o) * log_v
+        if not -_SLACK <= h_y <= top + _SLACK:
+            raise OutputEntropyRangeError(f"H(Y)={h_y} outside [0, {top}]")
+    if (error := _independent(model, t_i)) is not None:
         raise error
-    return [column_entropy(model, i) for i in range(1, model.s + 1)]
-
-
-def _min_subset_sum(entropies: Sequence[float], t: int) -> float:
-    """Sum of the t smallest column entropies; index breaks ties."""
-    ordered = sorted(range(len(entropies)), key=lambda i: (entropies[i], i))
-    return sum(entropies[i] for i in ordered[:t])
-
-
-def min_entropy_cap(model: InputModel, t: int) -> float:
-    """Sum of the t smallest column entropies of an independent model: the
-    symmetric upper bound on H(X|Y) for |X| = t, which a report checks every
-    observed value against."""
-    return bounds_symmetric(model, t).upper
+    hs = [column_entropy(model, i) for i in range(1, model.s + 1)]
+    return hs, left_sum(hs), left_sum(sorted(hs)[:t_i]), log_v
 
 
 def bounds_symmetric(model: InputModel, t: int) -> EntropyInterval:
     """Interval for H(X|Y) on a full symmetric transform, |X| = t, |Y] = s - t."""
-    check_t_range(model.s, t, t)
-    hs = _column_entropies(model)
-    log_v = log2(model.v)
-    lower = max(0.0, sum(hs) - (model.s - t) * log_v)
-    upper = _min_subset_sum(hs, t)
-    return _interval(lower, upper, SYMMETRIC)
+    _, total, min_sum, log_v = _prior_terms(model, t, t)
+    return _interval(max(0.0, total - (model.s - t) * log_v), min_sum, SYMMETRIC)
 
 
 def exact_nonuniform_le_t(model: InputModel, t: int) -> float:
     """Exact H(X|Y) when at most t columns are non-uniform: the non-uniform
     entropies plus (t - r) * log2(v)."""
-    check_t_range(model.s, t, t)
-    hs = _column_entropies(model)
-    log_v = log2(model.v)
+    hs, _, _, log_v = _prior_terms(model, t, t)
     nonuniform = [h for d, h in zip(model.columns, hs) if not d.is_uniform()]
     if len(nonuniform) > t:
-        raise TooManyNonuniformError(
-            f"{len(nonuniform)} non-uniform columns exceed t={t}"
-        )
-    return sum(nonuniform) + (t - len(nonuniform)) * log_v
+        raise TooManyNonuniformError(f"{len(nonuniform)} non-uniform columns exceed t={t}")
+    return left_sum(nonuniform) + (t - len(nonuniform)) * log_v
 
 
 def exact_block_dependent(model: InputModel, t: int) -> float:
@@ -148,7 +141,7 @@ def _h_x(model: InputModel, hs: Sequence[float], t_i: int, x_cols: Sequence[int]
     if len(pair.x) != t_i:
         raise InvalidParametersError(f"X subset {x_cols} must have size t_i={t_i}")
     check_pair(model.s, pair)
-    return sum(hs[c - 1] for c in pair.x)
+    return left_sum(hs[c - 1] for c in pair.x)
 
 
 def bounds_asymmetric(
@@ -163,37 +156,18 @@ def bounds_asymmetric(
     The upper bound's H(X) term is pair-specific, so it enters only when
     `x_cols` is supplied; otherwise the X-independent envelope is returned.
     """
-    check_t_range(model.s, t_i, t_o)
-    hs = _column_entropies(model)
-    log_v = log2(model.v)
-    total = sum(hs)
-    min_sum = _min_subset_sum(hs, t_i)
+    hs, total, min_sum, log_v = _prior_terms(model, t_i, t_o)
     lower = max(0.0, total - (model.s - t_i) * log_v)
-    terms = [
-        min_sum + (t_o - t_i) * log_v,
-        min_sum + model.s * log_v - total,
-    ]
+    terms = [min_sum + (t_o - t_i) * log_v, min_sum + model.s * log_v - total]
     if x_cols is not None:
         terms.append(_h_x(model, hs, t_i, x_cols))
     return _interval(lower, min(terms), ASYMMETRIC)
 
 
-def _check_h_y(model: InputModel, t_o: int, h_y: float) -> None:
-    """H(Y) of |Y| = s - t_o output columns lies in [0, (s - t_o) log2(v)]."""
-    top = (model.s - t_o) * log2(model.v)
-    if not -_SLACK <= h_y <= top + _SLACK:
-        raise OutputEntropyRangeError(f"H(Y)={h_y} outside [0, {top}]")
-
-
-def bounds_asymmetric_given_hy(
-    model: InputModel, t_i: int, t_o: int, h_y: float
-) -> EntropyInterval:
+def bounds_asymmetric_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
     """H(Y)-conditioned sandwich for full asymmetric transforms; collapses to
     the closed-form identity when t_i = t_o."""
-    check_t_range(model.s, t_i, t_o)
-    _check_h_y(model, t_o, h_y)
-    log_v = log2(model.v)
-    total = sum(_column_entropies(model))
+    _, total, _, log_v = _prior_terms(model, t_i, t_o, h_y)
     lower = max(0.0, total - (t_o - t_i) * log_v - h_y)
     upper = min(total - h_y, (model.s + t_i - t_o) * log_v - h_y)
     return _interval(lower, upper, ASYMMETRIC_GIVEN_HY)
@@ -211,13 +185,10 @@ def bounds_weak(
 ) -> EntropyInterval:
     """Interval for H(X|Y) under the covering relaxation; the completion-set
     size range v^(s-t_i) - v^(s-t_o) + 1 drives both ends."""
-    check_t_range(model.s, t_i, t_o)
-    hs = _column_entropies(model)
-    log_v = log2(model.v)
-    total = sum(hs)
+    hs, total, min_sum, log_v = _prior_terms(model, t_i, t_o)
     log_term = _weak_log_term(model.v, model.s, t_i, t_o)
     lower = max(0.0, total - (model.s - t_o) * log_v - log_term)
-    terms = [_min_subset_sum(hs, t_i) + log_term]
+    terms = [min_sum + log_term]
     if x_cols is not None:
         terms.append(_h_x(model, hs, t_i, x_cols))
     return _interval(lower, min(terms), WEAK)
@@ -225,12 +196,9 @@ def bounds_weak(
 
 def bounds_weak_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
     """H(Y)-conditioned sandwich under the covering relaxation."""
-    check_t_range(model.s, t_i, t_o)
-    _check_h_y(model, t_o, h_y)
-    total = sum(_column_entropies(model))
+    _, total, _, _ = _prior_terms(model, t_i, t_o, h_y)
     lower = max(0.0, total - _weak_log_term(model.v, model.s, t_i, t_o) - h_y)
-    upper = total - h_y
-    return _interval(lower, upper, WEAK_GIVEN_HY)
+    return _interval(lower, total - h_y, WEAK_GIVEN_HY)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,15 @@ from math import log2
 from typing import Iterable, Iterator, Sequence
 
 
+def _integral(value) -> int:
+    """int(value) for an integer given from outside, refusing the booleans
+    and non-integral floats that int() would silently read as 0, 1 or a
+    truncation: raises TypeError for those, as int() does for None."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def encode_tuple(symbols: Iterable[int], v: int) -> int:
     idx = 0
     for s in symbols:
@@ -38,6 +47,17 @@ def entropy_bits(masses: Iterable) -> float:
         if pf:
             h -= pf * log2(pf)
     return h
+
+
+def left_sum(terms: Iterable[float]) -> float:
+    """The terms added left to right from 0.0, as the built-in sum() adds
+    floats before Python 3.12; from 3.12 on, sum() compensates its
+    additions and can differ in the last bit. Every float total is formed
+    here, so each supported Python prints the same bytes."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,6 +125,16 @@ def _linear_columns(coefficients: Iterable[tuple[int, ...]], v: int) -> Iterator
             else:
                 symbols *= v
         yield symbols
+
+
+def _rank_split(s: int, cols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a set C of columns of [I_s | M], labels 1..2s: the rows of M
+    outside the input columns I of C, ascending, and the output columns J of
+    C as columns of M, in C's order, both 0-based. The projection of
+    {(x, xM)} onto C is onto iff those rows of M, restricted to J, have full
+    column rank |J| mod v: the identity columns I clear the rows I.
+    """
+    return tuple(r for r in range(s) if r + 1 not in cols), tuple(c - s - 1 for c in cols if c > s)
 
 
 def _pivot_product(rows: Sequence[Sequence[int]], v: int) -> int:

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from .arrays import Alphabet, AontArray, check_t_range, column_set_family, parse_array
 from .arrays import passes_unbiased_family  # unused here; perfbench/tracing.py wraps this name
-from .coding import _linear_columns, _pivot_product, decode_index, encode_tuple, is_prime
+from .coding import _integral, _linear_columns, _pivot_product, _rank_split, decode_index, encode_tuple, is_prime
 from .errors import (
     InvalidParametersError,
     NonPrimeModulusError,
@@ -128,12 +128,16 @@ class SquareMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.v) is not int:  # check_modulus's cache would take 5.0 for 5
+            raise InvalidParametersError(f"modulus {self.v!r} is not an integer")
         check_modulus(self.v)
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise InvalidParametersError("matrix must be square and non-empty")
         for row in self.entries:
             for x in row:
+                if type(x) is not int:
+                    raise InvalidParametersError(f"entry {x!r} is not an integer")
                 if not 0 <= x < self.v:
                     raise InvalidParametersError(f"entry {x} outside 0..{self.v - 1}")
 
@@ -166,7 +170,13 @@ def _walked_matrix(v: int, entries: tuple[tuple[int, ...], ...]) -> SquareMatrix
 
 
 def matrix_from_rows(v: int, rows) -> SquareMatrix:
-    return SquareMatrix(v, tuple(tuple(int(x) for x in row) for row in rows))
+    """The matrix with these rows; an entry that is not an integer (a bool,
+    a float with a fraction) raises InvalidParametersError."""
+    try:
+        entries = tuple(tuple(map(_integral, row)) for row in rows)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParametersError(f"matrix entries must be integers: {exc}") from None
+    return SquareMatrix(v, entries)
 
 
 def identity_matrix(s: int, v: int) -> SquareMatrix:
@@ -190,15 +200,15 @@ class _RankChecks:
     row codes of an invertible M, grouped by the row that completes each.
 
     A set I u J of `column_set_family` is unbiased iff the rows of M outside
-    I, restricted to the columns J, have full column rank |J| mod v (the
-    identity columns I clear the rows I). The input block always passes, the
-    output block passes because M is invertible, and a set with J empty lies
-    in the input block. At t_i = t_o = s every set with I non-empty has J
-    empty, so there is no check at all. A check is decided once its last
-    row, max(keep), is placed, and the rows above fix which codes of that row
-    fail it. So the failing codes are memoized per (J, rows above restricted
-    to J), for the life of the object, and each distinct restriction of the
-    last row to J is rank-tested once per key.
+    I, restricted to the columns J, have full column rank |J| mod v
+    (`_rank_split`). The input block always passes, the output block passes
+    because M is invertible, and a set with J empty lies in the input block.
+    At t_i = t_o = s every set with I non-empty has J empty, so there is no
+    check at all. A check is decided once its last row, max(keep), is
+    placed, and the rows above fix which codes of that row fail it. So the
+    failing codes are memoized per (J, rows above restricted to J), for the
+    life of the object, and each distinct restriction of the last row to J
+    is rank-tested once per key.
     """
 
     def __init__(self, s: int, v: int, t_i: int, t_o: int, vectors: Sequence[tuple[int, ...]]) -> None:
@@ -207,10 +217,8 @@ class _RankChecks:
         self.by_depth: list[list[tuple]] = [[] for _ in range(s)]
         restricts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for cols in column_set_family(s, t_i, t_o):
-            i_rows = {c - 1 for c in cols if c <= s}
-            j_cols = tuple(c - s - 1 for c in cols if c > s)
-            if i_rows and j_cols:
-                keep = tuple(r for r in range(s) if r not in i_rows)
+            keep, j_cols = _rank_split(s, cols)
+            if j_cols and len(keep) < s:
                 if j_cols not in restricts:
                     restricts[j_cols] = [tuple(vec[j] for j in j_cols) for vec in vectors]
                 self.by_depth[keep[-1]].append((j_cols, keep[:-1], restricts[j_cols]))

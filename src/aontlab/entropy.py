@@ -17,7 +17,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .arrays import AONT, AontArray, cached_classify, normalize_columns, projection_codes
-from .coding import decode_index, encode_tuple, entropy_bits
+from .coding import decode_index, encode_tuple, entropy_bits, left_sum
 from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError, MassSumError
 from .models import (
     INDEPENDENT,
@@ -192,7 +192,7 @@ def conditional_entropy(array: AontArray, model: InputModel, pair: SubsetPair) -
 
 def column_entropy_sum(model: InputModel) -> float:
     """sum_i H(X_i), the first term of the closed form."""
-    return sum(column_entropy(model, i) for i in range(1, model.s + 1))
+    return left_sum(column_entropy(model, i) for i in range(1, model.s + 1))
 
 
 def conditional_entropy_formula(array: AontArray, model: InputModel, pair: SubsetPair) -> float:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import log2
 from typing import Iterable, Iterator, Sequence
 
-from .coding import decode_index, encode_tuple, entropy_bits
+from .coding import _integral, decode_index, encode_tuple, entropy_bits
 from .errors import (
     ArityMismatchError,
     BlockColumnError,
@@ -28,14 +28,6 @@ INDEPENDENT = "independent"
 BLOCK_DEPENDENT = "block-dependent"
 
 ONE = Fraction(1)
-
-
-def _integral(value) -> int:
-    """int(value), refusing the booleans and non-integral floats that int()
-    would silently read as 0, 1 or a truncation."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def as_fraction(value) -> Fraction:

@@ -100,7 +100,7 @@ def build_report(
     rule = None if tag is None else bnd.checked_rule(tag, verdict.verdict, model, t_i, t_o)
 
     formula_ok = model.kind == INDEPENDENT and t_i == t_o and verdict.verdict == AONT
-    min_cap = bnd.min_entropy_cap(model, t_i) if model.kind == INDEPENDENT else None
+    min_cap = bnd.bounds_symmetric(model, t_i).upper if model.kind == INDEPENDENT else None
     h_cols = column_entropy_sum(model) if formula_ok else None
 
     all_pairs = admissible_pairs(array.s, t_i, t_o) if pairs is None else list(pairs)

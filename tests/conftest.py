@@ -42,6 +42,13 @@ def example4_model() -> InputModel:
     return make_independent_model([(F(1, 4), F(3, 4)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))])
 
 
+def cross_version_model() -> InputModel:
+    """s=3, v=2: a compensated sum of its column entropies (the built-in sum()
+    from Python 3.12 on) differs in the last bit from the left-to-right one."""
+    F = Fraction
+    return make_independent_model([(F(3, 7), F(4, 7)), (F(6, 13), F(7, 13)), (F(7, 15), F(8, 15))])
+
+
 def random_masses(rng: random.Random, v: int, max_weight: int = 12) -> tuple[Fraction, ...]:
     """Exact rational pmf from positive integer weights."""
     weights = [rng.randint(1, max_weight) for _ in range(v)]

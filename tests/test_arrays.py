@@ -36,7 +36,7 @@ from aontlab.arrays import (
     passes_unbiased_family,
     projection_codes,
 )
-from aontlab.coding import _linear_columns, _pivot_product, encode_tuple, is_prime
+from aontlab.coding import _linear_columns, _pivot_product, _rank_split, encode_tuple, is_prime
 from aontlab.constructions import _TABLE1, _TABLE3, builtin, identity_matrix, linear_aont, matrix_from_rows
 from aontlab.entropy import _accumulate, subset_entropy
 from aontlab.errors import (
@@ -208,6 +208,19 @@ def _random_matrix(v: int, s: int, rng: random.Random, singular: bool) -> list[l
             return m
         if not is_prime(v) or _pivot_product(m, v):
             return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.integers(1, 4), v=st.sampled_from([2, 3, 5]), data=st.data())
+def test_rank_split_matches_the_rank_of_the_column_set(s, v, data):
+    """Columns C of [I_s | M] are independent mod v iff the rows of M
+    outside I, restricted to J, have full column rank."""
+    m = data.draw(st.lists(st.lists(st.integers(0, v - 1), min_size=s, max_size=s), min_size=s, max_size=s))
+    cols = tuple(sorted(data.draw(st.sets(st.integers(1, 2 * s), min_size=1, max_size=s))))
+    rows, j_cols = _rank_split(s, cols)
+    expanded = [[int(r == c - 1) if c <= s else m[r][c - s - 1] for c in cols] for r in range(s)]
+    by_split = not j_cols or _pivot_product([[m[r][j] for j in j_cols] for r in rows], v) != 0
+    assert by_split == (_pivot_product(expanded, v) != 0)
 
 
 def _linear_array(m: list[list[int]], v: int) -> AontArray:

@@ -30,8 +30,10 @@ from aontlab import (
     uniform_model,
 )
 from aontlab.arrays import AONT, NEITHER, WEAK_AONT_ONLY
-from aontlab.bounds import ALL_TAGS, BLOCK_EXACT, auto_tag, checked_rule, interval_for, min_entropy_cap
+from aontlab.bounds import ALL_TAGS, BLOCK_EXACT, auto_tag, checked_rule, interval_for
+from aontlab.coding import left_sum
 from aontlab.entropy import SubsetPair
+from aontlab.models import column_entropy
 from aontlab.errors import (
     BlockTooLargeError,
     ClassificationMismatchError,
@@ -41,7 +43,7 @@ from aontlab.errors import (
 )
 from aontlab.report import build_report
 
-from conftest import example1_model, example3_model, example4_model, random_independent_model
+from conftest import cross_version_model, example1_model, example3_model, example4_model, random_independent_model
 
 
 def test_symmetric_interval_example1():
@@ -263,14 +265,31 @@ def test_symmetric_cap_only_for_symmetric(table2):
 def test_min_entropy_cap_is_symmetric_upper_bound():
     model = example3_model()
     hs = sorted(model.columns[i].entropy_bits() for i in range(3))
-    assert min_entropy_cap(model, 1) == hs[0]
-    assert min_entropy_cap(model, 2) == hs[0] + hs[1]
-    assert min_entropy_cap(model, 2) == bounds_symmetric(model, 2).upper
+    assert bounds_symmetric(model, 1).upper == hs[0]
+    assert bounds_symmetric(model, 2).upper == hs[0] + hs[1]
     with pytest.raises(InvalidParametersError):
-        min_entropy_cap(make_block_dependent_model(3, 3, (), None), 1)
+        bounds_symmetric(make_block_dependent_model(3, 3, (), None), 1)
     for t in (0, 4, -1):  # outside 1..s, where no pair has |X| = t
         with pytest.raises(InvalidParametersError, match="need 1 <= t_i <= t_o <= s"):
-            min_entropy_cap(model, t)
+            bounds_symmetric(model, t)
+
+
+def test_left_sum_is_a_plain_left_fold():
+    hs = [column_entropy(cross_version_model(), i) for i in (1, 2, 3)]
+    total = 0.0
+    for h in hs:
+        total += h
+    assert left_sum(hs) == total
+    assert repr(left_sum(hs)) == "2.977747220100814"
+    assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0  # a compensated sum gives 2.0
+    assert left_sum([]) == 0.0
+
+
+def test_bounds_are_the_same_double_on_every_python():
+    # at t = s the interval is [sum of H(X_i), sum of the s smallest]: both
+    # add all three entropies left to right
+    iv = bounds_symmetric(cross_version_model(), 3)
+    assert repr(iv.lower) == repr(iv.upper) == "2.977747220100814"
 
 
 def _block_model(s: int, v: int, block: tuple[int, ...]):

@@ -90,6 +90,28 @@ def test_nonprime_modulus_rejected():
         SquareMatrix(4, ((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: matrix_from_rows(5, [[1.5, 1], [1, 0]]), "1.5 is not an integer"),
+        (lambda: matrix_from_rows(5, [[True, 1], [1, 0]]), "True is not an integer"),
+        (lambda: matrix_from_rows(5, [[None, 1], [1, 0]]), "matrix entries must be integers"),
+        (lambda: SquareMatrix(5, ((1.0, 2), (3, 4))), "entry 1.0 is not an integer"),
+        (lambda: SquareMatrix(5.0, ((1, 2), (3, 4))), "modulus 5.0 is not an integer"),
+    ],
+    ids=["fraction", "bool", "none", "float-entry", "float-modulus"],
+)
+def test_non_integer_matrix_input_rejected(build, message):
+    with pytest.raises(InvalidParametersError, match=message):
+        build()
+
+
+def test_integral_matrix_entries_read_as_ints():
+    m = matrix_from_rows(5, [[2.0, 1], [1, 0]])
+    assert m.entries == ((2, 1), (1, 0)) and all(type(x) is int for row in m.entries for x in row)
+    assert linear_aont(m) == linear_aont(matrix_from_rows(5, [[2, 1], [1, 0]]))
+
+
 def _trial_division_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 

@@ -46,7 +46,7 @@ from aontlab.report import (
     report_to_table,
 )
 
-from conftest import CliRunner, example1_model, example3_model, example4_model
+from conftest import CliRunner, cross_version_model, example1_model, example3_model, example4_model
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "analysis_report.schema.json").read_text()
@@ -240,6 +240,18 @@ def test_cli_analyze_json_schema(runner, ex1_model_file):
         ],
     )
     jsonschema.validate(json.loads(result.output), SCHEMA)
+
+
+def test_cli_analyze_json_is_the_same_bytes_on_every_python(runner, tmp_path):
+    # Python 3.12's compensated sum() printed 2.9777472201008135 here
+    path = tmp_path / "m.json"
+    save_model_json(cross_version_model(), str(path))
+    result = runner.invoke(
+        cli, ["analyze", "--builtin", "table3", "--model", str(path), "--ti", "3", "--to", "3", "--format", "json"]
+    )
+    assert result.exit_code == 0
+    for key in ("formula", "lower", "upper"):
+        assert f'"{key}": 2.977747220100814,' in result.output
 
 
 def test_cli_analyze_csv_round_trip(runner, ex1_model_file, table1):
