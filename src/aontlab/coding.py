@@ -11,7 +11,8 @@ them.
 
 from __future__ import annotations
 
-from math import log2
+from fractions import Fraction
+from math import lcm, log2
 from typing import Iterable, Iterator, Sequence
 
 
@@ -38,15 +39,30 @@ def decode_index(idx: int, v: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def entropy_bits(masses: Iterable) -> float:
-    """Shannon entropy in bits. Masses may be exact rationals; 0*log(0) = 0,
-    also for a mass below the smallest double, since p log p -> 0."""
+def _over_lcm(masses: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Masses as integer numerators over the LCM of their denominators."""
+    denominator = lcm(*(p.denominator for p in masses))
+    return [p.numerator * (denominator // p.denominator) for p in masses], denominator
+
+
+def weight_entropy_bits(weights: Iterable[int], denominator: int) -> float:
+    """Shannon entropy in bits of the masses w / D, for integer weights w
+    over one denominator D, each term added left to right. w / D is the
+    correctly rounded quotient, float(Fraction(w, D)); 0 log 0 = 0, also
+    for a mass below the smallest double, since p log p -> 0."""
     h = 0.0
-    for p in masses:
-        pf = float(p)
-        if pf:
-            h -= pf * log2(pf)
+    for w in weights:
+        p = w / denominator
+        if p:
+            h -= p * log2(p)
     return h
+
+
+def entropy_bits(masses: Iterable[Fraction]) -> float:
+    """Shannon entropy in bits of exact rational masses (Fractions or ints):
+    their numerators over the LCM of their denominators, through
+    `weight_entropy_bits`, so it is the float of each mass that is summed."""
+    return weight_entropy_bits(*_over_lcm(tuple(masses)))
 
 
 def left_sum(terms: Iterable[float]) -> float:

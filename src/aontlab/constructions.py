@@ -179,7 +179,18 @@ def matrix_from_rows(v: int, rows) -> SquareMatrix:
     return SquareMatrix(v, entries)
 
 
+def _order_and_modulus(s: int, v: int) -> tuple[int, int]:
+    """s and v given from outside, as ints: a bool or a float with a
+    fraction raises InvalidParametersError, and an integral float is read
+    as its int before `check_modulus`'s cache sees it."""
+    try:
+        return _integral(s), _integral(v)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParametersError(f"matrix order and modulus must be integers: {exc}") from None
+
+
 def identity_matrix(s: int, v: int) -> SquareMatrix:
+    s, v = _order_and_modulus(s, v)
     return SquareMatrix(v, tuple(tuple(1 if i == j else 0 for j in range(s)) for i in range(s)))
 
 
@@ -302,13 +313,14 @@ def _walk(
 def iter_invertible_matrices(s: int, v: int) -> Iterator[SquareMatrix]:
     """All invertible s x s matrices over Z_v, in lexicographic entry order:
     the walk at t_i = t_o = s, where `_RankChecks` holds no check."""
+    s, v = _order_and_modulus(s, v)
     yield from _walk(s, v, (s, s))
 
 
 def iter_linear_aont_matrices(s: int, v: int, t_i: int, t_o: int) -> Iterator[SquareMatrix]:
     """Invertible matrices whose linear array is a full (t_i, t_o)
     transform, in lexicographic order."""
-    yield from _walk(s, v, (t_i, t_o))
+    yield from _walk(*_order_and_modulus(s, v), (t_i, t_o))
 
 
 @dataclass(frozen=True)
@@ -364,6 +376,7 @@ def search_linear(
     counts every invertible matrix, pruned or walked. `progress` gets
     (examined, |GL(s, v)|) at most 64 times, rising, the last at completion.
     """
+    s, v = _order_and_modulus(s, v)
     check_t_range(s, t_i, t_o)
     if v >= 2 and _power_exceeds(v, s * s, cap):
         raise SearchSpaceError(

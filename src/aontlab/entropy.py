@@ -17,7 +17,8 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .arrays import AONT, AontArray, cached_classify, normalize_columns, projection_codes
-from .coding import decode_index, encode_tuple, entropy_bits, left_sum
+from .coding import _over_lcm, decode_index, encode_tuple, left_sum, weight_entropy_bits
+from .coding import entropy_bits  # unused here; perfbench/tracing.py wraps this name
 from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError, MassSumError
 from .models import (
     INDEPENDENT,
@@ -48,12 +49,6 @@ def check_pair(s: int, pair: SubsetPair) -> None:
         raise InvalidParametersError(f"X columns {pair.x} outside inputs 1..{s}")
     if pair.y and (pair.y[0] <= s or pair.y[-1] > 2 * s):
         raise InvalidParametersError(f"Y columns {pair.y} outside outputs {s + 1}..{2 * s}")
-
-
-def _over_lcm(masses: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Masses as integer numerators over the LCM of their denominators."""
-    lcm = math.lcm(*(p.denominator for p in masses))
-    return [p.numerator * (lcm // p.denominator) for p in masses], lcm
 
 
 def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
@@ -108,11 +103,6 @@ def _accumulate(array: AontArray, weights: Sequence[int], cols: Sequence[int]) -
     return masses
 
 
-def _bits(weights: Iterable[int], denominator: int) -> float:
-    # int / int is correctly rounded, so w / D equals float(Fraction(w, D))
-    return entropy_bits(w / denominator for w in weights)
-
-
 @dataclass(frozen=True)
 class PairJoint:
     """Integer weights of the prior projected onto X u Y (X-major codes),
@@ -124,32 +114,43 @@ class PairJoint:
     y: list[int]
 
     def h_x(self) -> float:
-        return _bits(self.x, self.denominator)
+        return weight_entropy_bits(self.x, self.denominator)
 
     def h_y(self) -> float:
-        return _bits(self.y, self.denominator)
+        return weight_entropy_bits(self.y, self.denominator)
 
     def conditional(self, h_y: float) -> float:
         """H(X|Y) = H(X,Y) - H(Y)."""
-        return _bits(self.joint, self.denominator) - h_y
+        return weight_entropy_bits(self.joint, self.denominator) - h_y
 
     def stat_distance(self) -> float:
         """max over y with Pr[y] > 0 of SD(P[X | Y=y], P[X]).
 
-        With weights, SD_y = sum_x |w_xy D - w_x w_y| / (2 w_y D); the
-        maximum is kept as an exact ratio and divided once.
+        With weights, SD_y = N_y / (2 w_y D) for the exact numerator
+        N_y = sum_x |w_xy D - w_x w_y|. When X has no more codes than Y, the
+        N_y are built along the X-major joint, one x-row at a time, each row
+        one pass over all y; otherwise each N_y is one sum down its y-column.
+        The largest N_y / w_y is kept as an exact ratio, compared by cross
+        multiplication, so a y of zero mass (N_y = 0) never wins; SD is
+        divided once.
         """
-        d = self.denominator
-        y_size = len(self.y)
-        best_num, best_den = 0, 1
-        for y_code, w_y in enumerate(self.y):
-            if not w_y:
-                continue
-            num = sum(abs(w * d - w_x * w_y) for w, w_x in zip(self.joint[y_code::y_size], self.x))
-            den = 2 * w_y * d
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-        return best_num / best_den
+        d, joint, xs, ys = self.denominator, self.joint, self.x, self.y
+        y_size = len(ys)
+        if len(xs) <= y_size:
+            nums = [0] * y_size
+            for start, w_x in zip(range(0, len(joint), y_size), xs):
+                row = joint[start : start + y_size]
+                nums = [n + abs(w * d - w_x * w_y) for n, w, w_y in zip(nums, row, ys)]
+        else:
+            nums = [
+                sum(abs(w * d - w_x * w_y) for w, w_x in zip(joint[y_code::y_size], xs))
+                for y_code, w_y in enumerate(ys)
+            ]
+        best_num, best_w = 0, 1
+        for num, w_y in zip(nums, ys):
+            if num * best_w > best_num * w_y:
+                best_num, best_w = num, w_y
+        return best_num / (2 * best_w * d)
 
 
 def pair_joint(array: AontArray, weights: Sequence[int], denominator: int, pair: SubsetPair) -> PairJoint:
@@ -181,7 +182,7 @@ def subset_entropy(array: AontArray, model: InputModel, cols: Iterable[int]) -> 
     masses: dict[int, int] = {}
     for code, w in zip(projection_codes(array, cset), weights):
         masses[code] = masses.get(code, 0) + w
-    return _bits(map(masses.__getitem__, sorted(masses)), denominator)
+    return weight_entropy_bits(map(masses.__getitem__, sorted(masses)), denominator)
 
 
 def conditional_entropy(array: AontArray, model: InputModel, pair: SubsetPair) -> float:

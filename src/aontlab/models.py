@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import log2
 from typing import Iterable, Iterator, Sequence
 
@@ -87,8 +88,13 @@ class Distribution:
         for idx, p in enumerate(self.masses):
             yield decode_index(idx, self.v, self.length), p
 
-    def entropy_bits(self) -> float:
+    @cached_property
+    def _entropy(self) -> float:
+        # computed on first use; equality and hashing read only the fields
         return entropy_bits(self.masses)
+
+    def entropy_bits(self) -> float:
+        return self._entropy
 
     def is_uniform(self) -> bool:
         target = Fraction(1, self.v**self.length)

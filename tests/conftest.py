@@ -60,6 +60,12 @@ def random_independent_model(rng: random.Random, s: int, v: int) -> InputModel:
     return make_independent_model([random_masses(rng, v) for _ in range(s)])
 
 
+def masses_over(rng: random.Random, v: int, denominator: int) -> tuple[Fraction, ...]:
+    """v positive masses k / denominator, at random."""
+    cuts = sorted(rng.sample(range(1, denominator), v - 1))
+    return tuple(Fraction(b - a, denominator) for a, b in zip([0, *cuts], [*cuts, denominator]))
+
+
 class _Tee(io.StringIO):
     """One stream of a command, also copied to the interleaved output."""
 

@@ -21,8 +21,10 @@ from aontlab.arrays import check_unbiased
 from aontlab.coding import decode_index, encode_tuple
 from aontlab.constructions import (
     DEFAULT_SEARCH_CAP,
+    SearchResult,
     SquareMatrix,
     _RankChecks,
+    check_modulus,
     gl_order,
     is_prime,
     iter_invertible_matrices,
@@ -110,6 +112,43 @@ def test_integral_matrix_entries_read_as_ints():
     m = matrix_from_rows(5, [[2.0, 1], [1, 0]])
     assert m.entries == ((2, 1), (1, 0)) and all(type(x) is int for row in m.entries for x in row)
     assert linear_aont(m) == linear_aont(matrix_from_rows(5, [[2, 1], [1, 0]]))
+
+
+# every public function that takes a matrix order s and a modulus v
+_ORDER_AND_MODULUS_CALLS = [
+    pytest.param(lambda s, v: search_linear(s, v, 1, 1), id="search_linear"),
+    pytest.param(lambda s, v: list(iter_invertible_matrices(s, v)), id="iter_invertible_matrices"),
+    pytest.param(lambda s, v: list(iter_linear_aont_matrices(s, v, 1, 1)), id="iter_linear_aont_matrices"),
+    pytest.param(lambda s, v: [identity_matrix(s, v)], id="identity_matrix"),
+]
+
+
+@pytest.mark.parametrize("call", _ORDER_AND_MODULUS_CALLS)
+@pytest.mark.parametrize(
+    "s, v, message",
+    [
+        (True, 5, "True is not an integer"),
+        (2, True, "True is not an integer"),
+        (2.5, 5, "2.5 is not an integer"),
+        (2, 5.5, "5.5 is not an integer"),
+        (None, 5, "matrix order and modulus must be integers"),
+    ],
+    ids=["bool-s", "bool-v", "fraction-s", "fraction-v", "none-s"],
+)
+def test_non_integer_order_or_modulus_rejected(call, s, v, message):
+    with pytest.raises(InvalidParametersError, match=message):
+        call(s, v)
+
+
+@pytest.mark.parametrize("call", _ORDER_AND_MODULUS_CALLS)
+@pytest.mark.parametrize("s, v", [(2.0, 5), (2, 5.0)], ids=["float-s", "float-v"])
+def test_integral_float_order_or_modulus_read_as_int(call, s, v):
+    check_modulus(5)  # cached for 5, so only the conversion keeps 5.0 out of the walk
+    got, want = call(s, v), call(2, 5)
+    if isinstance(want, SearchResult):
+        assert (type(got.s), type(got.v)) == (int, int)
+        got, want = got.found, want.found
+    assert got == want and all(type(m.v) is int for m in got)
 
 
 def _trial_division_is_prime(n):

@@ -29,12 +29,12 @@ from aontlab import (
     subset_entropy,
     uniform_model,
 )
-from aontlab.entropy import SubsetPair, _accumulate, prior_weights
+from aontlab.entropy import SubsetPair, _accumulate, pair_joint, prior_weights
 from aontlab.errors import FormulaPreconditionError, InvalidParametersError, MassSumError
 from aontlab.report import AUTO
 
 import entropy_oracle
-from conftest import example1_model, example3_model, example4_model, random_independent_model
+from conftest import example1_model, example3_model, example4_model, masses_over, random_independent_model
 
 
 def test_marginal_example1_y1(table1):
@@ -370,3 +370,57 @@ def test_report_rows_match_fraction_reference(seed):
                 h_cols = reduce(add, (column_entropy(model, i) for i in range(1, array.s + 1)), 0.0)
                 h_y = entropy_oracle.subset_entropy(array, model, row.y) if row.y else 0.0
                 assert row.formula == h_cols - h_y
+
+
+# 7-digit primes; any four of them multiply past 2^80
+_SEVEN_DIGIT_PRIMES = (1337647, 1602077, 3188131, 3529423, 3674287, 6050381, 6195401, 7206817)
+
+
+def _sd_array(rng: random.Random, kind: str, s: int, v: int) -> AontArray:
+    """table3 (weak-only at (1, 2)), or a linear array over Z_v as it is, with
+    the outputs of two rows swapped, or with its last output column set to 0,
+    so that every y with another symbol there has no row (neither)."""
+    if kind == "table3":
+        return builtin("table3")
+    while True:
+        matrix = matrix_from_rows(v, [[rng.randrange(v) for _ in range(s)] for _ in range(s)])
+        if matrix.is_invertible():
+            break
+    rows = [list(row) for row in linear_aont(matrix).rows]
+    if kind == "swapped":
+        a, b = rng.sample(range(len(rows)), 2)
+        rows[a][s:], rows[b][s:] = rows[b][s:], rows[a][s:]
+    elif kind == "neither":
+        for row in rows:
+            row[-1] = 0
+    return AontArray(Alphabet(v), s, tuple(map(tuple, rows)))
+
+
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(("linear", "swapped", "neither", "table3")),
+    st.sampled_from(("with-zeros", "big-primes")),
+)
+@settings(max_examples=120, deadline=None)
+def test_stat_distance_matches_fraction_reference_on_both_paths(seed, kind, prior):
+    """SD sums along the X-major joint when X has no more codes than Y, and
+    down each y-column otherwise; both must equal the Fraction reference bit
+    for bit, also where some y has zero mass and where D exceeds 2^80."""
+    rng = random.Random(seed)
+    s, v = rng.choice(((4, 2), (4, 3))) if prior == "big-primes" else rng.choice(((2, 3), (2, 5), (3, 2), (3, 3)))
+    array = _sd_array(rng, kind, s, v)
+    s, v = array.s, array.v
+    if prior == "big-primes":
+        model = make_independent_model([masses_over(rng, v, p) for p in rng.sample(_SEVEN_DIGIT_PRIMES, s)])
+    else:
+        model = make_independent_model([_random_masses(rng, v) for _ in range(s)])
+    weights, denominator = prior_weights(array, model)
+    assert prior != "big-primes" or s < 4 or denominator > 2**80
+    inputs, outputs = range(1, s + 1), range(s + 1, 2 * s + 1)
+    # X one input, Y every output: v X codes by v^s Y codes; then the reverse
+    for pair in (SubsetPair((rng.choice(inputs),), outputs), SubsetPair(inputs, (2 * s,))):
+        joint = pair_joint(array, weights, denominator, pair)
+        assert (len(joint.x) <= len(joint.y)) == (len(pair.x) == 1)
+        if kind == "neither":
+            assert 0 in joint.y
+        assert joint.stat_distance() == entropy_oracle.statistical_distance(array, model, pair.x, pair.y)

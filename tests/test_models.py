@@ -125,6 +125,19 @@ def test_entropy_bits_skips_a_mass_below_the_smallest_double():
     assert entropy_bits([F(1, 2), tiny, F(1, 2) - tiny]) == 1.0
 
 
+def test_entropy_bits_reads_masses_from_any_iterable():
+    masses = (F(1, 4), F(1, 8), F(5, 8))
+    assert entropy_bits(p for p in masses) == entropy_bits(list(masses)) == entropy_bits(masses) > 0
+
+
+def test_distribution_equality_and_hash_ignore_its_cached_entropy():
+    masses = (F(1, 4), F(1, 8), F(5, 8))
+    read, unread = column(3, masses), column(3, masses)
+    assert read.entropy_bits() == entropy_bits(masses)  # only `read` holds its entropy
+    assert read == unread and hash(read) == hash(unread)
+    assert read != column(3, masses[::-1])
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_joint_probability_totals_one(seed):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,14 +26,19 @@ from aontlab import (
     identity_matrix,
     linear_aont,
     make_block_dependent_model,
+    make_independent_model,
+    matrix_from_rows,
     parse_array_csv,
+    save_array_csv,
     save_model_json,
     search_linear,
     uniform_model,
 )
+from aontlab import models
 from aontlab import report as report_module
 from aontlab.arrays import cached_classify, classify
 from aontlab.bounds import ALL_TAGS
+from aontlab.coding import entropy_bits
 from aontlab.cli import main as cli
 from aontlab.constructions import DEFAULT_SEARCH_CAP
 from aontlab.demos import run_demo
@@ -46,7 +52,15 @@ from aontlab.report import (
     report_to_table,
 )
 
-from conftest import CliRunner, cross_version_model, example1_model, example3_model, example4_model
+from conftest import (
+    CliRunner,
+    cross_version_model,
+    example1_model,
+    example3_model,
+    example4_model,
+    masses_over,
+    random_independent_model,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "analysis_report.schema.json").read_text()
@@ -86,6 +100,17 @@ def test_build_report_classifies_once(table1, monkeypatch):
     assert report.bounds_tag == "symmetric" and all(r.formula is not None for r in report.rows)
     assert len(calls) == 1
     assert cached_classify.cache_info().currsize == 0
+
+
+def test_build_report_sums_each_column_entropy_once(monkeypatch):
+    """Formula, bounds and cap all read H(X_i): each column's entropy is
+    summed once per prior, not once per pair."""
+    masses = []
+    monkeypatch.setattr(models, "entropy_bits", lambda m: masses.append(m) or entropy_bits(m))
+    model = random_independent_model(random.Random(47), 4, 7)
+    report = build_report(linear_aont(matrix_from_rows(7, LINEAR_4_7_T1)), model, 1, 1)
+    assert len(report.rows) == 16 and all(r.formula is not None and r.within for r in report.rows)
+    assert masses == [dist.masses for dist in model.columns]
 
 
 def test_build_report_example3_flags_cap(table2):
@@ -465,27 +490,58 @@ def _write_report_inputs(directory: Path) -> None:
     save_model_json(make_block_dependent_model(2, 3, (1,), block_joint), str(directory / "block.json"))
     save_model_json(uniform_model(2, 3), str(directory / "uniform.json"))
     (directory / "identity.csv").write_text(dump_array_csv(linear_aont(identity_matrix(2, 3))))
+    # benchmark sizes: an s=4, v=7 array that is a transform at t=1 (7 X codes
+    # by 343 Y codes per pair), and a Cauchy s=3, v=11 one (121 X codes by 11)
+    save_array_csv(linear_aont(matrix_from_rows(7, LINEAR_4_7_T1)), str(directory / "linear47.csv"))
+    cauchy = [[pow(x - y, -1, 11) for y in range(3, 6)] for x in range(3)]
+    save_array_csv(linear_aont(matrix_from_rows(11, cauchy)), str(directory / "cauchy311.csv"))
+    save_model_json(random_independent_model(random.Random(47), 4, 7), str(directory / "ind47.json"))
+    save_model_json(random_independent_model(random.Random(311), 3, 11), str(directory / "ind311.json"))
+    rng = random.Random(7)
+    big = make_independent_model([masses_over(rng, 7, p) for p in BIG_PRIMES])
+    save_model_json(big, str(directory / "big47.json"))
 
 
-# `analyze` cases that between them emit every kind of report cell
+# rows of M over Z_7: every 3x3 minor is non-zero, so [I | M] is a transform at t=1
+LINEAR_4_7_T1 = [[6, 2, 1, 1], [2, 2, 5, 6], [5, 6, 6, 2], [0, 6, 4, 2]]
+# pairwise-coprime denominators whose product, the common denominator, exceeds 2^80
+BIG_PRIMES = (100003, 1000003, 5000011, 9999991)
+
+# `analyze` cases that between them emit every kind of report cell, then
+# three at benchmark sizes: SD summed per x-row (linear-4-7), per y-column
+# (cauchy-3-11), and under a common denominator past 2^80 (big-primes-pair)
 ANALYZE_CASES = {
     "symmetric": ["--builtin", "table1", "--model", "ex1.json", "--ti", "1", "--to", "1"],
     "asymmetric": ["--builtin", "table2", "--model", "ex3.json", "--ti", "1", "--to", "2"],
     "block-exact": ["--builtin", "table1", "--model", "block.json", "--ti", "1", "--to", "1"],
     "weak": ["--builtin", "table3", "--model", "ex4.json", "--ti", "1", "--to", "2"],
     "neither": ["--array", "identity.csv", "--model", "uniform.json", "--ti", "1", "--to", "1"],
+    "linear-4-7": ["--array", "linear47.csv", "--model", "ind47.json", "--ti", "1", "--to", "1"],
+    "cauchy-3-11": ["--array", "cauchy311.csv", "--model", "ind311.json", "--ti", "2", "--to", "2"],
+    "big-primes-pair": ["--array", "linear47.csv", "--model", "big47.json", "--ti", "1", "--to", "1",
+                        "--pair", "2:5,7,8"],
 }
 
 # sha256 of `aontlab analyze` stdout per (case, format), and of `aontlab demo N
 # --format json` stdout, recorded before the report rows were derived from
-# ReportRow's fields
+# ReportRow's fields; those of the benchmark-size cases were recorded before
+# the statistical distance was summed along the longer axis of the joint
 ANALYZE_STDOUT_SHA256 = {
     ("asymmetric", "csv"): "cced6f81557921f8c6c0f3f9659d2caacda63c72a774f071ee0a6c265413bf1d",
     ("asymmetric", "json"): "194118da827d1698bc0e39561119bb44c3cfd0a646d7bca6d410ca6952fe685e",
     ("asymmetric", "table"): "6558b55332e305015c01b614f540b7ae3a5c3c85805228ea8b35433bb6dcc096",
+    ("big-primes-pair", "csv"): "5c5cb0dbc5b916465e556eb79f07739bea910f2aeab1f402bd11cc4101262990",
+    ("big-primes-pair", "json"): "bccc6cdd872899bda9229f00ff45e3ac3859ad8209bd7ce4f7bcc4ad10c1d87f",
+    ("big-primes-pair", "table"): "ea94c2c46be3b711081c6dab20856fd1467487a460fb61ca05a21fdeb4bd59c6",
     ("block-exact", "csv"): "96ca75d8c205d283ffac5a662494b46d1916f4b0b7c8a638cc6c7a79fee79583",
     ("block-exact", "json"): "71ebde7f075ae5f60ae16199a87d9b722f558fff65a85955dd48c23c0e1f5d13",
     ("block-exact", "table"): "a73ffccb595397fb8129817fd63ac03f1152b34880ecf57bda952891a5d8de09",
+    ("cauchy-3-11", "csv"): "ebecb39572540aef20a64ddb86de726c73433e5e30fa35c9dbd7c193ce139511",
+    ("cauchy-3-11", "json"): "9cb5e3d93e2db294c3e51d0513c83be8d0742735473f4034938cf3bab1ab1f96",
+    ("cauchy-3-11", "table"): "be0477fef2b4defe65f1b1b5c9b235cc569cab9efbd2e1abcd8a39f8e9cddfa4",
+    ("linear-4-7", "csv"): "8ee3d15411c05aabb4bac7d99834e287fa946dae577f225a4af27f94fd07a252",
+    ("linear-4-7", "json"): "96a2ba5ff95913775fe757a6842c3ca93d830bc5ca53cde749890cdb39fc995a",
+    ("linear-4-7", "table"): "ec276c3179e8ab82eab066a936111ab5d0460fdbd05a8fc6485c0b11890ca273",
     ("neither", "csv"): "42ab5f01f962e27ffe5d14eabac67f371593da7e9fe407057aed9f73095a7eda",
     ("neither", "json"): "7ce29779fc8daac484d38b469daa0306a0910f444415a86f598e8ba6c2f84946",
     ("neither", "table"): "6f3848a83d4b4177c03d5ab7250808197265703a7eb9c0a98e472ebc3192383c",
