@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from collections import Counter
 from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, repeat
-from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coding import _linear_columns, _pivot_product, _rank_split, decode_index, is_prime
@@ -436,44 +435,20 @@ def check_t_range(s: int, t_i: int, t_o: int) -> None:
 _NONZERO_BYTES = b"\0" + b"\1" * 255
 
 
-def _mismatched_rows(column: int_array, expected: int_array) -> list[int] | None:
-    """The row indices, in order, where two columns of one typecode differ;
-    None when that is at least half of them.
-
-    The columns are XORed as integers, so a row differs where a byte of its
-    item is non-zero; those rows are found by `bytes.find`, with no object
-    per row that agrees.
-    """
-    if column == expected:
-        return []
-    n, size = len(column), column.itemsize
-    flags = (int.from_bytes(column, "little") ^ int.from_bytes(expected, "little")).to_bytes(n * size, "little")
-    if size > 1:  # a row differs where any byte of its item does
-        merged = 0
-        for k in range(size):
-            merged |= int.from_bytes(flags[k::size], "little")
-        flags = merged.to_bytes(n, "little")
-    if 2 * (n - flags.count(0)) >= n:
-        return None
-    flags = flags.translate(_NONZERO_BYTES)
-    rows = []
-    r = flags.find(1)
-    while r >= 0:
-        rows.append(r)
-        r = flags.find(1, r + 1)
-    return rows
-
-
-def _linear_matrix(array: AontArray) -> tuple[list[tuple[int, ...]], dict[int, dict[int, int]]] | None:
-    """The rows of M, and where the array differs from {(x, xM)}, for x in
-    lexicographic order over a prime v: for each 0-based column index that
-    differs, the symbol {(x, xM)} has at each row index where it does. None
-    for a composite v, or as soon as the rows D that differ reach 2|D| >= N.
+def _linear_matrix(array: AontArray) -> tuple[list[tuple[int, ...]], list[int], list[Sequence[int]]] | None:
+    """The rows of M, the row indices D where the array differs from
+    {(x, xM)}, in order, and the 2s columns of {(x, xM)}, for x in
+    lexicographic order over a prime v. None for a composite v, or as soon
+    as 2|D| >= N.
 
     Row i of M is read from the outputs at row index v^(s-1-i), where x is
     the unit vector e_i; M may be singular. Each column is compared with
-    that column of [I_s | M] expanded over every x, outputs first. Past half
-    the rows, correcting each column set's counts row by row (see
+    that column of [I_s | M] expanded over every x, outputs first; a column
+    that agrees is returned as the array's own. A column that differs is
+    XORed with its expansion as an integer, and the rows where a byte of
+    the XOR is non-zero are ORed into one mask of a byte per row, so D is
+    found once, by `bytes.find`, with no object per row that agrees. Past
+    half the rows, correcting each column set's counts row by row (see
     `_set_properties`) would cost more than counting them, so the
     comparison stops there.
     """
@@ -483,21 +458,30 @@ def _linear_matrix(array: AontArray) -> tuple[list[tuple[int, ...]], dict[int, d
     units = [v ** (s - 1 - i) for i in range(s)]
     m_columns = [tuple(map(column.__getitem__, units)) for column in array.columns[s:]]
     identity = [(0,) * i + (1,) + (0,) * (s - 1 - i) for i in range(s)]
-    mismatches: dict[int, dict[int, int]] = {}
-    differing: set[int] = set()
+    linear: list[Sequence[int]] = list(array.columns)
+    size = linear[0].itemsize
+    mask = 0
     order = chain(range(s, 2 * s), range(s))
     for c, expected in zip(order, _linear_columns(m_columns + identity, v)):
         column = array.columns[c]
         expected = int_array(column.typecode, expected)
-        rows = _mismatched_rows(column, expected)
-        if rows is None:
+        if column == expected:
+            continue
+        linear[c] = expected
+        flags = int.from_bytes(column, "little") ^ int.from_bytes(expected, "little")
+        flags = flags.to_bytes(n * size, "little")
+        for k in range(size):  # a row differs where any byte of its item does
+            mask |= int.from_bytes(flags[k::size], "little")
+        if 2 * (n - mask.to_bytes(n, "little").count(0)) >= n:
             return None
-        if rows:
-            mismatches[c] = {r: expected[r] for r in rows}
-            differing.update(rows)
-            if 2 * len(differing) >= n:
-                return None
-    return list(zip(*m_columns)), mismatches
+    # a linear array, D empty, scans no N-byte mask
+    flags = mask.to_bytes(n, "little").translate(_NONZERO_BYTES) if mask else b""
+    rows = []
+    r = flags.find(1)
+    while r >= 0:
+        rows.append(r)
+        r = flags.find(1, r + 1)
+    return list(zip(*m_columns)), rows, linear
 
 
 def _counted_properties(array: AontArray, cols: tuple[int, ...]) -> tuple[bool, bool]:
@@ -510,32 +494,31 @@ def _counted_properties(array: AontArray, cols: tuple[int, ...]) -> tuple[bool, 
 
 def _set_properties(array: AontArray) -> Callable[[tuple[int, ...]], tuple[bool, bool]]:
     """(unbiased, covering) of each column set of the family: by counting,
-    unless `_linear_matrix` finds M and the rows D where the array differs
-    from {(x, xM)}; then by rank plus a row correction, exactly.
+    unless `_linear_matrix` finds M, the rows D where the array differs from
+    {(x, xM)} and the columns of {(x, xM)}; then by rank plus a row
+    correction, exactly.
 
     The counts of the array on a set C of k columns are those of {(x, xM)},
-    less the codes of its rows D, plus the codes of the array's rows D. If
-    C has full rank (`_pivot_product`), every code has N/v^k linear rows: C
-    is unbiased iff the removed and added codes are equal as multisets, and
-    covering iff no removed code loses all of its rows. Otherwise the linear
-    image misses at least v^k - v^(k-1) codes, each needing a row of D to be
-    covered: with fewer rows in D, C is neither; with as many, C is counted.
+    less the codes of its rows D, plus the codes of the array's rows D:
+    each column is packed once, its linear symbols at D followed by the
+    array's. If C has full rank (`_pivot_product`), every code has N/v^k
+    linear rows: C is unbiased iff the removed and added codes are equal as
+    multisets, and covering iff no removed code loses all of its rows.
+    Otherwise the linear image misses at least v^k - v^(k-1) codes, each
+    needing a row of D to be covered: with fewer rows in D, C is neither;
+    with as many, C is counted.
     """
     recognised = _linear_matrix(array)
     if recognised is None:
         return partial(_counted_properties, array)
-    m, mismatches = recognised
+    m, rows, linear = recognised
     v, s, n = array.v, array.s, array.n_rows
-    rows = sorted(set().union(*mismatches.values()))
     d = len(rows)
     typecode = field_typecode(v, s)
     packed: tuple[int, ...] = ()
     if d:  # each column at the rows D: first as {(x, xM)} has it, then as the array does
-        found = [[column[r] for r in rows] for column in array.columns]
-        linear = found.copy()
-        for c, symbols in mismatches.items():
-            linear[c] = list(map(symbols.get, rows, found[c]))
-        packed = _pack(map(add, linear, found), typecode)
+        at_d = [[column[r] for r in rows] for column in chain(linear, array.columns)]
+        packed = _pack([at_d[c] + at_d[2 * s + c] for c in range(2 * s)], typecode)
 
     def properties(cols: tuple[int, ...]) -> tuple[bool, bool]:
         k = len(cols)

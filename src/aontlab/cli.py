@@ -194,7 +194,8 @@ def _parser() -> _Parser:
     t_pair.add_argument("--to", required=True, type=int, help="missing output count t_o")
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
-                           help="a finite number >= 0 (default: %(default)s)")
+                           help="a finite number >= 0, the slack of each float comparison; "
+                                "perfect security is decided exactly (default: %(default)s)")
 
     command(verify, ("text", "json"), source, t_pair)
 

@@ -47,9 +47,10 @@ def _over_lcm(masses: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def weight_entropy_bits(weights: Iterable[int], denominator: int) -> float:
     """Shannon entropy in bits of the masses w / D, for integer weights w
-    over one denominator D, each term added left to right. w / D is the
-    correctly rounded quotient, float(Fraction(w, D)); 0 log 0 = 0, also
-    for a mass below the smallest double, since p log p -> 0."""
+    over one denominator D (or floats over D = 1), each term added left to
+    right. w / D is the correctly rounded quotient, float(Fraction(w, D));
+    0 log 0 = 0, also for a mass below the smallest double, since
+    p log p -> 0."""
     h = 0.0
     for w in weights:
         p = w / denominator
@@ -59,10 +60,12 @@ def weight_entropy_bits(weights: Iterable[int], denominator: int) -> float:
 
 
 def entropy_bits(masses: Iterable[Fraction]) -> float:
-    """Shannon entropy in bits of exact rational masses (Fractions or ints):
-    their numerators over the LCM of their denominators, through
-    `weight_entropy_bits`, so it is the float of each mass that is summed."""
-    return weight_entropy_bits(*_over_lcm(tuple(masses)))
+    """Shannon entropy in bits of exact rational masses (Fractions or ints),
+    through `weight_entropy_bits` over D = 1. float(p) divides p's own
+    numerator by its own denominator, correctly rounded, so it is the float
+    the masses scaled to the LCM of their denominators would give, without
+    building that LCM."""
+    return weight_entropy_bits(map(float, masses), 1)
 
 
 def left_sum(terms: Iterable[float]) -> float:

@@ -22,9 +22,9 @@ from functools import lru_cache
 from math import prod
 from typing import Callable, Iterator, Sequence
 
-from .arrays import Alphabet, AontArray, check_t_range, column_set_family, parse_array
+from .arrays import Alphabet, AontArray, _codes, _pack, check_t_range, column_set_family, parse_array, symbol_typecode
 from .arrays import passes_unbiased_family  # unused here; perfbench/tracing.py wraps this name
-from .coding import _integral, _linear_columns, _pivot_product, _rank_split, decode_index, encode_tuple, is_prime
+from .coding import _integral, _linear_columns, _pivot_product, _rank_split, decode_index, is_prime
 from .errors import (
     InvalidParametersError,
     NonPrimeModulusError,
@@ -285,7 +285,12 @@ def _walk(
     vectors = [decode_index(code, v, s) for code in range(n)]
     checks = _RankChecks(s, v, *t, vectors)  # its column set family checks t
     if s > 1:
-        add = [[encode_tuple([(x + y) % v for x, y in zip(a, b)], v) for b in vectors] for a in vectors]
+        # digit k of a + b is the linear column e_k + e_(s+k) over the 2s digits
+        # of (a, b), listed in the order of the codes a * n + b
+        digits = _linear_columns([tuple(int(j in (k, s + k)) for j in range(2 * s)) for k in range(s)], v)
+        typecode = symbol_typecode(n)
+        sums = _codes(_pack(map(list, digits), typecode), range(1, s + 1), v, typecode, n * n)
+        add = [sums[a * n : (a + 1) * n] for a in range(n)]
     completions = [prod(n - v**i for i in range(d + 1, s)) for d in range(s)]
 
     def extend(prefix: tuple[int, ...], span: set[int]) -> Iterator[SquareMatrix]:

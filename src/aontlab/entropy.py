@@ -124,15 +124,21 @@ class PairJoint:
         return weight_entropy_bits(self.joint, self.denominator) - h_y
 
     def stat_distance(self) -> float:
-        """max over y with Pr[y] > 0 of SD(P[X | Y=y], P[X]).
+        """max over y with Pr[y] > 0 of SD(P[X | Y=y], P[X]): the float of
+        `stat_distance_ratio`."""
+        num, den = self.stat_distance_ratio()
+        return num / den
+
+    def stat_distance_ratio(self) -> tuple[int, int]:
+        """The statistical distance as an exact ratio (numerator,
+        denominator); the numerator is 0 iff X and Y are independent.
 
         With weights, SD_y = N_y / (2 w_y D) for the exact numerator
         N_y = sum_x |w_xy D - w_x w_y|. When X has no more codes than Y, the
         N_y are built along the X-major joint, one x-row at a time, each row
         one pass over all y; otherwise each N_y is one sum down its y-column.
         The largest N_y / w_y is kept as an exact ratio, compared by cross
-        multiplication, so a y of zero mass (N_y = 0) never wins; SD is
-        divided once.
+        multiplication, so a y of zero mass (N_y = 0) never wins.
         """
         d, joint, xs, ys = self.denominator, self.joint, self.x, self.y
         y_size = len(ys)
@@ -150,7 +156,7 @@ class PairJoint:
         for num, w_y in zip(nums, ys):
             if num * best_w > best_num * w_y:
                 best_num, best_w = num, w_y
-        return best_num / (2 * best_w * d)
+        return best_num, 2 * best_w * d
 
 
 def pair_joint(array: AontArray, weights: Sequence[int], denominator: int, pair: SubsetPair) -> PairJoint:

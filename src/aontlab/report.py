@@ -58,7 +58,7 @@ class AnalysisReport:
     rows: tuple[ReportRow, ...]
     min_observed: float
     max_observed: float
-    perfect_security: bool
+    perfect_security: bool  # X independent of Y for every pair, decided exactly
     exceeds_min_entropy_cap: bool | None  # only defined for independent models
 
     def row_for(self, x: Sequence[int], y: Sequence[int]) -> ReportRow:
@@ -91,7 +91,10 @@ def build_report(
     no bounds).
 
     `pairs` defaults to `admissible_pairs(s, t_i, t_o)`; pairs given must
-    have |X| = t_i and |Y| = s - t_o, or InvalidParametersError is raised.
+    have |X| = t_i and |Y| = s - t_o, or InvalidParametersError is raised,
+    and a pair given more than once is reported once. Perfect security is
+    decided exactly, with no tolerance: it holds iff every pair's SD
+    numerator is 0, i.e. X and Y are independent, so H(X|Y) = H(X).
     """
     bnd.check_tolerance(tolerance)
     weights, denominator = prior_weights(array, model)  # checks the model's shape and mass first
@@ -103,7 +106,7 @@ def build_report(
     min_cap = bnd.bounds_symmetric(model, t_i).upper if model.kind == INDEPENDENT else None
     h_cols = column_entropy_sum(model) if formula_ok else None
 
-    all_pairs = admissible_pairs(array.s, t_i, t_o) if pairs is None else list(pairs)
+    all_pairs = admissible_pairs(array.s, t_i, t_o) if pairs is None else list(dict.fromkeys(pairs))
     if not all_pairs:
         raise InvalidParametersError("no pairs to report")
     for pair in all_pairs:
@@ -113,6 +116,7 @@ def build_report(
                 f"the report needs |X| = t_i = {t_i} and |Y| = s - t_o = {array.s - t_o}"
             )
     rows: list[ReportRow] = []
+    perfect = True
     for pair in all_pairs:
         joint = pair_joint(array, weights, denominator, pair)
         h_y = joint.h_y()
@@ -123,10 +127,11 @@ def build_report(
             cmp = bnd.place(pair, oracle, rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)
             iv = cmp.interval
             placed = (iv.source, iv.lower, iv.upper, cmp.within, cmp.attains_lower, cmp.attains_upper)
-        rows.append(ReportRow(pair.x, pair.y, oracle, formula, joint.stat_distance(), joint.h_x(), *placed))
+        sd_num, sd_den = joint.stat_distance_ratio()
+        perfect = perfect and not sd_num  # X and Y independent, so H(X|Y) = H(X) exactly
+        rows.append(ReportRow(pair.x, pair.y, oracle, formula, sd_num / sd_den, joint.h_x(), *placed))
     rows.sort(key=lambda r: (r.x, r.y))
     observed = [r.oracle for r in rows]
-    perfect = all(abs(r.oracle - r.h_x) <= tolerance for r in rows)
     exceeds_cap = None
     if min_cap is not None:
         exceeds_cap = any(r.oracle > min_cap + tolerance for r in rows)

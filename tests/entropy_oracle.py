@@ -73,6 +73,15 @@ def conditional_entropy(array, model, x: Sequence[int], y: Sequence[int]) -> flo
 
 def statistical_distance(array, model, x: Sequence[int], y: Sequence[int]) -> float:
     """max over y with Pr[y] > 0 of SD(P[X | Y=y], P[X]), exact until the end."""
+    return float(_worst_distance(array, model, x, y))
+
+
+def independent(array, model, x: Sequence[int], y: Sequence[int]) -> bool:
+    """Are X and Y independent: is every P[X | Y=y] equal to P[X], exactly?"""
+    return _worst_distance(array, model, x, y) == 0
+
+
+def _worst_distance(array, model, x: Sequence[int], y: Sequence[int]) -> Fraction:
     joint, x_marginal, y_marginal = _joint_and_marginals(array, model, x, y)
     y_size = len(y_marginal)
     worst = Fraction(0)
@@ -83,4 +92,4 @@ def statistical_distance(array, model, x: Sequence[int], y: Sequence[int]) -> fl
             abs(joint[x_code * y_size + y_code] / p_y - p_x) for x_code, p_x in enumerate(x_marginal)
         )
         worst = max(worst, total / 2)
-    return float(worst)
+    return worst

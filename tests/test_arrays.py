@@ -347,6 +347,58 @@ def test_corrected_linear_classify_matches_reference(shape, singular, seed):
             assert counting.called == _routes_to_counting(array, verdict)
 
 
+def _other_symbol(symbol: int, v: int, rng: random.Random) -> int:
+    """A symbol other than `symbol`. Past a byte, 0 and v - 1 trade places:
+    over v = 257 they are the items 0x0000 and 0x0100, which differ in the
+    high byte only."""
+    if v > 256 and symbol in (0, v - 1):
+        return v - 1 - symbol
+    return (symbol + rng.randrange(1, v)) % v
+
+
+@given(
+    shape=st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 2), (7, 2), (11, 2), (257, 1), (257, 2)]),
+    off=st.sampled_from(["edits", "below-half", "half", "above-half"]),
+    singular=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_linear_matrix_finds_the_rows_off_linear_in_one_mask(shape, off, singular, seed):
+    """Against the row-by-row expansion: M is read from the unit rows, D is
+    exactly the rows that differ, in order, and the columns are those of
+    {(x, xM)}, each the array's own where it agrees; None exactly when
+    2|D| >= N. The edits are 0-4 overwritten symbols, half of them in the
+    unit rows M is read from, or (N-1)//2, N//2 or (N+1)//2 rows outside
+    them, so 2|D| lands on N - 1 or N + 1 (odd N), N - 2 or N (even N)."""
+    v, s = shape
+    rng = random.Random(seed)
+    rows = [list(row) for row in _linear_array(_random_matrix(v, s, rng, singular), v).rows]
+    n = len(rows)
+    units = [v ** (s - 1 - i) for i in range(s)]
+    if off == "edits":
+        edited = [rng.choice(units) if rng.random() < 0.5 else rng.randrange(n) for _ in range(rng.randrange(5))]
+    else:
+        d = {"below-half": (n - 1) // 2, "half": n // 2, "above-half": (n + 1) // 2}[off]
+        edited = rng.sample(sorted(set(range(n)) - set(units)), d)
+    for r in edited:
+        c = rng.randrange(2 * s)
+        rows[r][c] = _other_symbol(rows[r][c], v, rng)
+    array = AontArray(Alphabet(v), s, tuple(map(tuple, rows)))
+    linear = _linear_rows(array)
+    differing = [r for r, (row, expected) in enumerate(zip(array.rows, linear)) if row != expected]
+    found = arrays_module._linear_matrix(array)
+    assert (found is None) == (2 * len(differing) >= n)
+    if found is None:
+        return
+    m, d_rows, columns = found
+    assert m == [array.rows[u][s:] for u in units]
+    assert d_rows == differing
+    assert [list(column) for column in columns] == [list(column) for column in zip(*linear)]
+    assert [column is own for column, own in zip(columns, array.columns)] == [
+        column == own for column, own in zip(columns, array.columns)
+    ]
+
+
 class _Counted(Exception):
     """Raised in place of projection counting, to show a verdict needs none."""
 

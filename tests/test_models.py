@@ -16,7 +16,7 @@ from aontlab import (
     uniform,
     uniform_model,
 )
-from aontlab.coding import entropy_bits
+from aontlab.coding import _over_lcm, entropy_bits, weight_entropy_bits
 from aontlab.errors import (
     AontLabError,
     ArityMismatchError,
@@ -128,6 +128,25 @@ def test_entropy_bits_skips_a_mass_below_the_smallest_double():
 def test_entropy_bits_reads_masses_from_any_iterable():
     masses = (F(1, 4), F(1, 8), F(5, 8))
     assert entropy_bits(p for p in masses) == entropy_bits(list(masses)) == entropy_bits(masses) > 0
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.builds(F, st.integers(0, 10**7), st.integers(1, 10**7)),
+            st.builds(F, st.just(1), st.integers(1, 10**400)),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_entropy_bits_equals_the_weights_over_the_lcm_bit_for_bit(masses):
+    """Each mass's own float is the float of its weight over the LCM of the
+    denominators, so the LCM need not be built; also for masses past 1 and
+    below the smallest double, which the formula takes as given."""
+    assert entropy_bits(masses) == weight_entropy_bits(*_over_lcm(masses))
 
 
 def test_distribution_equality_and_hash_ignore_its_cached_entropy():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from aontlab import (
     Distribution,
+    SubsetPair,
     __version__,
     builtin,
     dump_array_csv,
@@ -28,6 +29,7 @@ from aontlab import (
     make_block_dependent_model,
     make_independent_model,
     matrix_from_rows,
+    parse_array,
     parse_array_csv,
     save_array_csv,
     save_model_json,
@@ -60,7 +62,9 @@ from conftest import (
     example4_model,
     masses_over,
     random_independent_model,
+    random_masses,
 )
+import entropy_oracle
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "analysis_report.schema.json").read_text()
@@ -137,6 +141,82 @@ def test_report_rows_sorted(table2):
 def test_report_perfect_security_flag(table1):
     report = build_report(table1, uniform_model(2, 3), 1, 1)
     assert report.perfect_security
+
+
+def _cauchy_array(s: int, v: int):
+    """The linear array of the Cauchy matrix 1 / (x - y) mod v, a full
+    transform at every (t_i, t_o)."""
+    return linear_aont(matrix_from_rows(v, [[pow(x - y, -1, v) for y in range(s, 2 * s)] for x in range(s)]))
+
+
+def _near_uniform(v: int) -> tuple[Fraction, ...]:
+    e = Fraction(1, 10**4)
+    return (Fraction(1, v) + e, Fraction(1, v) - e) + (Fraction(1, v),) * (v - 2)
+
+
+def test_perfect_security_is_refused_within_tolerance_of_h_x():
+    """Two columns 1/5 +- 1e-4 leave every H(X|Y) within the default
+    tolerance of H(X), yet X and Y are dependent: SD is about 1e-4."""
+    report = build_report(_cauchy_array(2, 5), make_independent_model([_near_uniform(5)] * 2), 1, 1)
+    assert all(abs(r.oracle - r.h_x) <= report.tolerance and r.stat_distance > 1e-4 for r in report.rows)
+    assert not report.perfect_security
+
+
+def test_perfect_security_is_found_at_zero_tolerance():
+    """Under the uniform prior H(X|Y) and H(X) differ in the last bits, and
+    X and Y are still independent."""
+    report = build_report(_cauchy_array(2, 5), uniform_model(2, 5), 1, 1, tolerance=0.0)
+    assert any(r.oracle != r.h_x for r in report.rows)
+    assert report.perfect_security and all(r.stat_distance == 0 for r in report.rows)
+
+
+@given(
+    seed=st.integers(0, 10**9),
+    kind=st.sampled_from(["cauchy", "identity", "swapped"]),
+    priors=st.lists(st.sampled_from(["uniform", "near-uniform", "random"]), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_perfect_security_is_exact_independence(seed, kind, priors):
+    """perfect_security holds iff X and Y are independent on every pair,
+    decided in exact rationals by the reference; priors mix uniform,
+    near-uniform and random columns."""
+    rng = random.Random(seed)
+    s, v = rng.choice(((2, 5), (2, 7), (3, 7)))
+    array = linear_aont(identity_matrix(s, v)) if kind == "identity" else _cauchy_array(s, v)
+    if kind == "swapped":
+        rows = [list(row) for row in array.rows]
+        a, b = rng.sample(range(len(rows)), 2)
+        rows[a][s:], rows[b][s:] = rows[b][s:], rows[a][s:]
+        array = parse_array(rows, v, s)
+
+    def column(prior: str) -> tuple[Fraction, ...]:
+        if prior == "uniform":
+            return (Fraction(1, v),) * v
+        return _near_uniform(v) if prior == "near-uniform" else random_masses(rng, v)
+
+    model = make_independent_model([column(prior) for prior in priors[:s]])
+    t_o = rng.randint(1, s)
+    t_i = rng.randint(1, t_o)
+    report = build_report(array, model, t_i, t_o, bounds_tag=None)
+    independent = [entropy_oracle.independent(array, model, r.x, r.y) for r in report.rows]
+    assert [r.stat_distance == 0 for r in report.rows] == independent
+    assert report.perfect_security == all(independent)
+
+
+def test_build_report_gives_a_repeated_pair_one_row(table1):
+    pair = SubsetPair((1,), (3,))
+    report = build_report(table1, uniform_model(2, 3), 1, 1, pairs=[pair, SubsetPair((1, 1), (3,)), pair])
+    assert [(r.x, r.y) for r in report.rows] == [((1,), (3,))]
+
+
+def test_cli_analyze_gives_a_repeated_pair_one_row(runner, ex1_model_file):
+    result = runner.invoke(
+        cli,
+        ["analyze", "--builtin", "table1", "--model", ex1_model_file, "--ti", "1", "--to", "1",
+         "--format", "csv", "--pair", "1:3", "--pair", "1:3", "--pair", "1,1:3", "--pair", "2:4"],
+    )
+    assert result.exit_code == 0
+    assert [(row["x"], row["y"]) for row in parse_report_csv(result.stdout)] == [((1,), (3,)), ((2,), (4,))]
 
 
 def test_csv_round_trip(table1, table2, table3):
