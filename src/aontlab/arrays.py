@@ -343,8 +343,25 @@ def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
 def _pack(columns: Iterable[Sequence[int]], typecode: str) -> tuple[int, ...]:
     """Each column as one integer of fixed-width fields, one field per row:
     its `to_bytes(..., sys.byteorder)` is the column as an `array` of
-    `typecode`, in row order."""
-    return tuple(int.from_bytes(int_array(typecode, column), sys.byteorder) for column in columns)
+    `typecode`, in row order.
+
+    A column of 1-byte items (`bytes`, or an `array` over v <= 256) is
+    widened by one strided copy into a zeroed buffer of fields, with no int
+    per item: each byte is a field's low byte, at offset 0 of the field on a
+    little-endian machine and at its last offset on a big-endian one. Any
+    other column (a list, wider items) goes through the `array` constructor.
+    """
+    size = int_array(typecode).itemsize
+    low = 0 if sys.byteorder == "little" else size - 1
+    packed = []
+    for column in columns:
+        if isinstance(column, bytes) or isinstance(column, int_array) and column.typecode == "B":
+            fields = bytearray(size * len(column))
+            fields[low::size] = column
+        else:
+            fields = int_array(typecode, column)
+        packed.append(int.from_bytes(fields, sys.byteorder))
+    return tuple(packed)
 
 
 def _codes(packed: Sequence[int], cols: Sequence[int], v: int, typecode: str, n_rows: int) -> int_array:
@@ -598,13 +615,16 @@ _CANONICAL_HEADER = re.compile(r"# v=([0-9]{1,3}) s=([0-9]{1,3})\n")
 _DIGITS = b"0123456789"
 _DIGIT_VALUES = bytes.maketrans(_DIGITS + b",\n", bytes(range(10)) + bytes(2))
 _DIGIT_ONES = bytes.maketrans(_DIGITS + b",\n", b"\1" * 10 + bytes(2))
+# each digit to its value and every other byte to 0xFF
+_DIGIT_OR_FF = b"\xff" * ord("0") + bytes(range(10)) + b"\xff" * (255 - ord("9"))
 
 
 def _parse_canonical(text: str, v: int | None, s: int | None) -> AontArray | None:
     """The array of a text laid out as `dump_array_csv` writes it with its
     header, over v <= 100, decoded in whole-text passes with no object per
     token; None for any other text, which `parse_array_csv` then parses
-    token by token, and so raises every error."""
+    token by token, and so raises every error. A body of one-digit tokens
+    is read by stride, any other by big-integer arithmetic on its bytes."""
     header = _CANONICAL_HEADER.match(text)
     if header is None or not text.isascii():
         return None
@@ -620,24 +640,34 @@ def _parse_canonical(text: str, v: int | None, s: int | None) -> AontArray | Non
     if not 2 * width * n_rows <= size <= 3 * width * n_rows:
         return None
     body = text[header.end() :].encode()
-    if body.translate(None, _DIGITS) != (b"," * (width - 1) + b"\n") * n_rows:
-        return None
-    # read as big-endian integers, >> 8 moves each byte one place right and
-    # << 8 one place left; no byte below exceeds 99, so nothing carries. Each
-    # del frees a text-sized integer before the next one is built.
-    ones = int.from_bytes(body.translate(_DIGIT_ONES), "big")
-    if ones & ones >> 8 & ones >> 16:  # a token of three or more digits
-        return None
-    values = int.from_bytes(body.translate(_DIGIT_VALUES), "big")
-    del body
-    last = 255 * (ones ^ (ones & ones << 8))  # 0xFF on a digit followed by a separator
-    del ones
-    symbols = values + 10 * (values >> 8)  # units + 10 tens on a token's last digit
-    del values
-    # every byte but a token's last digit is set to 0xFF, then dropped
-    flat = int_array("B", (symbols | ((1 << 8 * size) - 1) ^ last).to_bytes(size, "big").translate(None, b"\xff"))
-    # one symbol per non-empty token, so a short count means an empty token
-    if len(flat) != width * n_rows or not _below(flat, header_v):
+    separators = b"," * (width - 1) + b"\n"  # of one row
+    if size == 2 * width * n_rows:
+        # one byte per token: the separators sit at the odd offsets and the
+        # digits at the even ones, where any other byte reads 0xFF, above v
+        if body[1::2] != separators * n_rows:
+            return None
+        flat = int_array("B", body[::2].translate(_DIGIT_OR_FF))
+    else:
+        if body.translate(None, _DIGITS) != separators * n_rows:
+            return None
+        # read as big-endian integers, >> 8 moves each byte one place right and
+        # << 8 one place left; no byte below exceeds 99, so nothing carries. Each
+        # del frees a text-sized integer before the next one is built.
+        ones = int.from_bytes(body.translate(_DIGIT_ONES), "big")
+        if ones & ones >> 8 & ones >> 16:  # a token of three or more digits
+            return None
+        values = int.from_bytes(body.translate(_DIGIT_VALUES), "big")
+        del body
+        last = 255 * (ones ^ (ones & ones << 8))  # 0xFF on a digit followed by a separator
+        del ones
+        symbols = values + 10 * (values >> 8)  # units + 10 tens on a token's last digit
+        del values
+        # every byte but a token's last digit is set to 0xFF, then dropped
+        flat = int_array("B", (symbols | ((1 << 8 * size) - 1) ^ last).to_bytes(size, "big").translate(None, b"\xff"))
+        # one symbol per non-empty token, so a short count means an empty token
+        if len(flat) != width * n_rows:
+            return None
+    if not _below(flat, header_v):
         return None
     return AontArray.from_columns(Alphabet(header_v), header_s, [flat[i::width] for i in range(width)])
 

@@ -286,12 +286,17 @@ def auto_tag(verdict: str, model: InputModel, t_i: int, t_o: int) -> str | None:
     return next((tag for tag in _AUTO_ORDER if _mismatch(tag, verdict, model, t_i, t_o) is None), None)
 
 
+def check_tag(which: str) -> str:
+    """The tag, if `TAG_RULES` knows it."""
+    if which not in TAG_RULES:
+        raise InvalidParametersError(f"unknown bound tag {which!r}; know {ALL_TAGS}")
+    return which
+
+
 def checked_rule(which: str, verdict: str | None, model: InputModel, t_i: int, t_o: int) -> TagRule:
     """The rule of tag `which`; raises why it does not hold for this verdict
     (the array's class at (t_i, t_o)), prior and (t_i, t_o)."""
-    if which not in TAG_RULES:
-        raise InvalidParametersError(f"unknown bound tag {which!r}; know {ALL_TAGS}")
-    error = _mismatch(which, verdict, model, t_i, t_o)
+    error = _mismatch(check_tag(which), verdict, model, t_i, t_o)
     if error is not None:
         raise error
     return TAG_RULES[which]

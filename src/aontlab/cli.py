@@ -15,7 +15,7 @@ from typing import Callable, NoReturn, TypeVar
 
 from . import __version__
 from .arrays import AONT, NEITHER, WEAK_AONT_ONLY, AontArray, classify, load_array_csv
-from .bounds import ALL_TAGS, DEFAULT_TOLERANCE, check_tolerance
+from .bounds import ALL_TAGS, DEFAULT_TOLERANCE, check_tag, check_tolerance
 from .constructions import BUILTIN_NAMES, DEFAULT_SEARCH_CAP, builtin, search_linear
 from .demos import DEMO_NUMBERS, format_demo, run_demo
 from .entropy import SubsetPair
@@ -89,6 +89,14 @@ def _tolerance(text: str) -> float:
     try:
         return check_tolerance(float(text))
     except (ValueError, AontLabError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _bound_tag(text: str) -> str:
+    """'auto', or a --bounds tag that `bounds.check_tag` accepts; any other is a usage error (exit 4)."""
+    try:
+        return text if text == AUTO else check_tag(text)
+    except AontLabError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -201,7 +209,7 @@ def _parser() -> _Parser:
 
     sub = command(analyze, ("table", "json", "csv"), source, t_pair, tolerance)
     sub.add_argument("--model", required=True, metavar="FILE", help="JSON model file")
-    sub.add_argument("--bounds", default=AUTO,
+    sub.add_argument("--bounds", type=_bound_tag, default=AUTO,
                      help=f"bound family tag or 'auto' ({', '.join(ALL_TAGS)}) (default: %(default)s)")
     sub.add_argument("--pair", action="append", default=[],
                      help="restrict to given pairs, e.g. --pair 1:4 --pair 2:4 (X cols : Y cols)")

@@ -289,7 +289,7 @@ def _walk(
         # of (a, b), listed in the order of the codes a * n + b
         digits = _linear_columns([tuple(int(j in (k, s + k)) for j in range(2 * s)) for k in range(s)], v)
         typecode = symbol_typecode(n)
-        sums = _codes(_pack(map(list, digits), typecode), range(1, s + 1), v, typecode, n * n)
+        sums = _codes(_pack(digits, typecode), range(1, s + 1), v, typecode, n * n)
         add = [sums[a * n : (a + 1) * n] for a in range(n)]
     completions = [prod(n - v**i for i in range(d + 1, s)) for d in range(s)]
 

@@ -1,8 +1,9 @@
 import random
+import sys
 import time
 import tracemalloc
 from array import array as int_array
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import ne
 from unittest import mock
@@ -31,6 +32,7 @@ from aontlab.arrays import (
     Alphabet,
     ClassificationVerdict,
     _count_projection,
+    _pack,
     column_set_family,
     field_typecode,
     passes_unbiased_family,
@@ -661,6 +663,27 @@ def test_projection_kernel_matches_per_row_reference(shape, seed, data):
     assert _accumulate(array, weights, cols) == arrays_oracle.accumulate(array, weights, cols)
 
 
+@given(kind=st.sampled_from(["B", "H", "bytes", "list"]), typecode=st.sampled_from("BHIQ"), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_pack_matches_per_item_packing(kind, typecode, data):
+    """Stored 'B' columns (v <= 256) and `bytes` are widened by strided copy,
+    stored 'H' columns (v > 256) and lists by the `array` constructor; every
+    one packs as the per-item conversion does, into fields of any width."""
+    top = min(256 if kind in ("B", "bytes") else 1 << 16, 1 << 8 * int_array(typecode).itemsize)
+    n_rows = data.draw(st.integers(0, 40))
+    symbols = st.lists(st.integers(0, top - 1), min_size=n_rows, max_size=n_rows)
+    build = {"B": partial(int_array, "B"), "H": partial(int_array, "H"), "bytes": bytes, "list": list}[kind]
+    columns = [build(items) for items in data.draw(st.lists(symbols, max_size=3))]
+    expected = tuple(int.from_bytes(int_array(typecode, list(column)), sys.byteorder) for column in columns)
+    assert _pack(columns, typecode) == expected
+    if kind in ("B", "bytes"):  # as a machine of the other byte order lays out its fields
+        other, size = "big" if sys.byteorder == "little" else "little", int_array(typecode).itemsize
+        with mock.patch.object(arrays_module.sys, "byteorder", other):
+            packed = _pack(columns, typecode)
+        fields = [b"".join(x.to_bytes(size, other) for x in column) for column in columns]
+        assert packed == tuple(int.from_bytes(column, other) for column in fields)
+
+
 def test_subset_entropy_past_s_columns_sums_the_codes_that_occur():
     """256^4 = 2^32 codes for 2^16 rows: a dense list would not fit in
     memory, so H is summed over the codes that occur, in code order. The
@@ -704,9 +727,11 @@ def test_projection_codes_need_at_most_2s_columns_in_64_bits(table1):
 
 def test_csv_parse_peak_memory_is_a_small_multiple_of_the_text():
     # row tuples peaked at ~22x the text; a file with its header takes the
-    # whole-text decode, one without it the per-token decode
+    # whole-text decode (by stride for v=7, two-digit for v=11 and 97), one
+    # without it the per-token decode
     v11 = dump_array_csv(linear_aont(identity_matrix(4, 11)))
     for name, text, n_rows in [
+        ("v=7, s=4", dump_array_csv(linear_aont(identity_matrix(4, 7))), 7**4),
         ("v=11, s=4", v11, 11**4),
         ("v=97, s=2", dump_array_csv(linear_aont(identity_matrix(2, 97))), 97**2),
         ("v=11, s=4 without header", v11.partition("\n")[2], 11**4),
@@ -723,7 +748,8 @@ def test_csv_parse_peak_memory_is_a_small_multiple_of_the_text():
 
 def test_canonical_files_take_the_whole_text_decode(monkeypatch, tmp_path):
     rng = random.Random(7)
-    shapes = [(2, 1), (10, 2), (11, 3), (97, 2), (100, 1)]
+    # one-digit bodies from v <= 10 (the stride decode), two-digit ones above
+    shapes = [(2, 1), (10, 2), (11, 3), (97, 2), (100, 1), (7, 2), (2, 3), (5, 4)]
     arrays = [AontArray(Alphabet(v), s, [[rng.randrange(v) for _ in range(2 * s)] for _ in range(v**s)]) for v, s in shapes]
     texts = [dump_array_csv(array) for array in arrays]
 
@@ -821,17 +847,30 @@ def _splice(draw, text, old, new):
 
 @st.composite
 def _canonical_texts(draw):
-    """A text as `dump_array_csv` writes it with its header, with two-digit
-    symbols, left as it is or with one token, layout or header edit."""
-    v = draw(st.sampled_from([10, 11, 13, 97, 100, 101]))
+    """A text as `dump_array_csv` writes it with its header, with one- or
+    two-digit symbols, left as it is or with one token, layout or header
+    edit. The edits that keep a one-digit body at 2 * 2s * v^s bytes are a
+    `10` beside an empty token, a `,` swapped with the next `\n`, and a
+    digit replaced by a letter, a space or str(v)."""
+    v = draw(st.sampled_from([2, 3, 5, 7, 10, 11, 13, 97, 100, 101]))
     s = draw(st.integers(1, 2)) if v < 20 else 1
     rng = draw(st.randoms(use_true_random=False))
     rows = [[str(rng.randrange(v)) for _ in range(2 * s)] for _ in range(v**s)]
     header = "# v={v} s={s}"
-    edit = draw(st.sampled_from(["none", "token", "layout", "header"]))
+    edit = draw(st.sampled_from(["none", "token", "layout", "header", "10 beside empty", "swap", "one other byte"]))
+    r, c = rng.randrange(v**s), rng.randrange(2 * s)
     if edit == "token":
-        rows[rng.randrange(v**s)][rng.randrange(2 * s)] = draw(st.sampled_from(_CANONICAL_TOKEN_EDITS + [str(v)]))
+        rows[r][c] = draw(st.sampled_from(_CANONICAL_TOKEN_EDITS + [str(v)]))
+    if edit == "one other byte":
+        rows[r][c] = draw(st.sampled_from(["a", " ", str(v)]))
+    if edit == "10 beside empty":
+        c = min(c, 2 * s - 2)
+        rows[r][c : c + 2] = draw(st.sampled_from([["10", ""], ["", "10"]]))
     body = "".join(",".join(row) + "\n" for row in rows)
+    if edit == "swap":
+        i = draw(st.sampled_from([i for i, char in enumerate(body) if char == ","]))
+        j = body.index("\n", i)
+        body = body[:i] + "\n" + body[i + 1 : j] + "," + body[j + 1 :]
     if edit == "layout":
         layout = draw(st.sampled_from(["no final newline", ("\n", "\r\n"), ("\n", "\n\n"), (",", ",,"), ("\n", ",")]))
         body = body[:-1] if layout == "no final newline" else _splice(draw, body, *layout)

@@ -857,6 +857,8 @@ def test_cli_analyze_help_lists_every_bound_tag(runner):
         (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--pair", "1,2:3"],
          "--pair '1,2:3' has |X|=2"),
         (["demo", "5"], "demo must be one of"),
+        (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--bounds", "nope"],
+         "unknown bound tag 'nope'; know ('symmetric', "),
     ],
 )
 def test_cli_usage_errors_exit_4(runner, ex1_model_file, args, error):
