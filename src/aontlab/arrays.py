@@ -519,11 +519,11 @@ def _set_properties(array: AontArray) -> Callable[[tuple[int, ...]], tuple[bool,
     less the codes of its rows D, plus the codes of the array's rows D:
     each column is packed once, its linear symbols at D followed by the
     array's. If C has full rank (`_pivot_product`), every code has N/v^k
-    linear rows: C is unbiased iff the removed and added codes are equal as
-    multisets, and covering iff no removed code loses all of its rows.
-    Otherwise the linear image misses at least v^k - v^(k-1) codes, each
-    needing a row of D to be covered: with fewer rows in D, C is neither;
-    with as many, C is counted.
+    linear rows, less those D removes plus those D adds: C is unbiased iff
+    the removed and added codes are equal as multisets, and covering iff no
+    code's net loss reaches N/v^k. Otherwise the linear image misses at
+    least v^k - v^(k-1) codes, each needing a row of D to be covered: with
+    fewer rows in D, C is neither; with as many, C is counted.
     """
     recognised = _linear_matrix(array)
     if recognised is None:
@@ -532,10 +532,9 @@ def _set_properties(array: AontArray) -> Callable[[tuple[int, ...]], tuple[bool,
     v, s, n = array.v, array.s, array.n_rows
     d = len(rows)
     typecode = field_typecode(v, s)
-    packed: tuple[int, ...] = ()
-    if d:  # each column at the rows D: first as {(x, xM)} has it, then as the array does
-        at_d = [[column[r] for r in rows] for column in chain(linear, array.columns)]
-        packed = _pack([at_d[c] + at_d[2 * s + c] for c in range(2 * s)], typecode)
+    # each column at the rows D: first as {(x, xM)} has it, then as the array does
+    at_d = [[column[r] for r in rows] for column in chain(linear, array.columns)]
+    packed = _pack([at_d[c] + at_d[2 * s + c] for c in range(2 * s)], typecode)
 
     def properties(cols: tuple[int, ...]) -> tuple[bool, bool]:
         k = len(cols)
@@ -547,16 +546,12 @@ def _set_properties(array: AontArray) -> Callable[[tuple[int, ...]], tuple[bool,
         if not d:
             return True, True
         codes = _codes(packed, cols, v, typecode, 2 * d)
-        removed, added = sorted(codes[:d]), sorted(codes[d:])
-        if removed == added:
+        removed, added = codes[:d], codes[d:]
+        if sorted(removed) == sorted(added):
             return True, True
-        per_code = n // v**k
-        if d < per_code:  # no code can lose all of its rows
-            return False, True
-        if per_code == 1:  # removed and added differ in one size: some code loses its only row
-            return False, False
-        added_counts = Counter(added)
-        return False, all(per_code + added_counts[code] > count for code, count in Counter(removed).items())
+        lost = Counter(removed)
+        lost.subtract(added)
+        return False, max(lost.values()) < n // v**k
 
     return properties
 
@@ -565,14 +560,9 @@ def classify(array: AontArray, t_i: int, t_o: int) -> ClassificationVerdict:
     """Full verdict: aont, weak-aont-only, or neither, with a failure witness.
 
     Each column set of the family gets its (unbiased, covering) pair once,
-    in family order, from `_set_properties`: by counting, or, for an array
-    within fewer than N/2 rows D of a linear array {(x, xM)} over a prime v
-    (see `_linear_matrix`), by the rank of the set in M and a correction for
-    the rows D; an exactly linear array (D empty) counts nothing. Counting
-    still runs for every set when v is composite or 2|D| >= N (as when an
-    edited unit row misreads M), and for a rank-deficient set of k columns
-    when |D| >= v^(k-1)(v-1). Either source gives the exact pair, so the
-    verdict and witness are counting's.
+    in family order, from `_set_properties`, which states when it counts
+    and when rank plus a row correction decides; either way the pair is
+    exact, so the verdict and witness are counting's.
 
     The first set that is not covering makes the array neither; otherwise
     the first set that is not unbiased makes it weak-aont-only. Parameters

@@ -18,7 +18,7 @@ from .arrays import AONT, NEITHER, WEAK_AONT_ONLY, AontArray, classify, load_arr
 from .bounds import ALL_TAGS, DEFAULT_TOLERANCE, check_tag, check_tolerance
 from .constructions import BUILTIN_NAMES, DEFAULT_SEARCH_CAP, builtin, search_linear
 from .demos import DEMO_NUMBERS, format_demo, run_demo
-from .entropy import SubsetPair
+from .entropy import SubsetPair, check_pair
 from .errors import AontLabError
 from .models import load_model_json
 from .report import (
@@ -67,7 +67,8 @@ def _load_array(args: argparse.Namespace) -> tuple[AontArray, str]:
 
 
 def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
-    """Parse 'X cols:Y cols'; the pair must have |X| = t_i and |Y| = s - t_o."""
+    """Parse 'X cols:Y cols'; the pair must have |X| = t_i and |Y| = s - t_o,
+    and lie where `entropy.check_pair` allows; any other is a usage error (exit 4)."""
     try:
         x_part, y_part = spec.split(":", 1)
         x = {int(c) for c in x_part.split(",") if c}
@@ -81,7 +82,12 @@ def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
             f"--pair {spec!r} has |X|={len(x)}, |Y|={len(y)}; "
             f"expected |X| = t_i = {t_i} and |Y| = s - t_o = {s - t_o}",
         )
-    return SubsetPair(tuple(x), tuple(y))
+    pair = SubsetPair(tuple(x), tuple(y))
+    try:
+        check_pair(s, pair)
+    except AontLabError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from None
+    return pair
 
 
 def _tolerance(text: str) -> float:

@@ -128,7 +128,7 @@ class SquareMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.v) is not int:  # check_modulus's cache would take 5.0 for 5
+        if type(self.v) is not int:  # a float modulus such as 5.0 passes the primality test
             raise InvalidParametersError(f"modulus {self.v!r} is not an integer")
         check_modulus(self.v)
         n = len(self.entries)
@@ -182,7 +182,7 @@ def matrix_from_rows(v: int, rows) -> SquareMatrix:
 def _order_and_modulus(s: int, v: int) -> tuple[int, int]:
     """s and v given from outside, as ints: a bool or a float with a
     fraction raises InvalidParametersError, and an integral float is read
-    as its int before `check_modulus`'s cache sees it."""
+    as its int, which `SquareMatrix` requires of its modulus."""
     try:
         return _integral(s), _integral(v)
     except (TypeError, ValueError) as exc:

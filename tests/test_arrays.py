@@ -494,23 +494,45 @@ def test_cauchy_array_three_rows_off_linear_is_decided_without_counting(monkeypa
     assert [classify(edited, t_i, t_o) for t_i, t_o in pairs] == oracle
 
 
-def test_correction_finds_a_code_that_loses_every_row(monkeypatch):
-    """v=3, s=3: on columns (1, 4) the code (0, 0) has N/v^2 = 3 rows, and
-    trading their outputs with the 3 rows of code (2, 2), none a unit row,
-    empties it. With 6 rows off linear, more than the 3 a code holds, the
-    correction must count each code's losses and gains to see it."""
+def _traded_outputs(swaps: int) -> AontArray:
+    """v=3, s=3: on columns (1, 4) the codes (0, 0) and (2, 2) each have
+    N/v^2 = 3 rows, none a unit row; the first `swaps` rows of each trade
+    their outputs, so (0, 0) keeps 3 - swaps rows and 2 * swaps rows are
+    off linear."""
     v, s = 3, 3
     base = linear_aont(matrix_from_rows(v, [[1, 1, 1], [1, 1, 2], [1, 2, 1]]))
     rows = [list(row) for row in base.rows]
     lose = [r for r, row in enumerate(rows) if (row[0], row[3]) == (0, 0)]
     gain = [r for r, row in enumerate(rows) if (row[0], row[3]) == (2, 2)]
-    for a, b in zip(lose, gain):
+    for a, b in zip(lose[:swaps], gain):
         rows[a][s:], rows[b][s:] = rows[b][s:], rows[a][s:]
-    array = AontArray(base.alphabet, s, tuple(map(tuple, rows)))
+    return AontArray(base.alphabet, s, tuple(map(tuple, rows)))
+
+
+def test_correction_finds_a_code_that_loses_every_row(monkeypatch):
+    """Trading all 3 rows of code (0, 0) on columns (1, 4) empties it. With
+    6 rows off linear, more than the 3 a code holds, the correction must
+    count each code's losses and gains to see it."""
+    s = 3
+    array = _traded_outputs(3)
     pairs = [(t_i, t_o) for t_o in range(1, s + 1) for t_i in range(1, t_o + 1)]
     oracle = [arrays_oracle.classify(array, t_i, t_o) for t_i, t_o in pairs]
     assert oracle[pairs.index((1, 2))] == ClassificationVerdict(1, 2, NEITHER, witness=(1, 4))
     _counting_raises(monkeypatch)
+    assert [classify(array, t_i, t_o) for t_i, t_o in pairs] == oracle
+
+
+@pytest.mark.parametrize("swaps, properties", [(2, (False, True)), (3, (False, False))])
+def test_net_loss_rule_decides_covering_past_a_codes_rows(monkeypatch, swaps, properties):
+    """With 2 * swaps >= 4 rows off linear, more than the 3 rows a code holds
+    on (1, 4), code (0, 0) keeps a row after 2 swaps and none after 3: a
+    full-rank set is covering iff no code's net loss reaches N/v^k."""
+    s = 3
+    array = _traded_outputs(swaps)
+    pairs = [(t_i, t_o) for t_o in range(1, s + 1) for t_i in range(1, t_o + 1)]
+    oracle = [arrays_oracle.classify(array, t_i, t_o) for t_i, t_o in pairs]
+    _counting_raises(monkeypatch)
+    assert arrays_module._set_properties(array)((1, 4)) == properties
     assert [classify(array, t_i, t_o) for t_i, t_o in pairs] == oracle
 
 

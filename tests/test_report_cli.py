@@ -859,6 +859,12 @@ def test_cli_analyze_help_lists_every_bound_tag(runner):
         (["demo", "5"], "demo must be one of"),
         (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--bounds", "nope"],
          "unknown bound tag 'nope'; know ('symmetric', "),
+        (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--pair", "1:1"],
+         "outside outputs 3..4"),
+        (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--pair", "5:3"],
+         "outside inputs 1..2"),
+        (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--pair", "0:3"],
+         "outside inputs 1..2"),
     ],
 )
 def test_cli_usage_errors_exit_4(runner, ex1_model_file, args, error):
