@@ -609,22 +609,21 @@ _DIGIT_ONES = bytes.maketrans(_DIGITS + b",\n", b"\1" * 10 + bytes(2))
 _DIGIT_OR_FF = b"\xff" * ord("0") + bytes(range(10)) + b"\xff" * (255 - ord("9"))
 
 
-def _parse_canonical(text: str, v: int | None, s: int | None) -> AontArray | None:
+def _parse_canonical(text: str) -> AontArray | None:
     """The array of a text laid out as `dump_array_csv` writes it with its
-    header, over v <= 100, decoded in whole-text passes with no object per
-    token; None for any other text, which `parse_array_csv` then parses
-    token by token, and so raises every error. A body of one-digit tokens
-    is read by stride, any other by big-integer arithmetic on its bytes."""
+    header, which gives (v, s), over v <= 100, decoded in whole-text passes
+    with no object per token; None for any other text, which
+    `parse_array_csv` then parses token by token, and so raises every error.
+    A body of one-digit tokens is read by stride, any other by big-integer
+    arithmetic on its bytes."""
     header = _CANONICAL_HEADER.match(text)
     if header is None or not text.isascii():
         return None
-    header_v, header_s = int(header[1]), int(header[2])
-    if v not in (None, header_v) or s not in (None, header_s):
-        return None
+    v, s = int(header[1]), int(header[2])
     # 2^s <= v^s rows <= len(text) bounds s before v^s is computed
-    if not (2 <= header_v <= 100 and 1 <= header_s < len(text).bit_length()):
+    if not (2 <= v <= 100 and 1 <= s < len(text).bit_length()):
         return None
-    width, n_rows, size = 2 * header_s, header_v**header_s, len(text) - header.end()
+    width, n_rows, size = 2 * s, v**s, len(text) - header.end()
     # a row of width one- or two-digit tokens, each with its separator, holds
     # 2 * width to 3 * width bytes; checked before any row-sized pattern is built
     if not 2 * width * n_rows <= size <= 3 * width * n_rows:
@@ -657,37 +656,33 @@ def _parse_canonical(text: str, v: int | None, s: int | None) -> AontArray | Non
         # one symbol per non-empty token, so a short count means an empty token
         if len(flat) != width * n_rows:
             return None
-    if not _below(flat, header_v):
+    if not _below(flat, v):
         return None
-    return AontArray.from_columns(Alphabet(header_v), header_s, [flat[i::width] for i in range(width)])
+    return AontArray.from_columns(Alphabet(v), s, [flat[i::width] for i in range(width)])
 
 
-def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> AontArray:
-    array = _parse_canonical(text, v, s)
+def parse_array_csv(text: str) -> AontArray:
+    """The array of a CSV text; (v, s) come from its header "# v=<v> s=<s>",
+    or without one, s from the first row's width and v from the row count."""
+    array = _parse_canonical(text)
     if array is not None:
         return array
     lines = list(filter(str.strip, text.splitlines()))
+    v = s = None
     if lines and lines[0].lstrip().startswith("#"):
         header = lines.pop(0).lstrip("# ").strip()
         fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
         try:
-            header_v = int(fields["v"])
-            header_s = int(fields["s"])
+            v, s = int(fields["v"]), int(fields["s"])
         except (KeyError, ValueError):
             raise DimensionMismatchError(f"malformed header: {header!r}") from None
-        if v is not None and v != header_v or s is not None and s != header_s:
-            raise DimensionMismatchError(
-                f"header (v={header_v}, s={header_s}) conflicts with (v={v}, s={s})"
-            )
-        v, s = header_v, header_s
     if not lines:
         raise DimensionMismatchError("no data rows")
-    width = lines[0].count(",") + 1
-    if s is None:
+    if s is None:  # no header
+        width = lines[0].count(",") + 1
         if width % 2:
             raise DimensionMismatchError(f"odd row width {width}, cannot split into inputs/outputs")
         s = width // 2
-    if v is None:
         v = round(len(lines) ** (1.0 / s))
         if v < 2 or v**s != len(lines):
             raise DimensionMismatchError(
@@ -707,13 +702,14 @@ def parse_array_csv(text: str, v: int | None = None, s: int | None = None) -> Ao
     return _decode_tokens(tokens, v, s, None)
 
 
-def load_array_csv(path: str, v: int | None = None, s: int | None = None) -> AontArray:
+def load_array_csv(path: str) -> AontArray:
+    """The array of a UTF-8 CSV file, its shape read as `parse_array_csv` reads it."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise UnknownSymbolError(f"{path} is not UTF-8 text: {exc}") from None
-    return parse_array_csv(text, v=v, s=s)
+    return parse_array_csv(text)
 
 
 def dump_array_csv(array: AontArray, header: bool = True) -> str:

@@ -13,16 +13,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, log2
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 
 def _integral(value) -> int:
-    """int(value) for an integer given from outside, refusing the booleans
-    and non-integral floats that int() would silently read as 0, 1 or a
-    truncation: raises TypeError for those, as int() does for None."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """An integer given from outside, as an int: an integer other than a bool
+    (any type `operator.index` takes) or an integral float. Anything else,
+    such as a string or a Fraction, raises TypeError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{value!r} is not an integer")
-    return int(value)
+    return index(value)
 
 
 def encode_tuple(symbols: Iterable[int], v: int) -> int:

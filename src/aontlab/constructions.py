@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from typing import Callable, Iterator, Sequence
 
@@ -111,7 +110,6 @@ def builtin(name: str) -> AontArray:
     return parse_array(rows, v, s, glyphs=glyphs)
 
 
-@lru_cache(maxsize=64)  # every matrix a caller builds checks its modulus, mostly one of a few
 def check_modulus(v: int) -> None:
     """Reject a modulus that is not a prime below 2^64."""
     if v >= 1 << 64:
@@ -171,21 +169,21 @@ def _walked_matrix(v: int, entries: tuple[tuple[int, ...], ...]) -> SquareMatrix
 
 def matrix_from_rows(v: int, rows) -> SquareMatrix:
     """The matrix with these rows; an entry that is not an integer (a bool,
-    a float with a fraction) raises InvalidParametersError."""
+    a string, a float with a fraction) raises InvalidParametersError."""
     try:
         entries = tuple(tuple(map(_integral, row)) for row in rows)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InvalidParametersError(f"matrix entries must be integers: {exc}") from None
     return SquareMatrix(v, entries)
 
 
 def _order_and_modulus(s: int, v: int) -> tuple[int, int]:
-    """s and v given from outside, as ints: a bool or a float with a
-    fraction raises InvalidParametersError, and an integral float is read
-    as its int, which `SquareMatrix` requires of its modulus."""
+    """s and v given from outside, as ints: a bool, a string or a float
+    with a fraction raises InvalidParametersError, and an integral float is
+    read as its int, which `SquareMatrix` requires of its modulus."""
     try:
         return _integral(s), _integral(v)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InvalidParametersError(f"matrix order and modulus must be integers: {exc}") from None
 
 

@@ -29,14 +29,17 @@ from aontlab import (
 )
 from aontlab import arrays as arrays_module
 from aontlab.arrays import (
+    UNBIASED,
     Alphabet,
     ClassificationVerdict,
+    PropertyReport,
     _count_projection,
     _pack,
     column_set_family,
     field_typecode,
     passes_unbiased_family,
     projection_codes,
+    symbol_typecode,
 )
 from aontlab.coding import _linear_columns, _pivot_product, _rank_split, encode_tuple, is_prime
 from aontlab.constructions import _TABLE1, _TABLE3, builtin, identity_matrix, linear_aont, matrix_from_rows
@@ -134,6 +137,41 @@ def test_arrays_built_from_rows_and_from_columns_agree(shape, linear, seed):
 def test_from_columns_rejects_bad_columns(columns, error, message):
     with pytest.raises(error, match=message):
         AontArray.from_columns(Alphabet(3), 1, columns)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Alphabet(1), InvalidParametersError, "alphabet size must be >= 2, got 1"),
+        (lambda: Alphabet(3, ("a", "b")), InvalidParametersError, "need 3 distinct glyphs"),
+        (lambda: Alphabet(2, ("a", "a")), InvalidParametersError, "need 2 distinct glyphs"),
+        (lambda: Alphabet(2, ("a", "b")).symbol("c"), UnknownSymbolError, "token 'c' not in alphabet"),
+        # '²' is a digit to str.isdigit() but not to int()
+        (lambda: parse_array_csv("0,²\n1,1\n2,0\n"), UnknownSymbolError, "token '²' is not a symbol"),
+        (lambda: symbol_typecode(2**64 + 1), InvalidParametersError, "do not fit in 64 bits"),
+        (lambda: AontArray(Alphabet(2), 0, []), InvalidParametersError, "s must be >= 1, got 0"),
+        (lambda: AontArray(Alphabet(2), 1, [(0, 1)]), DimensionMismatchError, "expected 2 rows for v=2, s=1, got 1"),
+        (lambda: AontArray.from_columns(Alphabet(2), 0, []), InvalidParametersError, "s must be >= 1, got 0"),
+        (
+            lambda: PropertyReport(UNBIASED, (1,), holds=True, first_violation=(0,)),
+            InvalidParametersError,
+            "a holding report cannot carry a violation",
+        ),
+        (lambda: check_unbiased(builtin("table1"), []), InvalidParametersError, "column set must be non-empty"),
+        (lambda: parse_array([(0, 0)], 1, 1), InvalidParametersError, "need v >= 2 and s >= 1, got v=1, s=1"),
+        (lambda: parse_array_csv("# v=1 s=1\n0,0\n"), InvalidParametersError, "need v >= 2 and s >= 1"),
+        # a three-digit token is left to the token path by the whole-text decode
+        (lambda: parse_array_csv("# v=2 s=1\n100,1\n1,0\n"), UnknownSymbolError, "symbol 100 outside 0..1"),
+    ],
+)
+def test_each_array_rule_raises_its_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_array_equality_with_another_type_is_not_implemented(table1):
+    assert table1.__eq__(5) is NotImplemented
+    assert table1 != 5
 
 
 def test_parse_infers_glyphs_by_first_appearance():
@@ -631,8 +669,6 @@ def test_csv_header_inference_and_conflicts():
     text = "# v=3 s=2\n" + _TABLE1.strip() + "\n"
     arr = parse_array_csv(text)
     assert (arr.v, arr.s) == (3, 2)
-    with pytest.raises(DimensionMismatchError):
-        parse_array_csv(text, v=2)
 
 
 def test_csv_truncated_file_rejected():
@@ -781,7 +817,6 @@ def test_canonical_files_take_the_whole_text_decode(monkeypatch, tmp_path):
     monkeypatch.setattr(arrays_module, "_decode_tokens", unused)
     for array, text in zip(arrays, texts):
         assert parse_array_csv(text) == array
-        assert parse_array_csv(text, v=array.v, s=array.s) == array
     # universal newlines turn CRLF into LF as the file is read
     path = tmp_path / "crlf.csv"
     path.write_bytes(texts[2].replace("\n", "\r\n").encode())
@@ -790,7 +825,7 @@ def test_canonical_files_take_the_whole_text_decode(monkeypatch, tmp_path):
 
     big = AontArray(Alphabet(101), 1, [[100 - r, r] for r in range(101)])
     for text in [dump_array_csv(big), texts[2].partition("\n")[2], texts[2].replace("\n", "\r\n")]:
-        assert arrays_module._parse_canonical(text, None, None) is None
+        assert arrays_module._parse_canonical(text) is None
 
 
 def test_csv_with_a_byte_order_mark_loads(tmp_path, table1):
@@ -811,7 +846,7 @@ _HUGE_HEADER_TEXTS = [
 def test_header_with_more_rows_than_the_text_holds_is_declined_at_once(text):
     """The decode compares v^s with the text's size before it builds any
     row-sized pattern, so such a header costs no memory or time."""
-    assert arrays_module._parse_canonical(text, None, None) is None
+    assert arrays_module._parse_canonical(text) is None
     with pytest.raises(DimensionMismatchError, match=r"expected 100+ rows, got"):
         parse_array_csv(text)
 

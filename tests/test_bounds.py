@@ -30,7 +30,7 @@ from aontlab import (
     uniform_model,
 )
 from aontlab.arrays import AONT, NEITHER, WEAK_AONT_ONLY
-from aontlab.bounds import ALL_TAGS, BLOCK_EXACT, auto_tag, checked_rule, interval_for
+from aontlab.bounds import ALL_TAGS, BLOCK_EXACT, EntropyInterval, auto_tag, checked_rule, interval_for
 from aontlab.coding import left_sum
 from aontlab.entropy import SubsetPair
 from aontlab.models import column_entropy
@@ -202,6 +202,10 @@ def test_parameter_validation():
         bounds_symmetric(uniform_model(2, 3), 3)
     with pytest.raises(InvalidParametersError, match="X must be non-empty"):
         bounds_asymmetric(example3_model(), 1, 2, x_cols=())
+    with pytest.raises(InvalidParametersError, match=r"X subset \(1, 2\) must have size t_i=1"):
+        bounds_asymmetric(example3_model(), 1, 2, x_cols=(1, 2))
+    with pytest.raises(InvalidParametersError, match=r"degenerate interval \[2.0, 1.0\]"):
+        EntropyInterval(2.0, 1.0, SYMMETRIC, False)
 
 
 @given(st.integers(0, 100_000))

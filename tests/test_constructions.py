@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
 
@@ -98,12 +99,29 @@ def test_nonprime_modulus_rejected():
         (lambda: matrix_from_rows(5, [[1.5, 1], [1, 0]]), "1.5 is not an integer"),
         (lambda: matrix_from_rows(5, [[True, 1], [1, 0]]), "True is not an integer"),
         (lambda: matrix_from_rows(5, [[None, 1], [1, 0]]), "matrix entries must be integers"),
+        (lambda: matrix_from_rows(5, [["1", 1], [1, 0]]), "'1' is not an integer"),
+        (lambda: matrix_from_rows(5, [[Fraction(5, 2), 1], [1, 0]]), r"Fraction\(5, 2\) is not an integer"),
         (lambda: SquareMatrix(5, ((1.0, 2), (3, 4))), "entry 1.0 is not an integer"),
         (lambda: SquareMatrix(5.0, ((1, 2), (3, 4))), "modulus 5.0 is not an integer"),
     ],
-    ids=["fraction", "bool", "none", "float-entry", "float-modulus"],
+    ids=["fraction", "bool", "none", "string", "rational", "float-entry", "float-modulus"],
 )
 def test_non_integer_matrix_input_rejected(build, message):
+    with pytest.raises(InvalidParametersError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SquareMatrix(5, ((1, 2), (3,))), "matrix must be square and non-empty"),
+        (lambda: SquareMatrix(5, ()), "matrix must be square and non-empty"),
+        (lambda: SquareMatrix(5, ((5, 0), (0, 1))), "entry 5 outside 0..4"),
+        (lambda: list(iter_invertible_matrices(0, 5)), "matrix order must be >= 1, got 0"),
+    ],
+    ids=["ragged", "empty", "entry-past-v", "order-0"],
+)
+def test_matrix_shape_and_entries_checked(build, message):
     with pytest.raises(InvalidParametersError, match=message):
         build()
 
@@ -132,8 +150,10 @@ _ORDER_AND_MODULUS_CALLS = [
         (2.5, 5, "2.5 is not an integer"),
         (2, 5.5, "5.5 is not an integer"),
         (None, 5, "matrix order and modulus must be integers"),
+        ("1", 5, "'1' is not an integer"),
+        (2, Fraction(5, 2), r"Fraction\(5, 2\) is not an integer"),
     ],
-    ids=["bool-s", "bool-v", "fraction-s", "fraction-v", "none-s"],
+    ids=["bool-s", "bool-v", "fraction-s", "fraction-v", "none-s", "string-s", "rational-v"],
 )
 def test_non_integer_order_or_modulus_rejected(call, s, v, message):
     with pytest.raises(InvalidParametersError, match=message):
@@ -143,7 +163,9 @@ def test_non_integer_order_or_modulus_rejected(call, s, v, message):
 @pytest.mark.parametrize("call", _ORDER_AND_MODULUS_CALLS)
 @pytest.mark.parametrize("s, v", [(2.0, 5), (2, 5.0)], ids=["float-s", "float-v"])
 def test_integral_float_order_or_modulus_read_as_int(call, s, v):
-    check_modulus(5)  # cached for 5, so only the conversion keeps 5.0 out of the walk
+    # check_modulus passes 5.0 as it passes 5 (is_prime reads a float), so only
+    # the conversion keeps 5.0 out of the walk
+    check_modulus(5)
     got, want = call(s, v), call(2, 5)
     if isinstance(want, SearchResult):
         assert (type(got.s), type(got.v)) == (int, int)

@@ -183,6 +183,8 @@ def test_completion_set_singleton_table1(table1):
         for w in range(3):
             cs = completion_set(table1, pair, (u,), (w,))
             assert cs.size == 1
+    with pytest.raises(InvalidParametersError, match="observation tuples must match the subset sizes"):
+        completion_set(table1, pair, (0, 0), (0,))
 
 
 def test_completion_set_range_table3(table3):

@@ -228,6 +228,11 @@ _INDEPENDENT = {"s": 2, "v": 3, "kind": "independent"}
         # int(inf) raised OverflowError, which escaped as a traceback
         {**_INDEPENDENT, "s": float("inf")},
         {**_INDEPENDENT, "columns": [[[float("inf"), 1], 0, 0], [1, 0, 0]]},
+        # int() read integers given as strings
+        {**_INDEPENDENT, "s": "2", "columns": [[[1, 3]] * 3] * 2},
+        {**_INDEPENDENT, "v": " 3 ", "columns": [[[1, 3]] * 3] * 2},
+        {**_INDEPENDENT, "columns": [[["1", "3"], [1, 3], [1, 3]], [1, 0, 0]]},
+        {**_BLOCK, "block": {"indices": ["1"], "joint": [[[0], [1, 1]]]}},
     ],
 )
 def test_malformed_model_document_raises_package_error(doc):

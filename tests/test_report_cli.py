@@ -44,7 +44,7 @@ from aontlab.coding import entropy_bits
 from aontlab.cli import main as cli
 from aontlab.constructions import DEFAULT_SEARCH_CAP
 from aontlab.demos import run_demo
-from aontlab.errors import ArityMismatchError, InvalidParametersError
+from aontlab.errors import ArityMismatchError, InvalidParametersError, UnknownNameError
 from aontlab.report import (
     ReportRow,
     build_report,
@@ -94,6 +94,8 @@ def test_build_report_example1(table1):
     assert all(r.within for r in report.rows)
     assert not report.perfect_security
     assert report.exceeds_min_entropy_cap is False
+    with pytest.raises(KeyError, match=r"no row for pair \(\(1,\), \(2,\)\)"):
+        report.row_for((1,), (2,))
 
 
 def test_build_report_classifies_once(table1, monkeypatch):
@@ -801,6 +803,14 @@ def test_cli_analyze_non_rational_mass(runner, tmp_path, masses):
     assert "is not a rational" in result.stderr
 
 
+def test_cli_analyze_model_with_an_integer_given_as_a_string(runner, tmp_path):
+    """int() once read "s": "2" as 2."""
+    model = _write_model(tmp_path, {"s": "2", "v": 3, "kind": "independent", "columns": [[[1, 3]] * 3] * 2})
+    result = runner.invoke(cli, ["analyze", "--builtin", "table1", "--model", model, "--ti", "1", "--to", "1"])
+    assert result.exit_code == 3
+    assert "'2' is not an integer" in result.stderr
+
+
 def test_cli_rejects_non_utf8_array(runner, tmp_path, ex1_model_file):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"\xff\xfe,0")
@@ -1075,3 +1085,5 @@ def test_cli_demo_rejects_unknown_number(runner):
     result = runner.invoke(cli, ["demo", "7"])
     assert result.exit_code == 4
     assert "demo must be one of (1, 2, 3, 4)" in result.stderr
+    with pytest.raises(UnknownNameError, match=r"demo 7 does not exist; know \(1, 2, 3, 4\)"):
+        run_demo(7)
