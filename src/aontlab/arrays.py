@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .coding import _linear_columns, _pivot_product, _rank_split, decode_index, is_prime
+from .coding import _linear_columns, _pivot_product, _rank_split, decode_index, integer, is_prime
 from .errors import (
     DimensionMismatchError,
     InvalidParametersError,
@@ -68,7 +68,7 @@ class Alphabet:
             except ValueError:
                 raise UnknownSymbolError(f"token {token!r} not in alphabet") from None
         try:
-            value = int(token)
+            value = integer(token)
         except ValueError:
             raise UnknownSymbolError(f"token {token!r} is not a symbol") from None
         if not 0 <= value < self.size:
@@ -236,14 +236,13 @@ class PropertyReport:
 
     kind: str  # UNBIASED or COVERING
     columns: tuple[int, ...]
-    holds: bool
     expected_multiplicity: int | None = None  # N / v^|I|; None for covering
     first_violation: tuple[int, ...] | None = None
     observed_count: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.holds and self.first_violation is not None:
-            raise InvalidParametersError("a holding report cannot carry a violation")
+    @property
+    def holds(self) -> bool:
+        return self.first_violation is None
 
 
 @dataclass(frozen=True)
@@ -399,12 +398,11 @@ def check_unbiased(array: AontArray, cols: Iterable[int]) -> PropertyReport:
     cset, counts = _counted(array, cols)
     expected = array.n_rows // array.v ** len(cset)
     if counts.count(expected) == len(counts):
-        return PropertyReport(UNBIASED, cset, holds=True, expected_multiplicity=expected)
+        return PropertyReport(UNBIASED, cset, expected_multiplicity=expected)
     code, count = next((code, count) for code, count in enumerate(counts) if count != expected)
     return PropertyReport(
         UNBIASED,
         cset,
-        holds=False,
         expected_multiplicity=expected,
         first_violation=decode_index(code, array.v, len(cset)),
         observed_count=count,
@@ -415,11 +413,10 @@ def check_covering(array: AontArray, cols: Iterable[int]) -> PropertyReport:
     """Does every |I|-tuple appear at least once in the projection?"""
     cset, counts = _counted(array, cols)
     if 0 not in counts:
-        return PropertyReport(COVERING, cset, holds=True)
+        return PropertyReport(COVERING, cset)
     return PropertyReport(
         COVERING,
         cset,
-        holds=False,
         first_violation=decode_index(counts.index(0), array.v, len(cset)),
         observed_count=0,
     )
@@ -673,7 +670,7 @@ def parse_array_csv(text: str) -> AontArray:
         header = lines.pop(0).lstrip("# ").strip()
         fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
         try:
-            v, s = int(fields["v"]), int(fields["s"])
+            v, s = integer(fields["v"]), integer(fields["s"])
         except (KeyError, ValueError):
             raise DimensionMismatchError(f"malformed header: {header!r}") from None
     if not lines:

@@ -54,7 +54,10 @@ class EntropyInterval:
     lower: float
     upper: float
     source: str
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return abs(self.upper - self.lower) <= _EXACT_EPS
 
     def __post_init__(self) -> None:
         if not (-_SLACK <= self.lower <= self.upper + _SLACK):
@@ -67,12 +70,8 @@ class EntropyInterval:
         return self.lower - tolerance <= value <= self.upper + tolerance
 
 
-def _interval(lower: float, upper: float, source: str) -> EntropyInterval:
-    return EntropyInterval(lower, upper, source, exact=abs(upper - lower) <= _EXACT_EPS)
-
-
 def _point(value: float, source: str) -> EntropyInterval:
-    return EntropyInterval(value, value, source, exact=True)
+    return EntropyInterval(value, value, source)
 
 
 # Preconditions on the prior, at t = t_i, for the rows of TAG_RULES: the error
@@ -113,7 +112,7 @@ def _prior_terms(
 def bounds_symmetric(model: InputModel, t: int) -> EntropyInterval:
     """Interval for H(X|Y) on a full symmetric transform, |X| = t, |Y] = s - t."""
     _, total, min_sum, log_v = _prior_terms(model, t, t)
-    return _interval(max(0.0, total - (model.s - t) * log_v), min_sum, SYMMETRIC)
+    return EntropyInterval(max(0.0, total - (model.s - t) * log_v), min_sum, SYMMETRIC)
 
 
 def exact_nonuniform_le_t(model: InputModel, t: int) -> float:
@@ -161,7 +160,7 @@ def bounds_asymmetric(
     terms = [min_sum + (t_o - t_i) * log_v, min_sum + model.s * log_v - total]
     if x_cols is not None:
         terms.append(_h_x(model, hs, t_i, x_cols))
-    return _interval(lower, min(terms), ASYMMETRIC)
+    return EntropyInterval(lower, min(terms), ASYMMETRIC)
 
 
 def bounds_asymmetric_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
@@ -170,7 +169,7 @@ def bounds_asymmetric_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float
     _, total, _, log_v = _prior_terms(model, t_i, t_o, h_y)
     lower = max(0.0, total - (t_o - t_i) * log_v - h_y)
     upper = min(total - h_y, (model.s + t_i - t_o) * log_v - h_y)
-    return _interval(lower, upper, ASYMMETRIC_GIVEN_HY)
+    return EntropyInterval(lower, upper, ASYMMETRIC_GIVEN_HY)
 
 
 def _weak_log_term(v: int, s: int, t_i: int, t_o: int) -> float:
@@ -191,36 +190,36 @@ def bounds_weak(
     terms = [min_sum + log_term]
     if x_cols is not None:
         terms.append(_h_x(model, hs, t_i, x_cols))
-    return _interval(lower, min(terms), WEAK)
+    return EntropyInterval(lower, min(terms), WEAK)
 
 
 def bounds_weak_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
     """H(Y)-conditioned sandwich under the covering relaxation."""
     _, total, _, _ = _prior_terms(model, t_i, t_o, h_y)
     lower = max(0.0, total - _weak_log_term(model.v, model.s, t_i, t_o) - h_y)
-    return _interval(lower, total - h_y, WEAK_GIVEN_HY)
+    return EntropyInterval(lower, total - h_y, WEAK_GIVEN_HY)
 
 
 @dataclass(frozen=True)
 class BoundComparison:
+    """Where an observed H(X|Y) sits against the pair's interval."""
+
     pair: SubsetPair
     observed: float
     interval: EntropyInterval
-    within: bool
-    attains_lower: bool
-    attains_upper: bool
+    tolerance: float
 
+    @property
+    def within(self) -> bool:
+        return self.interval.contains(self.observed, self.tolerance)
 
-def place(pair: SubsetPair, observed: float, interval: EntropyInterval, tolerance: float) -> BoundComparison:
-    """Where an observed H(X|Y) sits against the pair's interval."""
-    return BoundComparison(
-        pair=pair,
-        observed=observed,
-        interval=interval,
-        within=interval.contains(observed, tolerance),
-        attains_lower=abs(observed - interval.lower) <= tolerance,
-        attains_upper=abs(observed - interval.upper) <= tolerance,
-    )
+    @property
+    def attains_lower(self) -> bool:
+        return abs(self.observed - self.interval.lower) <= self.tolerance
+
+    @property
+    def attains_upper(self) -> bool:
+        return abs(self.observed - self.interval.upper) <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -320,4 +319,4 @@ def compare(
     rule = checked_rule(which, verdict, model, t_i, t_o)
     joint = pair_joint(array, *prior_weights(array, model), pair)
     h_y = joint.h_y()
-    return place(pair, joint.conditional(h_y), rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)
+    return BoundComparison(pair, joint.conditional(h_y), rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)

@@ -16,6 +16,7 @@ from typing import Callable, NoReturn, TypeVar
 from . import __version__
 from .arrays import AONT, NEITHER, WEAK_AONT_ONLY, AontArray, classify, load_array_csv
 from .bounds import ALL_TAGS, DEFAULT_TOLERANCE, check_tag, check_tolerance
+from .coding import integer
 from .constructions import BUILTIN_NAMES, DEFAULT_SEARCH_CAP, builtin, search_linear
 from .demos import DEMO_NUMBERS, format_demo, run_demo
 from .entropy import SubsetPair, check_pair
@@ -71,8 +72,8 @@ def _parse_pair_spec(spec: str, s: int, t_i: int, t_o: int) -> SubsetPair:
     and lie where `entropy.check_pair` allows; any other is a usage error (exit 4)."""
     try:
         x_part, y_part = spec.split(":", 1)
-        x = {int(c) for c in x_part.split(",") if c}
-        y = {int(c) for c in y_part.split(",") if c}
+        x = {integer(c) for c in x_part.split(",") if c}
+        y = {integer(c) for c in y_part.split(",") if c}
     except ValueError:
         raise argparse.ArgumentError(None, f"bad --pair spec {spec!r}; expected e.g. '1:4' or '1,2:5'") from None
     # an empty X is never a pair, whatever t_i is
@@ -204,8 +205,8 @@ def _parser() -> _Parser:
     source.add_argument("--array", metavar="FILE", help="CSV array file")
     source.add_argument("--builtin", choices=BUILTIN_NAMES, help="built-in array")
     t_pair = argparse.ArgumentParser(add_help=False)
-    t_pair.add_argument("--ti", required=True, type=int, help="protected input count t_i")
-    t_pair.add_argument("--to", required=True, type=int, help="missing output count t_o")
+    t_pair.add_argument("--ti", required=True, type=integer, help="protected input count t_i")
+    t_pair.add_argument("--to", required=True, type=integer, help="missing output count t_o")
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
                            help="a finite number >= 0, the slack of each float comparison; "
@@ -221,12 +222,12 @@ def _parser() -> _Parser:
                      help="restrict to given pairs, e.g. --pair 1:4 --pair 2:4 (X cols : Y cols)")
 
     sub = command(demo, ("text", "json"), tolerance)
-    sub.add_argument("number", type=int, metavar="NUMBER")
+    sub.add_argument("number", type=integer, metavar="NUMBER")
 
     sub = command(search, ("text", "json"), t_pair)
-    sub.add_argument("--s", required=True, type=int, help="input block length")
-    sub.add_argument("--v", required=True, type=int, help="alphabet size (prime)")
-    sub.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP,
+    sub.add_argument("--s", required=True, type=integer, help="input block length")
+    sub.add_argument("--v", required=True, type=integer, help="alphabet size (prime)")
+    sub.add_argument("--cap", type=integer, default=DEFAULT_SEARCH_CAP,
                      help="max candidate matrices (v^(s*s)) (default: %(default)s)")
     return parser
 

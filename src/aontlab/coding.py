@@ -28,6 +28,15 @@ def _integral(value) -> int:
     return index(value)
 
 
+def integer(text: str) -> int:
+    """The integer that `text` writes in ASCII decimal, -?[0-9]+; any other
+    text raises ValueError. int() alone also reads other scripts' digits,
+    '_', '+' and surrounding whitespace."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"{text!r} is not an integer in ASCII decimal")
+    return int(text)
+
+
 def encode_tuple(symbols: Iterable[int], v: int) -> int:
     idx = 0
     for s in symbols:

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 from . import bounds as bnd
 from .arrays import AONT, AontArray, ClassificationVerdict, classify, column_set_family
+from .coding import integer
 from .entropy import SubsetPair, column_entropy_sum, pair_joint, prior_weights
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     conditional_entropy,
@@ -124,7 +125,7 @@ def build_report(
         formula = h_cols - h_y if formula_ok else None
         placed: tuple = (None,) * 6
         if rule is not None:
-            cmp = bnd.place(pair, oracle, rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)
+            cmp = bnd.BoundComparison(pair, oracle, rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)
             iv = cmp.interval
             placed = (iv.source, iv.lower, iv.upper, cmp.within, cmp.attains_lower, cmp.attains_upper)
         sd_num, sd_den = joint.stat_distance_ratio()
@@ -158,7 +159,7 @@ def _cols_label(cols: tuple[int, ...]) -> str:
 def _parse_cols_label(label: str) -> tuple[int, ...]:
     if label == "-":
         return ()
-    return tuple(int(c) for c in label.split("+"))
+    return tuple(map(integer, label.split("+")))
 
 
 def _as_is(value):
@@ -176,7 +177,7 @@ _ENCODINGS = {
     "float": (_as_is, repr, float),
     "float | None": (_as_is, *_optional(repr, float)),
     "str | None": (_as_is, *_optional(str, str)),
-    "bool | None": (_as_is, *_optional(lambda flag: str(int(flag)), lambda cell: bool(int(cell)))),
+    "bool | None": (_as_is, *_optional(lambda flag: str(int(flag)), lambda cell: bool(integer(cell)))),
 }
 # the JSON row keys and the CSV header: ReportRow's fields in declaration order
 _FIELDS = tuple(f.name for f in fields(ReportRow))

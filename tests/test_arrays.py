@@ -29,10 +29,8 @@ from aontlab import (
 )
 from aontlab import arrays as arrays_module
 from aontlab.arrays import (
-    UNBIASED,
     Alphabet,
     ClassificationVerdict,
-    PropertyReport,
     _count_projection,
     _pack,
     column_set_family,
@@ -148,15 +146,14 @@ def test_from_columns_rejects_bad_columns(columns, error, message):
         (lambda: Alphabet(2, ("a", "b")).symbol("c"), UnknownSymbolError, "token 'c' not in alphabet"),
         # '²' is a digit to str.isdigit() but not to int()
         (lambda: parse_array_csv("0,²\n1,1\n2,0\n"), UnknownSymbolError, "token '²' is not a symbol"),
+        # '٢' is a digit to int() too, but a symbol is written in ASCII digits
+        (lambda: parse_array_csv("0,٢\n1,1\n2,0\n"), UnknownSymbolError, "token '٢' is not a symbol"),
+        (lambda: parse_array_csv("# v=٣ s=1\n0,0\n"), DimensionMismatchError, "malformed header: 'v=٣ s=1'"),
+        (lambda: parse_array_csv("# v=+3 s=0_1\n0,0\n"), DimensionMismatchError, r"malformed header: 'v=\+3 s=0_1'"),
         (lambda: symbol_typecode(2**64 + 1), InvalidParametersError, "do not fit in 64 bits"),
         (lambda: AontArray(Alphabet(2), 0, []), InvalidParametersError, "s must be >= 1, got 0"),
         (lambda: AontArray(Alphabet(2), 1, [(0, 1)]), DimensionMismatchError, "expected 2 rows for v=2, s=1, got 1"),
         (lambda: AontArray.from_columns(Alphabet(2), 0, []), InvalidParametersError, "s must be >= 1, got 0"),
-        (
-            lambda: PropertyReport(UNBIASED, (1,), holds=True, first_violation=(0,)),
-            InvalidParametersError,
-            "a holding report cannot carry a violation",
-        ),
         (lambda: check_unbiased(builtin("table1"), []), InvalidParametersError, "column set must be non-empty"),
         (lambda: parse_array([(0, 0)], 1, 1), InvalidParametersError, "need v >= 2 and s >= 1, got v=1, s=1"),
         (lambda: parse_array_csv("# v=1 s=1\n0,0\n"), InvalidParametersError, "need v >= 2 and s >= 1"),
@@ -892,7 +889,7 @@ def _token_tables(draw):
     return kind, header + "\n".join(",".join(row) for row in rows) + "\n"
 
 
-_CANONICAL_TOKEN_EDITS = ["010", "100", "00", "-1", " 1", "a", ""]
+_CANONICAL_TOKEN_EDITS = ["010", "100", "00", "-1", " 1", "a", "", "٢"]
 
 
 def _splice(draw, text, old, new):

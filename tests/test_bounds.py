@@ -205,7 +205,7 @@ def test_parameter_validation():
     with pytest.raises(InvalidParametersError, match=r"X subset \(1, 2\) must have size t_i=1"):
         bounds_asymmetric(example3_model(), 1, 2, x_cols=(1, 2))
     with pytest.raises(InvalidParametersError, match=r"degenerate interval \[2.0, 1.0\]"):
-        EntropyInterval(2.0, 1.0, SYMMETRIC, False)
+        EntropyInterval(2.0, 1.0, SYMMETRIC)
 
 
 @given(st.integers(0, 100_000))
@@ -361,6 +361,7 @@ def test_compare_matches_report_row_for_every_tag(request, tag, fixture, make_mo
         assert (cmp.observed, iv.source, iv.lower, iv.upper, cmp.within, cmp.attains_lower, cmp.attains_upper) == (
             row.oracle, row.source, row.lower, row.upper, row.within, row.attains_lower, row.attains_upper
         )
+        assert cmp.tolerance == report.tolerance
         assert interval_for(array, model, pair, tag) == cmp.interval
 
 

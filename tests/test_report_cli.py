@@ -875,6 +875,12 @@ def test_cli_analyze_help_lists_every_bound_tag(runner):
          "outside inputs 1..2"),
         (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--pair", "0:3"],
          "outside inputs 1..2"),
+        # integers are ASCII decimal digits, not whatever int() reads
+        (["verify", "--builtin", "table1", "--ti", "١", "--to", "1"], "'١'"),
+        (["search", "--s", "0_2", "--v", "٣", "--ti", "1", "--to", "1"], "'0_2'"),
+        (["demo", "٢"], "'٢'"),
+        (["analyze", "--builtin", "table1", "--model", "MODEL", "--ti", "1", "--to", "1", "--pair", "١:٣"],
+         "bad --pair spec '١:٣'"),
     ],
 )
 def test_cli_usage_errors_exit_4(runner, ex1_model_file, args, error):
