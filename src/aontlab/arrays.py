@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .coding import _linear_columns, _pivot_product, _rank_split, decode_index, integer, is_prime
+from .coding import _labels, _linear_columns, _pivot_product, _rank_split, decode_index, integer, is_prime
 from .errors import (
     DimensionMismatchError,
     InvalidParametersError,
@@ -256,7 +256,7 @@ class ClassificationVerdict:
 def normalize_columns(cols: Iterable[int]) -> tuple[int, ...]:
     """Sort and de-duplicate a non-empty 1-based column set; `projection_codes`
     checks the labels against 1..2s."""
-    out = tuple(sorted(set(int(c) for c in cols)))
+    out = _labels(cols)
     if not out:
         raise InvalidParametersError("column set must be non-empty")
     return out

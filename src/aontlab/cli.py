@@ -162,7 +162,7 @@ def demo(args: argparse.Namespace) -> int:
         doc["passed"] = passed
         _echo(json.dumps(doc, indent=2))
     else:
-        _echo(format_demo(args.number, checks, passed, args.tolerance), nl=False)
+        _echo(format_demo(args.number, checks, args.tolerance), nl=False)
     return 0 if passed else 1
 
 

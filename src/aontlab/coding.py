@@ -16,6 +16,8 @@ from math import lcm, log2
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
+from .errors import InvalidParametersError
+
 
 def _integral(value) -> int:
     """An integer given from outside, as an int: an integer other than a bool
@@ -26,6 +28,18 @@ def _integral(value) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{value!r} is not an integer")
     return index(value)
+
+
+def _labels(values: Iterable) -> tuple[int, ...]:
+    """Column labels given from outside, each read by `_integral`, sorted and
+    de-duplicated; a label that is not an integer raises InvalidParametersError."""
+    labels = set()
+    for value in values:
+        try:
+            labels.add(_integral(value))
+        except TypeError:
+            raise InvalidParametersError(f"column label {value!r} is not an integer") from None
+    return tuple(sorted(labels))
 
 
 def integer(text: str) -> int:

@@ -159,13 +159,13 @@ def run_demo(number: int, tolerance: float = DEFAULT_TOLERANCE) -> tuple[Analysi
     return report, checks, all(c.ok for c in checks)
 
 
-def format_demo(number: int, checks: list[DemoCheck], passed: bool, tolerance: float) -> str:
+def format_demo(number: int, checks: list[DemoCheck], tolerance: float) -> str:
     lines = [f"demo {number}: reference reproduction at tolerance {tolerance:g}"]
     for c in checks:
         status = "ok" if c.ok else "FAIL"
         lines.append(f"  {c.label:<14} expected {c.expected:<12.6f} computed {c.computed:<12.6f} [{status}]")
     lines.append(
-        f"demo {number}: {'PASS' if passed else 'FAIL'} "
+        f"demo {number}: {'PASS' if all(c.ok for c in checks) else 'FAIL'} "
         f"({sum(c.ok for c in checks)}/{len(checks)} values match)"
     )
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .arrays import AONT, AontArray, cached_classify, normalize_columns, projection_codes
-from .coding import _over_lcm, decode_index, encode_tuple, left_sum, weight_entropy_bits
+from .coding import _labels, _over_lcm, decode_index, encode_tuple, left_sum, weight_entropy_bits
 from .coding import entropy_bits  # unused here; perfbench/tracing.py wraps this name
 from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError, MassSumError
 from .models import (
@@ -37,8 +37,8 @@ class SubsetPair:
     y: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(sorted(set(self.x))))
-        object.__setattr__(self, "y", tuple(sorted(set(self.y))))
+        object.__setattr__(self, "x", _labels(self.x))
+        object.__setattr__(self, "y", _labels(self.y))
         if not self.x:
             raise InvalidParametersError("X must be non-empty")
 

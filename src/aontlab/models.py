@@ -15,7 +15,7 @@ from functools import cached_property
 from math import log2
 from typing import Iterable, Iterator, Sequence
 
-from .coding import _integral, decode_index, encode_tuple, entropy_bits
+from .coding import _integral, _labels, decode_index, encode_tuple, entropy_bits, integer
 from .errors import (
     ArityMismatchError,
     BlockColumnError,
@@ -32,7 +32,8 @@ ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '1/4', (num, den) integer pairs, or Fractions."""
+    """Coerce ints, ASCII strings 'n' or 'n/d' like '1/4', (num, den) integer
+    pairs, or Fractions."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -42,6 +43,8 @@ def as_fraction(value) -> Fraction:
     try:
         if isinstance(value, (tuple, list)) and len(value) == 2:
             return Fraction(_integral(value[0]), _integral(value[1]))
+        if isinstance(value, str):
+            return Fraction(*map(integer, value.split("/", 1)))
         return Fraction(value)
     except ZeroDivisionError:
         raise MassSumError(f"mass {value!r} has a zero denominator") from None
@@ -173,7 +176,7 @@ def make_block_dependent_model(
 
     An empty block with a trivial joint degenerates to the all-uniform model.
     """
-    block_t = tuple(sorted(set(int(c) for c in block)))
+    block_t = _labels(block)
     _check_block(block_t, s)
     if joint is None:
         if block_t:

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Callable, Sequence
 
 from . import bounds as bnd
-from .arrays import AONT, AontArray, ClassificationVerdict, classify, column_set_family
+from .arrays import AontArray, ClassificationVerdict, classify, column_set_family
 from .coding import integer
 from .entropy import SubsetPair, column_entropy_sum, pair_joint, prior_weights
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
@@ -51,16 +51,28 @@ class ReportRow:
 class AnalysisReport:
     array_label: str
     model_label: str
-    t_i: int
-    t_o: int
     verdict: ClassificationVerdict
     bounds_tag: str | None
     tolerance: float
     rows: tuple[ReportRow, ...]
-    min_observed: float
-    max_observed: float
     perfect_security: bool  # X independent of Y for every pair, decided exactly
-    exceeds_min_entropy_cap: bool | None  # only defined for independent models
+    min_entropy_cap: float | None  # the symmetric upper bound at t_i; None unless the model is independent
+
+    t_i = property(attrgetter("verdict.t_i"))
+    t_o = property(attrgetter("verdict.t_o"))
+
+    @property
+    def min_observed(self) -> float:
+        return min(r.oracle for r in self.rows)
+
+    @property
+    def max_observed(self) -> float:
+        return max(r.oracle for r in self.rows)
+
+    @property
+    def exceeds_min_entropy_cap(self) -> bool | None:
+        cap = self.min_entropy_cap
+        return None if cap is None else any(r.oracle > cap + self.tolerance for r in self.rows)
 
     def row_for(self, x: Sequence[int], y: Sequence[int]) -> ReportRow:
         key = (tuple(sorted(x)), tuple(sorted(y)))
@@ -103,7 +115,7 @@ def build_report(
     tag = bnd.auto_tag(verdict.verdict, model, t_i, t_o) if bounds_tag == AUTO else bounds_tag
     rule = None if tag is None else bnd.checked_rule(tag, verdict.verdict, model, t_i, t_o)
 
-    formula_ok = model.kind == INDEPENDENT and t_i == t_o and verdict.verdict == AONT
+    formula_ok = bnd._mismatch(bnd.SYMMETRIC, verdict.verdict, model, t_i, t_o) is None
     min_cap = bnd.bounds_symmetric(model, t_i).upper if model.kind == INDEPENDENT else None
     h_cols = column_entropy_sum(model) if formula_ok else None
 
@@ -132,24 +144,7 @@ def build_report(
         perfect = perfect and not sd_num  # X and Y independent, so H(X|Y) = H(X) exactly
         rows.append(ReportRow(pair.x, pair.y, oracle, formula, sd_num / sd_den, joint.h_x(), *placed))
     rows.sort(key=lambda r: (r.x, r.y))
-    observed = [r.oracle for r in rows]
-    exceeds_cap = None
-    if min_cap is not None:
-        exceeds_cap = any(r.oracle > min_cap + tolerance for r in rows)
-    return AnalysisReport(
-        array_label=array_label,
-        model_label=model_label,
-        t_i=t_i,
-        t_o=t_o,
-        verdict=verdict,
-        bounds_tag=tag,
-        tolerance=tolerance,
-        rows=tuple(rows),
-        min_observed=min(observed),
-        max_observed=max(observed),
-        perfect_security=perfect,
-        exceeds_min_entropy_cap=exceeds_cap,
-    )
+    return AnalysisReport(array_label, model_label, verdict, tag, tolerance, tuple(rows), perfect, min_cap)
 
 
 def _cols_label(cols: tuple[int, ...]) -> str:

@@ -41,13 +41,14 @@ from aontlab.arrays import (
 )
 from aontlab.coding import _linear_columns, _pivot_product, _rank_split, encode_tuple, is_prime
 from aontlab.constructions import _TABLE1, _TABLE3, builtin, identity_matrix, linear_aont, matrix_from_rows
-from aontlab.entropy import _accumulate, subset_entropy
+from aontlab.entropy import SubsetPair, _accumulate, conditional_entropy, subset_entropy
 from aontlab.errors import (
     DimensionMismatchError,
     InvalidParametersError,
     OversizedColumnSetError,
     UnknownSymbolError,
 )
+from aontlab.models import uniform_model
 
 import arrays_oracle
 import entropy_oracle
@@ -159,6 +160,17 @@ def test_from_columns_rejects_bad_columns(columns, error, message):
         (lambda: parse_array_csv("# v=1 s=1\n0,0\n"), InvalidParametersError, "need v >= 2 and s >= 1"),
         # a three-digit token is left to the token path by the whole-text decode
         (lambda: parse_array_csv("# v=2 s=1\n100,1\n1,0\n"), UnknownSymbolError, "symbol 100 outside 0..1"),
+        # column labels were read by int(), or not read at all
+        (lambda: check_unbiased(builtin("table1"), [1.5]), InvalidParametersError, "column label 1.5 is not an integer"),
+        (lambda: check_unbiased(builtin("table1"), [True]), InvalidParametersError, "column label True is not"),
+        (lambda: check_unbiased(builtin("table1"), ["1"]), InvalidParametersError, "column label '1' is not"),
+        (lambda: SubsetPair((True,), (3,)), InvalidParametersError, "column label True is not an integer"),
+        (lambda: SubsetPair((1,), ("3",)), InvalidParametersError, "column label '3' is not an integer"),
+        (
+            lambda: conditional_entropy(builtin("table1"), uniform_model(2, 3), SubsetPair((1.5,), (3,))),
+            InvalidParametersError,
+            "column label 1.5 is not an integer",
+        ),
     ],
 )
 def test_each_array_rule_raises_its_error(build, error, message):

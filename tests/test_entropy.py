@@ -29,8 +29,10 @@ from aontlab import (
     subset_entropy,
     uniform_model,
 )
+from aontlab.arrays import AONT
 from aontlab.entropy import SubsetPair, _accumulate, pair_joint, prior_weights
 from aontlab.errors import FormulaPreconditionError, InvalidParametersError, MassSumError
+from aontlab.models import INDEPENDENT
 from aontlab.report import AUTO
 
 import entropy_oracle
@@ -362,7 +364,13 @@ def test_report_rows_match_fraction_reference(seed):
     t_o = rng.randint(t_i, array.s)
     for bounds_tag in (None, AUTO):
         report = build_report(array, model, t_i, t_o, bounds_tag=bounds_tag)
+        assert (report.t_i, report.t_o) == (t_i, t_o)
+        assert report.min_observed == min(row.oracle for row in report.rows)
+        assert report.max_observed == max(row.oracle for row in report.rows)
+        # the closed form's hypotheses, spelled out apart from bounds.TAG_RULES
+        formula_holds = model.kind == INDEPENDENT and t_i == t_o and report.verdict.verdict == AONT
         for row in report.rows:
+            assert (row.formula is not None) == formula_holds
             assert row.within is not False  # the interval auto picks holds
             assert row.oracle == entropy_oracle.conditional_entropy(array, model, row.x, row.y)
             assert row.h_x == entropy_oracle.subset_entropy(array, model, row.x)

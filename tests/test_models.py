@@ -233,6 +233,13 @@ _INDEPENDENT = {"s": 2, "v": 3, "kind": "independent"}
         {**_INDEPENDENT, "v": " 3 ", "columns": [[[1, 3]] * 3] * 2},
         {**_INDEPENDENT, "columns": [[["1", "3"], [1, 3], [1, 3]], [1, 0, 0]]},
         {**_BLOCK, "block": {"indices": ["1"], "joint": [[[0], [1, 1]]]}},
+        # Fraction() read mass strings in other scripts' digits, with '_', '+', spaces, decimals and exponents
+        {**_INDEPENDENT, "columns": [["١/٣"] * 3, [1, 0, 0]]},
+        {**_INDEPENDENT, "columns": [["1_0/3_0", "1/3", "1/3"], [1, 0, 0]]},
+        {**_INDEPENDENT, "columns": [[" 1/3 ", "1/3", "1/3"], [1, 0, 0]]},
+        {**_INDEPENDENT, "columns": [["+1/3", "1/3", "1/3"], [1, 0, 0]]},
+        {**_INDEPENDENT, "columns": [["0.5", "1/2", 0], [1, 0, 0]]},
+        {**_INDEPENDENT, "columns": [["1e-1", "9/10", 0], [1, 0, 0]]},
     ],
 )
 def test_malformed_model_document_raises_package_error(doc):
@@ -303,6 +310,10 @@ _PAIR_JOINT = Distribution(2, 2, (F(1, 2), F(0), F(0), F(1, 2)))
         ),
         (lambda: model_from_json_dict({**_INDEPENDENT, "kind": "mixed"}), InvalidParametersError,
          "unknown model kind 'mixed'"),
+        # block indices were read by int()
+        (lambda: make_block_dependent_model(2, 3, [1.5], uniform(3)), InvalidParametersError, "label 1.5 is not"),
+        (lambda: make_block_dependent_model(2, 3, [True], uniform(3)), InvalidParametersError, "label True is not"),
+        (lambda: make_block_dependent_model(2, 3, ["1"], uniform(3)), InvalidParametersError, "label '1' is not"),
     ],
 )
 def test_each_model_rule_raises_its_error(build, error, message):

@@ -402,6 +402,16 @@ def test_cli_analyze_bad_model_file(runner, tmp_path):
         assert "Traceback" not in result.stderr
 
 
+def test_cli_analyze_mass_not_in_ascii_digits_exits_3(runner, tmp_path):
+    """Fraction() read '١/٣' as 1/3, so this model loaded and the report exited 0."""
+    path = tmp_path / "arabic.json"
+    path.write_text(json.dumps({"s": 2, "v": 3, "kind": "independent", "columns": [["١/٣"] * 3] * 2}))
+    result = runner.invoke(cli, ["analyze", "--builtin", "table1", "--model", str(path), "--ti", "1", "--to", "1"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "mass '١/٣' is not a rational" in result.stderr
+
+
 def test_cli_demo(runner):
     result = runner.invoke(cli, ["demo", "1"])
     assert result.exit_code == 0
