@@ -14,6 +14,7 @@ projection.
 
 from __future__ import annotations
 
+import codecs
 import re
 import sys
 from array import array as int_array
@@ -23,7 +24,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .coding import _labels, _linear_columns, _pivot_product, _rank_split, decode_index, integer, is_prime
+from .coding import _label, _labels, _linear_columns, _pivot_product, _rank_split, decode_index, integer, is_prime
 from .errors import (
     DimensionMismatchError,
     InvalidParametersError,
@@ -103,10 +104,11 @@ def symbol_typecode(v: int) -> str:
     return typecode
 
 
-def _below(column: int_array, v: int) -> bool:
-    """Is every item of a non-empty column below v?"""
-    if column.itemsize == 1:  # deleting the valid bytes is one C pass, with no int per item
-        return not column.tobytes().translate(None, bytes(range(v)))
+def _below(column: bytes | int_array, v: int) -> bool:
+    """Is every item of a non-empty column, `bytes` or an `array`, below v?"""
+    # deleting the valid bytes is one C pass, with no int per item
+    if isinstance(column, bytes) or column.itemsize == 1:
+        return not bytes(column).translate(None, bytes(range(v)))
     return max(column) < v
 
 
@@ -131,8 +133,9 @@ class AontArray:
 
     It stores one `array` of typecode `symbol_typecode(v)` per column, in row
     order: `AontArray(alphabet, s, rows)` builds it from rows and
-    `AontArray.from_columns` from columns, and both validate every symbol.
-    `rows` is a view rebuilt from the columns on each access.
+    `AontArray.from_columns` from columns, and both validate every symbol;
+    the CSV decoders, which have checked every symbol, store theirs by
+    `_from_symbols`. `rows` is a view rebuilt from the columns on each access.
     """
 
     alphabet: Alphabet
@@ -184,6 +187,17 @@ class AontArray:
             stored.append(column)
         array = cls.__new__(cls)
         array._store(alphabet, s, stored)
+        return array
+
+    @classmethod
+    def _from_symbols(cls, alphabet: Alphabet, s: int, flat: bytes | int_array) -> AontArray:
+        """The array whose row-major symbols are `flat`, its shape and every
+        symbol already checked: `bytes` for v <= 256, otherwise an `array` of
+        `symbol_typecode(v)`. Each column is one stride slice, copied whole
+        into its `array`, with no int per item and no second check."""
+        width, typecode = 2 * s, symbol_typecode(alphabet.size)
+        array = cls.__new__(cls)
+        array._store(alphabet, s, [int_array(typecode, flat[i::width]) for i in range(width)])
         return array
 
     def _store(self, alphabet: Alphabet, s: int, columns: list[int_array]) -> None:
@@ -317,14 +331,14 @@ def _decode_tokens(tokens: list[str], v: int, s: int, glyphs: Sequence[str] | No
         table[token] = alphabet.symbol(token)
     symbols = map(table.__getitem__, tokens)
     # bytes() takes an iterator of small ints about twice as fast as array() does
-    flat = int_array("B", bytes(symbols)) if v <= 256 else int_array(symbol_typecode(v), symbols)
-    width = 2 * s
-    return AontArray.from_columns(alphabet, s, [flat[i::width] for i in range(width)])
+    flat = bytes(symbols) if v <= 256 else int_array(symbol_typecode(v), symbols)
+    return AontArray._from_symbols(alphabet, s, flat)
 
 
 def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
     """Mixed-radix code of every row's projection onto `cols` (1-based labels
-    in 1..2s, any order, at most 2s of them), as an `array` in row order.
+    in 1..2s, each read by `coding._label`, in the order given, repeats kept,
+    at most 2s of them), as an `array` in row order.
 
     The packed columns are combined by big-integer multiply-adds, one per
     column, with no loop over rows. This is exact because no field carries
@@ -334,8 +348,9 @@ def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
     """
     if len(cols) > 2 * array.s:
         raise OversizedColumnSetError(f"{len(cols)} columns exceed the array width {2 * array.s}")
+    cols = tuple(map(_label, cols))
     if cols and not 1 <= min(cols) <= max(cols) <= 2 * array.s:
-        raise InvalidParametersError(f"column labels {tuple(cols)} outside 1..{2 * array.s}")
+        raise InvalidParametersError(f"column labels {cols} outside 1..{2 * array.s}")
     return _codes(array.packed_columns, cols, array.v, field_typecode(array.v, array.s), array.n_rows)
 
 
@@ -598,72 +613,107 @@ def passes_unbiased_family(array: AontArray, t_i: int, t_o: int) -> bool:
 # reproduces it byte-for-byte apart from that header.
 
 # at most three digits each, so int() never meets a number too long to convert
-_CANONICAL_HEADER = re.compile(r"# v=([0-9]{1,3}) s=([0-9]{1,3})\n")
+_CANONICAL_HEADER = re.compile(rb"# v=([0-9]{1,3}) s=([0-9]{1,3})\n")
 _DIGITS = b"0123456789"
-_DIGIT_VALUES = bytes.maketrans(_DIGITS + b",\n", bytes(range(10)) + bytes(2))
-_DIGIT_ONES = bytes.maketrans(_DIGITS + b",\n", b"\1" * 10 + bytes(2))
+# each digit to 0x80 plus its value, and a comma or newline to 0
+_FLAGGED_DIGITS = bytes.maketrans(_DIGITS + b",\n", bytes(range(0x80, 0x8A)) + bytes(2))
+# a byte from 0x80 up to its value less 0x80; each byte below 0x80 is deleted
+_UNFLAG, _UNFLAGGED = bytes(128) + bytes(range(128)), bytes(range(128))
 # each digit to its value and every other byte to 0xFF
 _DIGIT_OR_FF = b"\xff" * ord("0") + bytes(range(10)) + b"\xff" * (255 - ord("9"))
+# the two-digit decode reads whole rows from about this many bytes on, so
+# each chunk's big integers stay in cache
+_CHUNK = 1 << 14
 
 
-def _parse_canonical(text: str) -> AontArray | None:
+def _parse_canonical(data: bytes) -> AontArray | None:
     """The array of a text laid out as `dump_array_csv` writes it with its
-    header, which gives (v, s), over v <= 100, decoded in whole-text passes
-    with no object per token; None for any other text, which
-    `parse_array_csv` then parses token by token, and so raises every error.
-    A body of one-digit tokens is read by stride, any other by big-integer
-    arithmetic on its bytes."""
-    header = _CANONICAL_HEADER.match(text)
-    if header is None or not text.isascii():
+    header, which gives (v, s), over v <= 100, decoded in passes over its
+    bytes with no object per token; None for any other text, which is then
+    parsed token by token, and so raises every error. A body of one-digit
+    tokens is read by stride, any other by `_two_digit_symbols`."""
+    header = _CANONICAL_HEADER.match(data)
+    if header is None or not data.isascii():
         return None
     v, s = int(header[1]), int(header[2])
-    # 2^s <= v^s rows <= len(text) bounds s before v^s is computed
-    if not (2 <= v <= 100 and 1 <= s < len(text).bit_length()):
+    # 2^s <= v^s rows <= len(data) bounds s before v^s is computed
+    if not (2 <= v <= 100 and 1 <= s < len(data).bit_length()):
         return None
-    width, n_rows, size = 2 * s, v**s, len(text) - header.end()
+    start = header.end()
+    width, n_rows, size = 2 * s, v**s, len(data) - start
     # a row of width one- or two-digit tokens, each with its separator, holds
     # 2 * width to 3 * width bytes; checked before any row-sized pattern is built
     if not 2 * width * n_rows <= size <= 3 * width * n_rows:
         return None
-    body = text[header.end() :].encode()
     separators = b"," * (width - 1) + b"\n"  # of one row
     if size == 2 * width * n_rows:
         # one byte per token: the separators sit at the odd offsets and the
         # digits at the even ones, where any other byte reads 0xFF, above v
-        if body[1::2] != separators * n_rows:
+        if data[start + 1 :: 2] != separators * n_rows:
             return None
-        flat = int_array("B", body[::2].translate(_DIGIT_OR_FF))
+        flat = data[start::2].translate(_DIGIT_OR_FF)
     else:
-        if body.translate(None, _DIGITS) != separators * n_rows:
-            return None
-        # read as big-endian integers, >> 8 moves each byte one place right and
-        # << 8 one place left; no byte below exceeds 99, so nothing carries. Each
-        # del frees a text-sized integer before the next one is built.
-        ones = int.from_bytes(body.translate(_DIGIT_ONES), "big")
-        if ones & ones >> 8 & ones >> 16:  # a token of three or more digits
-            return None
-        values = int.from_bytes(body.translate(_DIGIT_VALUES), "big")
-        del body
-        last = 255 * (ones ^ (ones & ones << 8))  # 0xFF on a digit followed by a separator
-        del ones
-        symbols = values + 10 * (values >> 8)  # units + 10 tens on a token's last digit
-        del values
-        # every byte but a token's last digit is set to 0xFF, then dropped
-        flat = int_array("B", (symbols | ((1 << 8 * size) - 1) ^ last).to_bytes(size, "big").translate(None, b"\xff"))
-        # one symbol per non-empty token, so a short count means an empty token
-        if len(flat) != width * n_rows:
+        flat = _two_digit_symbols(data, start, separators)
+        if flat is None or len(flat) != width * n_rows:
             return None
     if not _below(flat, v):
         return None
-    return AontArray.from_columns(Alphabet(v), s, [flat[i::width] for i in range(width)])
+    return AontArray._from_symbols(Alphabet(v), s, flat)
+
+
+def _two_digit_symbols(data: bytes, start: int, separators: bytes) -> bytes | None:
+    """One byte per token of the rows `data[start:]` of one- and two-digit
+    tokens, each row laid out as `separators` with digits before each
+    separator; None for a token of three or more digits, an empty token, or
+    any other layout.
+
+    The rows are read in chunks of whole rows, each ending at the first
+    newline `_CHUNK` bytes or more past its start, so no token spans two
+    chunks and no copy of the whole body is made. Each chunk's separators
+    are checked by one `bytes.translate`. Its digits, flagged by 0x80 and
+    read as one big-endian integer, give each token's symbol at its last
+    digit: >> 8 moves each byte one place right and << 8 one place left, and
+    no byte of the values exceeds 99, so nothing carries."""
+    width = len(separators)
+    # a valid row holds at most 3 * width bytes, so a valid chunk at most this
+    limit = _CHUNK + 3 * width
+    flags = int.from_bytes(b"\x80" * limit, "big")
+    parts = []
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
+        chunk = data[start:end]
+        start = end
+        if len(chunk) > limit:
+            return None
+        layout = chunk.translate(None, _DIGITS)
+        if layout != separators * (len(layout) // width):
+            return None
+        flagged = int.from_bytes(chunk.translate(_FLAGGED_DIGITS), "big")
+        digits = flagged & flags >> 8 * (limit - len(chunk))  # 0x80 on each digit
+        values = flagged ^ digits
+        pairs = digits & digits << 8  # 0x80 on a digit followed by a digit
+        if pairs & pairs << 8:  # a token of three or more digits
+            return None
+        symbols = values + 10 * (values >> 8)  # units + 10 tens on a token's last digit
+        # a token's last digit is flagged, not followed by a digit; every other byte is dropped
+        part = (symbols | digits ^ pairs).to_bytes(len(chunk), "big").translate(_UNFLAG, _UNFLAGGED)
+        # one symbol per non-empty token, so a short count means an empty token
+        if len(part) != len(layout):
+            return None
+        parts.append(part)
+    return b"".join(parts)
 
 
 def parse_array_csv(text: str) -> AontArray:
     """The array of a CSV text; (v, s) come from its header "# v=<v> s=<s>",
     or without one, s from the first row's width and v from the row count."""
-    array = _parse_canonical(text)
-    if array is not None:
-        return array
+    array = _parse_canonical(text.encode()) if text.isascii() else None
+    return array if array is not None else _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> AontArray:
+    """`parse_array_csv` token by token, for every text; a line ends at
+    `\\n`, `\\r\\n`, a lone `\\r` or any other break `str.splitlines` knows."""
     lines = list(filter(str.strip, text.splitlines()))
     v = s = None
     if lines and lines[0].lstrip().startswith("#"):
@@ -700,13 +750,20 @@ def parse_array_csv(text: str) -> AontArray:
 
 
 def load_array_csv(path: str) -> AontArray:
-    """The array of a UTF-8 CSV file, its shape read as `parse_array_csv` reads it."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise UnknownSymbolError(f"{path} is not UTF-8 text: {exc}") from None
-    return parse_array_csv(text)
+    """The array of a UTF-8 CSV file, its shape read as `parse_array_csv`
+    reads it. The file is read as bytes, less a leading byte-order mark; the
+    canonical decode sees each `\\r\\n` and lone `\\r` as `\\n`, as text mode
+    would read it, and only a file it declines is decoded to text."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    array = _parse_canonical(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data)
+    if array is not None:
+        return array
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise UnknownSymbolError(f"{path} is not UTF-8 text: {exc}") from None
+    return _parse_tokens(text)
 
 
 def dump_array_csv(array: AontArray, header: bool = True) -> str:

@@ -30,16 +30,19 @@ def _integral(value) -> int:
     return index(value)
 
 
+def _label(value) -> int:
+    """One column label given from outside, read by `_integral`; a label that
+    is not an integer raises InvalidParametersError."""
+    try:
+        return _integral(value)
+    except TypeError:
+        raise InvalidParametersError(f"column label {value!r} is not an integer") from None
+
+
 def _labels(values: Iterable) -> tuple[int, ...]:
-    """Column labels given from outside, each read by `_integral`, sorted and
-    de-duplicated; a label that is not an integer raises InvalidParametersError."""
-    labels = set()
-    for value in values:
-        try:
-            labels.add(_integral(value))
-        except TypeError:
-            raise InvalidParametersError(f"column label {value!r} is not an integer") from None
-    return tuple(sorted(labels))
+    """Column labels given from outside, each read by `_label`, sorted and
+    de-duplicated."""
+    return tuple(sorted(set(map(_label, values))))
 
 
 def integer(text: str) -> int:

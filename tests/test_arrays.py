@@ -1,10 +1,13 @@
+import codecs
 import random
+import re
 import sys
 import time
 import tracemalloc
 from array import array as int_array
+from bisect import bisect_right
 from functools import lru_cache, partial
-from itertools import product
+from itertools import accumulate, product
 from operator import ne
 from unittest import mock
 
@@ -772,6 +775,19 @@ def test_projection_codes_reject_labels_outside_1_to_2s(table1, cols):
         projection_codes(table1, cols)
 
 
+@pytest.mark.parametrize("label", [True, 1.5, "1"])
+def test_projection_codes_refuse_a_label_that_is_not_an_integer(table1, label):
+    """`True` once projected onto column 1, and 1.5 or "1" escaped as TypeError."""
+    with pytest.raises(InvalidParametersError, match=r"column label .* is not an integer"):
+        projection_codes(table1, [label])
+
+
+def test_projection_codes_read_integral_floats_in_order_with_repeats(table1):
+    codes = projection_codes(table1, [2.0, 1, 2.0])
+    assert codes == projection_codes(table1, (2, 1, 2))
+    assert list(codes) == arrays_oracle.codes(table1, (2, 1, 2))
+
+
 @pytest.mark.parametrize("cols", [(0,), (5,), (1, 5), (-1, 2)])
 def test_check_unbiased_rejects_labels_outside_1_to_2s(table1, cols):
     with pytest.raises(InvalidParametersError, match=r"outside 1\.\.4"):
@@ -826,7 +842,7 @@ def test_canonical_files_take_the_whole_text_decode(monkeypatch, tmp_path):
     monkeypatch.setattr(arrays_module, "_decode_tokens", unused)
     for array, text in zip(arrays, texts):
         assert parse_array_csv(text) == array
-    # universal newlines turn CRLF into LF as the file is read
+    # load_array_csv reads each CRLF as LF, as text mode would
     path = tmp_path / "crlf.csv"
     path.write_bytes(texts[2].replace("\n", "\r\n").encode())
     assert load_array_csv(str(path)) == arrays[2]
@@ -834,7 +850,7 @@ def test_canonical_files_take_the_whole_text_decode(monkeypatch, tmp_path):
 
     big = AontArray(Alphabet(101), 1, [[100 - r, r] for r in range(101)])
     for text in [dump_array_csv(big), texts[2].partition("\n")[2], texts[2].replace("\n", "\r\n")]:
-        assert arrays_module._parse_canonical(text) is None
+        assert arrays_module._parse_canonical(text.encode()) is None
 
 
 def test_csv_with_a_byte_order_mark_loads(tmp_path, table1):
@@ -855,7 +871,7 @@ _HUGE_HEADER_TEXTS = [
 def test_header_with_more_rows_than_the_text_holds_is_declined_at_once(text):
     """The decode compares v^s with the text's size before it builds any
     row-sized pattern, so such a header costs no memory or time."""
-    assert arrays_module._parse_canonical(text) is None
+    assert arrays_module._parse_canonical(text.encode()) is None
     with pytest.raises(DimensionMismatchError, match=r"expected 100+ rows, got"):
         parse_array_csv(text)
 
@@ -961,6 +977,138 @@ def test_parser_matches_per_token_reference(table):
         assert _outcome(parse_array_csv, source) == _outcome(arrays_oracle.parse_array_csv, source)
     else:
         assert _outcome(parse_array, *source) == _outcome(arrays_oracle.parse_array, *source)
+
+
+@lru_cache(maxsize=2)
+def _cauchy_v11_lines(s: int) -> tuple[str, list[str]]:
+    """The header line and the rows, each with its newline, of the v=11
+    Cauchy array of width 2s as `dump_array_csv` writes it."""
+    header, body = dump_array_csv(linear_aont(matrix_from_rows(11, _cauchy(s, 11)))).split("\n", 1)
+    assert len(body) > arrays_module._CHUNK  # the two-digit decode reads it in two or more chunks
+    return header + "\n", body.splitlines(keepends=True)
+
+
+_CHUNK_EDITS = ["none", "05", "105", "empty", ";", "swap", "no newline"]
+_CHUNK_PLACES = ["first chunk", "middle chunk", "last chunk", "after a boundary"]
+
+
+def _edited_cauchy_v11(s: int, edit: str, place: str) -> str:
+    """The v=11 Cauchy text with one edit on one row: a one-digit token given
+    a leading zero, a token made three digits, 12s digits or empty, a comma
+    made `;`, the row's last comma swapped with its newline, its newline
+    dropped (on the last row, no final newline), or a row of empty tokens
+    put before it. The row is the first, the one holding the body's middle
+    byte (in a middle chunk for s=4), the last, the first of the second
+    chunk, or the last of the first."""
+    header, lines = _cauchy_v11_lines(s)
+    starts = list(accumulate(map(len, lines), initial=0))
+    # a chunk ends at the first newline _CHUNK bytes or more into it
+    boundary = starts.index("".join(lines).index("\n", arrays_module._CHUNK) + 1)
+    r = {
+        "first chunk": 0,
+        "middle chunk": bisect_right(starts, starts[-1] // 2) - 1,
+        "last chunk": len(lines) - 1,
+        "after a boundary": boundary,
+        "across a boundary": boundary - 1,
+    }[place]
+    tokens = lines[r][:-1].split(",")
+    if edit == "05":
+        c = next(c for c, token in enumerate(tokens) if len(token) == 1)
+        tokens[c] = "0" + tokens[c]
+    if edit in ("105", "long token", "empty"):
+        tokens[0] = {"105": "105", "long token": "1" * 12 * s, "empty": ""}[edit]
+    row = ",".join(tokens) + "\n"
+    if edit == "empty row":
+        row = "," * (2 * s - 1) + "\n" + row
+    if edit == ";":
+        row = row.replace(",", ";", 1)
+    if edit == "swap":
+        row = ",".join(tokens[:-1]) + "\n" + tokens[-1] + ","
+    if edit == "no newline":
+        row = row[:-1]
+    return header + "".join(lines[:r]) + row + "".join(lines[r + 1 :])
+
+
+@pytest.mark.parametrize("place", _CHUNK_PLACES)
+@pytest.mark.parametrize("edit", _CHUNK_EDITS)
+@pytest.mark.parametrize("s", [3, 4])
+def test_parser_matches_per_token_reference_across_chunks(s, edit, place):
+    """Bodies of two (s=3) and fifteen (s=4) chunks, each edit placed in the
+    first, a middle or the last chunk, or on the first row after a boundary."""
+    text = _edited_cauchy_v11(s, edit, place)
+    assert _outcome(parse_array_csv, text) == _outcome(arrays_oracle.parse_array_csv, text)
+
+
+@pytest.mark.parametrize(
+    "edit, place", [("empty row", place) for place in _CHUNK_PLACES] + [("long token", "across a boundary")]
+)
+def test_rows_that_change_a_chunks_row_count_or_length_are_declined(edit, place):
+    """A row of empty tokens adds a row but no symbol; a token of 12s digits
+    on the row that ends the first chunk makes the chunk longer than any
+    chunk of a canonical body."""
+    text = _edited_cauchy_v11(3, edit, place)
+    assert _outcome(parse_array_csv, text) == _outcome(arrays_oracle.parse_array_csv, text)
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["canonical", "no header"])
+@pytest.mark.parametrize("v", [7, 11])
+def test_files_with_crlf_cr_or_bom_load_as_text_mode_reads_them(monkeypatch, tmp_path, v, header):
+    """A canonical file with CRLF, lone-CR or BOM line ends and prefixes is
+    still decoded whole; one without a header is parsed token by token."""
+    text = dump_array_csv(linear_aont(matrix_from_rows(v, _cauchy(3, v))), header=header)
+    copies = {
+        "lf": text.encode(),
+        "crlf": text.replace("\n", "\r\n").encode(),
+        "cr": text.replace("\n", "\r").encode(),
+        "bom": codecs.BOM_UTF8 + text.encode(),
+        "bom crlf": codecs.BOM_UTF8 + text.replace("\n", "\r\n").encode(),
+    }
+    expected = {}
+    for name, data in copies.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8-sig") as fh:  # universal newlines
+            read = fh.read()
+        assert read == text
+        expected[path] = parse_array_csv(read)
+    if header:
+        monkeypatch.setattr(arrays_module, "_decode_tokens", mock.Mock(side_effect=AssertionError("token by token")))
+    for path, array in expected.items():
+        assert load_array_csv(str(path)) == array, path.name
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"# v=2 s=1\n0,1\n1,\xff\n", "byte 0xff in position 16: invalid start byte"),
+        # positions count from after the byte-order mark, and count each \r
+        (codecs.BOM_UTF8 + b"0,1\r\n1,\xff\r\n", "byte 0xff in position 7: invalid start byte"),
+        # text mode read the first two bytes of a byte-order mark alone as an empty text
+        (codecs.BOM_UTF8[:2], "bytes in position 0-1: unexpected end of data"),
+    ],
+    ids=["lf", "bom crlf", "part of a bom"],
+)
+def test_file_that_is_not_utf8_is_refused(tmp_path, data, error):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    message = f"{path} is not UTF-8 text: 'utf-8' codec can't decode {error}"
+    with pytest.raises(UnknownSymbolError, match=re.escape(message)):
+        load_array_csv(str(path))
+
+
+def test_two_digit_file_load_peaks_below_three_times_the_file(tmp_path):
+    """The file is read as bytes and its body decoded in row-aligned chunks;
+    read as text and decoded whole, the peak was over 6x the file."""
+    path = tmp_path / "c.csv"
+    save_array_csv(linear_aont(matrix_from_rows(11, _cauchy(4, 11))), str(path))
+    tracemalloc.start()
+    try:
+        array = load_array_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert array.n_rows == 11**4
+    assert peak < 3 * path.stat().st_size
 
 
 def test_saved_array_loads_back(tmp_path, table1):
