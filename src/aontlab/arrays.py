@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .coding import _label, _labels, _linear_columns, _pivot_product, _rank_split, decode_index, integer, is_prime
+from .coding import _labels, _linear_columns, _pivot_product, _rank_split, _whole, decode_index, integer, is_prime
 from .errors import (
     DimensionMismatchError,
     InvalidParametersError,
@@ -48,6 +48,7 @@ class Alphabet:
     glyphs: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "size", _whole(self.size, "alphabet size"))
         if self.size < 2:
             raise InvalidParametersError(f"alphabet size must be >= 2, got {self.size}")
         if self.glyphs is not None:
@@ -143,7 +144,7 @@ class AontArray:
     columns: tuple[int_array, ...]
 
     def __init__(self, alphabet: Alphabet, s: int, rows: Sequence[Sequence[int]]) -> None:
-        v = alphabet.size
+        v, s = alphabet.size, _whole(s, "s")
         if s < 1:
             raise InvalidParametersError(f"s must be >= 1, got {s}")
         if _row_count_differs(len(rows), v, s):
@@ -166,7 +167,7 @@ class AontArray:
     @classmethod
     def from_columns(cls, alphabet: Alphabet, s: int, columns: Sequence[Sequence[int]]) -> AontArray:
         """The array whose i-th column, in row order, is `columns[i]`."""
-        v = alphabet.size
+        v, s = alphabet.size, _whole(s, "s")
         if s < 1:
             raise InvalidParametersError(f"s must be >= 1, got {s}")
         if len(columns) != 2 * s:
@@ -289,6 +290,7 @@ def parse_array(
     0..v-1 in row-major order of first appearance, which keeps the canonical
     tables stable across loads.
     """
+    v, s = _whole(v, "v"), _whole(s, "s")
     if v < 2 or s < 1:
         raise InvalidParametersError(f"need v >= 2 and s >= 1, got v={v}, s={s}")
     rows = list(map(tuple, raw_rows))
@@ -337,7 +339,7 @@ def _decode_tokens(tokens: list[str], v: int, s: int, glyphs: Sequence[str] | No
 
 def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
     """Mixed-radix code of every row's projection onto `cols` (1-based labels
-    in 1..2s, each read by `coding._label`, in the order given, repeats kept,
+    in 1..2s, each read by `coding._whole`, in the order given, repeats kept,
     at most 2s of them), as an `array` in row order.
 
     The packed columns are combined by big-integer multiply-adds, one per
@@ -348,7 +350,7 @@ def projection_codes(array: AontArray, cols: Sequence[int]) -> int_array:
     """
     if len(cols) > 2 * array.s:
         raise OversizedColumnSetError(f"{len(cols)} columns exceed the array width {2 * array.s}")
-    cols = tuple(map(_label, cols))
+    cols = tuple(map(_whole, cols))
     if cols and not 1 <= min(cols) <= max(cols) <= 2 * array.s:
         raise InvalidParametersError(f"column labels {cols} outside 1..{2 * array.s}")
     return _codes(array.packed_columns, cols, array.v, field_typecode(array.v, array.s), array.n_rows)
@@ -444,7 +446,7 @@ def column_set_family(s: int, t_i: int, t_o: int) -> Iterator[tuple[int, ...]]:
     columns with s-t_o output columns in lexicographic (I, J) order. It is
     defined for 1 <= t_i <= t_o <= s only, and checks that at its first step.
     """
-    check_t_range(s, t_i, t_o)
+    t_i, t_o = check_t_range(s, t_i, t_o)
     yield tuple(range(1, s + 1))
     yield tuple(range(s + 1, 2 * s + 1))
     for i_cols in combinations(range(1, s + 1), t_i):
@@ -452,12 +454,15 @@ def column_set_family(s: int, t_i: int, t_o: int) -> Iterator[tuple[int, ...]]:
             yield i_cols + j_cols
 
 
-def check_t_range(s: int, t_i: int, t_o: int) -> None:
-    """Reject protection parameters outside 1 <= t_i <= t_o <= s."""
+def check_t_range(s: int, t_i: int, t_o: int) -> tuple[int, int]:
+    """t_i and t_o given from outside, each read by `coding._whole`, if
+    1 <= t_i <= t_o <= s; otherwise InvalidParametersError."""
+    t_i, t_o = _whole(t_i, "t_i"), _whole(t_o, "t_o")
     if not 1 <= t_i <= t_o <= s:
         raise InvalidParametersError(
             f"need 1 <= t_i <= t_o <= s, got t_i={t_i}, t_o={t_o}, s={s}"
         )
+    return t_i, t_o
 
 
 # maps every non-zero byte to 1, so `find(1)` meets each one in turn
@@ -577,9 +582,10 @@ def classify(array: AontArray, t_i: int, t_o: int) -> ClassificationVerdict:
     exact, so the verdict and witness are counting's.
 
     The first set that is not covering makes the array neither; otherwise
-    the first set that is not unbiased makes it weak-aont-only. Parameters
-    outside 1 <= t_i <= t_o <= s raise InvalidParametersError from the family.
+    the first set that is not unbiased makes it weak-aont-only. t_i and t_o
+    are read by `check_t_range`.
     """
+    t_i, t_o = check_t_range(array.s, t_i, t_o)
     family = column_set_family(array.s, t_i, t_o)
     properties = _set_properties(array)
     unbiased_witness: tuple[int, ...] | None = None

@@ -14,15 +14,13 @@ from typing import Callable, Sequence
 
 from .arrays import AONT, WEAK_AONT_ONLY, AontArray, cached_classify, check_t_range
 from .coding import left_sum
-from .entropy import SubsetPair, check_pair, pair_joint, prior_weights
-from .entropy import (  # unused here; perfbench/tracing.py wraps these names
-    conditional_entropy,
-    subset_entropy,
-)
+from .entropy import SubsetPair, check_pair, pair_joint, prior_weights, subset_entropy
+from .entropy import conditional_entropy  # unused here; perfbench/tracing.py wraps this name
 from .errors import (
     AontLabError,
     BlockTooLargeError,
     ClassificationMismatchError,
+    FormulaPreconditionError,
     InvalidParametersError,
     OutputEntropyRangeError,
     TooManyNonuniformError,
@@ -94,10 +92,9 @@ def _prior_terms(
     model: InputModel, t_i: int, t_o: int, h_y: float | None = None
 ) -> tuple[list[float], float, float, float]:
     """The terms of the bounds: (H(X_i) for each column i, their sum, the sum
-    of the t_i smallest, log2 v). Checks 1 <= t_i <= t_o <= s, then that a
-    supplied H(Y) of s - t_o output columns lies in [0, (s - t_o) log2 v],
-    then that the prior is independent."""
-    check_t_range(model.s, t_i, t_o)
+    of the t_i smallest, log2 v), for t_i and t_o read by `check_t_range`.
+    Checks that a supplied H(Y) of s - t_o output columns lies in
+    [0, (s - t_o) log2 v], then that the prior is independent."""
     log_v = log2(model.v)
     if h_y is not None:
         top = (model.s - t_o) * log_v
@@ -111,6 +108,7 @@ def _prior_terms(
 
 def bounds_symmetric(model: InputModel, t: int) -> EntropyInterval:
     """Interval for H(X|Y) on a full symmetric transform, |X| = t, |Y] = s - t."""
+    t, _ = check_t_range(model.s, t, t)
     _, total, min_sum, log_v = _prior_terms(model, t, t)
     return EntropyInterval(max(0.0, total - (model.s - t) * log_v), min_sum, SYMMETRIC)
 
@@ -118,6 +116,7 @@ def bounds_symmetric(model: InputModel, t: int) -> EntropyInterval:
 def exact_nonuniform_le_t(model: InputModel, t: int) -> float:
     """Exact H(X|Y) when at most t columns are non-uniform: the non-uniform
     entropies plus (t - r) * log2(v)."""
+    t, _ = check_t_range(model.s, t, t)
     hs, _, _, log_v = _prior_terms(model, t, t)
     nonuniform = [h for d, h in zip(model.columns, hs) if not d.is_uniform()]
     if len(nonuniform) > t:
@@ -128,7 +127,7 @@ def exact_nonuniform_le_t(model: InputModel, t: int) -> float:
 def exact_block_dependent(model: InputModel, t: int) -> float:
     """Exact H(X|Y) for a dependent block of size <= t with uniform rest:
     H(block joint) + (t - |block|) * log2(v)."""
-    check_t_range(model.s, t, t)
+    t, _ = check_t_range(model.s, t, t)
     if (error := _block_within_t(model, t)) is not None:
         raise error
     return model.block_joint.entropy_bits() + (t - len(model.block)) * log2(model.v)
@@ -155,6 +154,7 @@ def bounds_asymmetric(
     The upper bound's H(X) term is pair-specific, so it enters only when
     `x_cols` is supplied; otherwise the X-independent envelope is returned.
     """
+    t_i, t_o = check_t_range(model.s, t_i, t_o)
     hs, total, min_sum, log_v = _prior_terms(model, t_i, t_o)
     lower = max(0.0, total - (model.s - t_i) * log_v)
     terms = [min_sum + (t_o - t_i) * log_v, min_sum + model.s * log_v - total]
@@ -166,6 +166,7 @@ def bounds_asymmetric(
 def bounds_asymmetric_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
     """H(Y)-conditioned sandwich for full asymmetric transforms; collapses to
     the closed-form identity when t_i = t_o."""
+    t_i, t_o = check_t_range(model.s, t_i, t_o)
     _, total, _, log_v = _prior_terms(model, t_i, t_o, h_y)
     lower = max(0.0, total - (t_o - t_i) * log_v - h_y)
     upper = min(total - h_y, (model.s + t_i - t_o) * log_v - h_y)
@@ -184,6 +185,7 @@ def bounds_weak(
 ) -> EntropyInterval:
     """Interval for H(X|Y) under the covering relaxation; the completion-set
     size range v^(s-t_i) - v^(s-t_o) + 1 drives both ends."""
+    t_i, t_o = check_t_range(model.s, t_i, t_o)
     hs, total, min_sum, log_v = _prior_terms(model, t_i, t_o)
     log_term = _weak_log_term(model.v, model.s, t_i, t_o)
     lower = max(0.0, total - (model.s - t_o) * log_v - log_term)
@@ -195,6 +197,7 @@ def bounds_weak(
 
 def bounds_weak_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
     """H(Y)-conditioned sandwich under the covering relaxation."""
+    t_i, t_o = check_t_range(model.s, t_i, t_o)
     _, total, _, _ = _prior_terms(model, t_i, t_o, h_y)
     lower = max(0.0, total - _weak_log_term(model.v, model.s, t_i, t_o) - h_y)
     return EntropyInterval(lower, total - h_y, WEAK_GIVEN_HY)
@@ -320,3 +323,17 @@ def compare(
     joint = pair_joint(array, *prior_weights(array, model), pair)
     h_y = joint.h_y()
     return BoundComparison(pair, joint.conditional(h_y), rule.interval(model, t_i, t_o, pair.x, h_y), tolerance)
+
+
+def conditional_entropy_formula(array: AontArray, model: InputModel, pair: SubsetPair) -> float:
+    """Closed-form H(X|Y) = sum_i H(X_i) - H(Y), valid exactly where the
+    symmetric tag's rule holds at t_i = |X|, t_o = s - |Y|: an independent
+    prior on an array verified as a full (t, t) transform with |Y| = s - t.
+    Anywhere else FormulaPreconditionError carries the rule's reason."""
+    check_pair(array.s, pair)
+    t_i, t_o = len(pair.x), array.s - len(pair.y)
+    verdict = cached_classify(array, t_i, t_o).verdict if t_i == t_o else None
+    if (error := _mismatch(SYMMETRIC, verdict, model, t_i, t_o)) is not None:
+        raise FormulaPreconditionError(f"closed form: {error}")
+    h_y = subset_entropy(array, model, pair.y) if pair.y else 0.0
+    return _prior_terms(model, t_i, t_o)[1] - h_y

@@ -30,19 +30,20 @@ def _integral(value) -> int:
     return index(value)
 
 
-def _label(value) -> int:
-    """One column label given from outside, read by `_integral`; a label that
-    is not an integer raises InvalidParametersError."""
+def _whole(value, what: str = "column label") -> int:
+    """One integer given from outside, such as a column label, read by
+    `_integral`; one that is not an integer raises InvalidParametersError
+    naming it as `what`."""
     try:
         return _integral(value)
     except TypeError:
-        raise InvalidParametersError(f"column label {value!r} is not an integer") from None
+        raise InvalidParametersError(f"{what} {value!r} is not an integer") from None
 
 
 def _labels(values: Iterable) -> tuple[int, ...]:
-    """Column labels given from outside, each read by `_label`, sorted and
+    """Column labels given from outside, each read by `_whole`, sorted and
     de-duplicated."""
-    return tuple(sorted(set(map(_label, values))))
+    return tuple(sorted(set(map(_whole, values))))
 
 
 def integer(text: str) -> int:

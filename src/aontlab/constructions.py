@@ -380,7 +380,7 @@ def search_linear(
     (examined, |GL(s, v)|) at most 64 times, rising, the last at completion.
     """
     s, v = _order_and_modulus(s, v)
-    check_t_range(s, t_i, t_o)
+    t_i, t_o = check_t_range(s, t_i, t_o)
     if v >= 2 and _power_exceeds(v, s * s, cap):
         raise SearchSpaceError(
             f"{v}^{s * s} candidate matrices exceed the cap of {cap}; raise the cap explicitly"

@@ -16,15 +16,15 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .arrays import AONT, AontArray, cached_classify, normalize_columns, projection_codes
-from .coding import _labels, _over_lcm, decode_index, encode_tuple, left_sum, weight_entropy_bits
+from .arrays import AontArray, normalize_columns, projection_codes
+from .arrays import cached_classify  # unused here; perfbench/tracing.py wraps this name
+from .coding import _labels, _over_lcm, _whole, decode_index, encode_tuple, weight_entropy_bits
 from .coding import entropy_bits  # unused here; perfbench/tracing.py wraps this name
-from .errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError, MassSumError
+from .errors import ArityMismatchError, InvalidParametersError, MassSumError
 from .models import (
     INDEPENDENT,
     Distribution,
     InputModel,
-    column_entropy,
     joint_probability,  # unused here; perfbench/tracing.py counts calls through this name
 )
 
@@ -197,29 +197,6 @@ def conditional_entropy(array: AontArray, model: InputModel, pair: SubsetPair) -
     return joint.conditional(joint.h_y())
 
 
-def column_entropy_sum(model: InputModel) -> float:
-    """sum_i H(X_i), the first term of the closed form."""
-    return left_sum(column_entropy(model, i) for i in range(1, model.s + 1))
-
-
-def conditional_entropy_formula(array: AontArray, model: InputModel, pair: SubsetPair) -> float:
-    """Closed-form H(X|Y) = sum_i H(X_i) - H(Y).
-
-    Valid only for an independent model on an array verified as a full
-    symmetric transform at t = |X| with |Y| = s - t; anything else raises.
-    """
-    check_pair(array.s, pair)
-    if model.kind != INDEPENDENT:
-        raise FormulaPreconditionError("closed form requires an independent model")
-    t = len(pair.x)
-    if len(pair.y) != array.s - t:
-        raise FormulaPreconditionError(f"closed form needs |Y| = s - |X| = {array.s - t}, got {len(pair.y)}")
-    if cached_classify(array, t, t).verdict != AONT:
-        raise FormulaPreconditionError(f"array is not a verified (t={t}) transform")
-    h_y = subset_entropy(array, model, pair.y) if pair.y else 0.0
-    return column_entropy_sum(model) - h_y
-
-
 @dataclass(frozen=True)
 class CompletionSet:
     """Complementary-input tuples consistent with a fixed (X, Y) observation."""
@@ -241,19 +218,20 @@ def completion_set(
     given_y: Sequence[int],
 ) -> CompletionSet:
     """All tuples on the inputs outside X appearing in a row that matches
-    X = given_x and Y = given_y. Empty output is legal for sparse arrays."""
+    X = given_x and Y = given_y, each symbol read by `coding._whole`. Empty
+    output is legal for sparse arrays."""
     check_pair(array.s, pair)
     if len(given_x) != len(pair.x) or len(given_y) != len(pair.y):
         raise InvalidParametersError("observation tuples must match the subset sizes")
     complement = tuple(c for c in array.input_columns if c not in pair.x)
-    observed = (*given_x, *given_y)
+    observed = tuple(_whole(x, "observed symbol") for x in (*given_x, *given_y))
     found: set[int] = set()
     # a symbol outside the alphabet matches no row, but its code could
     if all(x in range(array.v) for x in observed):
         matches = map(encode_tuple(observed, array.v).__eq__, projection_codes(array, pair.x + pair.y))
         found.update(compress(projection_codes(array, complement), matches))
     completions = tuple(decode_index(code, array.v, len(complement)) for code in sorted(found))
-    return CompletionSet(pair, tuple(given_x), tuple(given_y), completions)
+    return CompletionSet(pair, observed[: len(pair.x)], observed[len(pair.x) :], completions)
 
 
 def statistical_distance(array: AontArray, model: InputModel, pair: SubsetPair) -> float:

@@ -15,7 +15,7 @@ from functools import cached_property
 from math import log2
 from typing import Iterable, Iterator, Sequence
 
-from .coding import _integral, _labels, decode_index, encode_tuple, entropy_bits, integer
+from .coding import _integral, _labels, _whole, decode_index, encode_tuple, entropy_bits, integer
 from .errors import (
     ArityMismatchError,
     BlockColumnError,
@@ -52,6 +52,15 @@ def as_fraction(value) -> Fraction:
         raise MassSumError(f"mass {value!r} is not a rational") from None
 
 
+def _shape(v: int, length: int) -> tuple[int, int]:
+    """v and length given from outside, each read by `coding._whole`, if
+    v >= 2 and length >= 0."""
+    v, length = _whole(v, "alphabet size"), _whole(length, "tuple length")
+    if v < 2 or length < 0:
+        raise InvalidParametersError(f"bad distribution shape v={v}, length={length}")
+    return v, length
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Exact pmf over length-`length` tuples from {0..v-1}, stored densely.
@@ -65,8 +74,9 @@ class Distribution:
     masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.v < 2 or self.length < 0:
-            raise InvalidParametersError(f"bad distribution shape v={self.v}, length={self.length}")
+        v, length = _shape(self.v, self.length)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "length", length)
         if len(self.masses) != self.v**self.length:
             raise ArityMismatchError(
                 f"expected {self.v ** self.length} masses, got {len(self.masses)}"
@@ -80,8 +90,10 @@ class Distribution:
             raise MassSumError(f"masses sum to {total}, expected 1")
 
     def mass(self, tup: Sequence[int]) -> Fraction:
+        """The mass of one tuple, each symbol read by `coding._whole`."""
         if len(tup) != self.length:
             raise ArityMismatchError(f"tuple {tup!r} has length {len(tup)}, expected {self.length}")
+        tup = tuple(_whole(x, "symbol") for x in tup)
         for x in tup:
             if not 0 <= x < self.v:
                 raise UnknownSymbolError(f"symbol {x} outside 0..{self.v - 1}")
@@ -105,6 +117,7 @@ class Distribution:
 
 
 def uniform(v: int, length: int = 1) -> Distribution:
+    v, length = _shape(v, length)
     return Distribution(v, length, tuple([Fraction(1, v**length)] * v**length))
 
 
@@ -186,7 +199,7 @@ def make_block_dependent_model(
 
 
 def uniform_model(s: int, v: int) -> InputModel:
-    return make_independent_model([uniform(v)] * s)
+    return make_independent_model([uniform(v)] * _whole(s, "s"))
 
 
 def joint_probability(model: InputModel, x: Sequence[int]) -> Fraction:
@@ -203,13 +216,15 @@ def joint_probability(model: InputModel, x: Sequence[int]) -> Fraction:
     inside = tuple(x[c - 1] for c in model.block)
     outside = model.s - len(model.block)
     for sym in x:
-        if not 0 <= sym < model.v:
+        if not 0 <= _whole(sym, "symbol") < model.v:
             raise UnknownSymbolError(f"symbol {sym} outside 0..{model.v - 1}")
     return model.block_joint.mass(inside) / model.v**outside
 
 
 def column_entropy(model: InputModel, i: int) -> float:
-    """H(X_i) in bits; dependent-block columns must be queried jointly."""
+    """H(X_i) in bits, i read by `coding._whole`; dependent-block columns
+    must be queried jointly."""
+    i = _whole(i, "column")
     if not 1 <= i <= model.s:
         raise InvalidParametersError(f"column {i} outside 1..{model.s}")
     if model.kind == INDEPENDENT:

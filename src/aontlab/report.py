@@ -16,12 +16,12 @@ from operator import attrgetter
 from typing import Callable, Sequence
 
 from . import bounds as bnd
-from .arrays import AontArray, ClassificationVerdict, classify, column_set_family
+from .arrays import AontArray, ClassificationVerdict, check_t_range, classify, column_set_family
+from .bounds import conditional_entropy_formula  # unused here; perfbench/tracing.py wraps this name
 from .coding import integer
-from .entropy import SubsetPair, column_entropy_sum, pair_joint, prior_weights
+from .entropy import SubsetPair, pair_joint, prior_weights
 from .entropy import (  # unused here; perfbench/tracing.py wraps these names
     conditional_entropy,
-    conditional_entropy_formula,
     statistical_distance,
     subset_entropy,
 )
@@ -85,6 +85,7 @@ class AnalysisReport:
 def admissible_pairs(s: int, t_i: int, t_o: int) -> list[SubsetPair]:
     """All (X, Y) with |X| = t_i, |Y| = s - t_o, lexicographic by (X, Y): the
     mixed column sets of `column_set_family`, split at t_i."""
+    t_i, t_o = check_t_range(s, t_i, t_o)
     return [SubsetPair(cols[:t_i], cols[t_i:]) for cols in islice(column_set_family(s, t_i, t_o), 2, None)]
 
 
@@ -112,12 +113,13 @@ def build_report(
     bnd.check_tolerance(tolerance)
     weights, denominator = prior_weights(array, model)  # checks the model's shape and mass first
     verdict = classify(array, t_i, t_o)
+    t_i, t_o = verdict.t_i, verdict.t_o  # as classify read them
     tag = bnd.auto_tag(verdict.verdict, model, t_i, t_o) if bounds_tag == AUTO else bounds_tag
     rule = None if tag is None else bnd.checked_rule(tag, verdict.verdict, model, t_i, t_o)
 
     formula_ok = bnd._mismatch(bnd.SYMMETRIC, verdict.verdict, model, t_i, t_o) is None
     min_cap = bnd.bounds_symmetric(model, t_i).upper if model.kind == INDEPENDENT else None
-    h_cols = column_entropy_sum(model) if formula_ok else None
+    h_cols = bnd._prior_terms(model, t_i, t_o)[1] if formula_ok else None
 
     all_pairs = admissible_pairs(array.s, t_i, t_o) if pairs is None else list(dict.fromkeys(pairs))
     if not all_pairs:

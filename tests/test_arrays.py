@@ -1,5 +1,6 @@
 import codecs
 import random
+from dataclasses import replace
 import re
 import sys
 import time
@@ -20,15 +21,21 @@ from aontlab import (
     NEITHER,
     WEAK_AONT_ONLY,
     AontArray,
+    SearchResult,
     admissible_pairs,
+    bounds_symmetric,
+    bounds_weak,
+    build_report,
     check_covering,
     check_unbiased,
     classify,
     dump_array_csv,
+    iter_linear_aont_matrices,
     load_array_csv,
     parse_array,
     parse_array_csv,
     save_array_csv,
+    search_linear,
 )
 from aontlab import arrays as arrays_module
 from aontlab.arrays import (
@@ -174,6 +181,13 @@ def test_from_columns_rejects_bad_columns(columns, error, message):
             InvalidParametersError,
             "column label 1.5 is not an integer",
         ),
+        # shape integers escaped as TypeError or AttributeError, or a fractional size was kept
+        (lambda: Alphabet(2.5), InvalidParametersError, "alphabet size 2.5 is not an integer"),
+        (lambda: Alphabet(True), InvalidParametersError, "alphabet size True is not an integer"),
+        (lambda: AontArray(Alphabet(2), "1", [(0, 0), (1, 1)]), InvalidParametersError, "s '1' is not"),
+        (lambda: AontArray.from_columns(Alphabet(2), True, [[0, 1]] * 2), InvalidParametersError, "s True is not"),
+        (lambda: parse_array([(0, 0), (1, 1)], "2", 1), InvalidParametersError, "v '2' is not an integer"),
+        (lambda: parse_array([(0, 0), (1, 1)], 2, 1.5), InvalidParametersError, "s 1.5 is not an integer"),
     ],
 )
 def test_each_array_rule_raises_its_error(build, error, message):
@@ -613,6 +627,55 @@ def test_classify_parameter_checks(table1):
     for s, t_i, t_o in ((3, 2, 1), (2, 3, 1)):
         with pytest.raises(InvalidParametersError, match="need 1 <= t_i <= t_o <= s"):
             admissible_pairs(s, t_i, t_o)
+
+
+def test_integral_float_shape_read_as_int(table1):
+    rows, columns = table1.rows, [list(c) for c in table1.columns]
+    alphabet = Alphabet(3.0, table1.alphabet.glyphs)
+    built = [
+        parse_array(rows, 3.0, 2.0, table1.alphabet.glyphs),
+        AontArray(alphabet, 2.0, rows),
+        AontArray.from_columns(alphabet, 2.0, columns),
+    ]
+    assert built == [table1] * 3
+    assert all(type(a.v) is type(a.s) is int for a in built)
+
+
+# every public entry point that takes t_i and t_o from a caller, t given for both
+_T_CALLS = [
+    pytest.param(lambda t: classify(builtin("table1"), t, t), id="classify"),
+    pytest.param(lambda t: list(column_set_family(2, t, t)), id="column_set_family"),
+    pytest.param(lambda t: admissible_pairs(2, t, t), id="admissible_pairs"),
+    pytest.param(lambda t: bounds_symmetric(uniform_model(2, 3), t), id="bounds_symmetric"),
+    pytest.param(lambda t: bounds_weak(uniform_model(2, 3), t, t), id="bounds_weak"),
+    pytest.param(lambda t: search_linear(2, 3, t, t), id="search_linear"),
+    pytest.param(lambda t: list(iter_linear_aont_matrices(2, 3, t, t)), id="iter_linear_aont_matrices"),
+    pytest.param(lambda t: build_report(builtin("table1"), uniform_model(2, 3), t, t), id="build_report"),
+]
+
+
+@pytest.mark.parametrize("call", _T_CALLS)
+@pytest.mark.parametrize("t", [True, "1", 1.5])
+def test_t_that_is_not_an_integer_is_refused(call, t):
+    """Each once escaped as TypeError, and True was read as 1."""
+    with pytest.raises(InvalidParametersError, match=f"t_i {t!r} is not an integer"):
+        call(t)
+
+
+@pytest.mark.parametrize("call", _T_CALLS)
+def test_integral_float_t_read_as_int(call):
+    got, want = call(1.0), call(1)
+    if isinstance(want, SearchResult):
+        got, want = replace(got, elapsed_seconds=0.0), replace(want, elapsed_seconds=0.0)
+    # repr tells 1.0 from 1 in a verdict's or a result's t_i and t_o
+    assert repr(got) == repr(want)
+
+
+def test_t_o_read_on_its_own(table1):
+    with pytest.raises(InvalidParametersError, match="t_o True is not an integer"):
+        classify(table1, 1, True)
+    assert repr(classify(table1, 1, 2.0)) == repr(classify(table1, 1, 2))
+    assert bounds_weak(uniform_model(2, 3), 1, 2.0) == bounds_weak(uniform_model(2, 3), 1, 2)
 
 
 def test_family_enumeration_order():

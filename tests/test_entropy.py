@@ -15,6 +15,7 @@ from aontlab import (
     Distribution,
     build_report,
     builtin,
+    classify,
     column_entropy,
     completion_set,
     conditional_entropy,
@@ -30,6 +31,7 @@ from aontlab import (
     uniform_model,
 )
 from aontlab.arrays import AONT
+from aontlab.bounds import SYMMETRIC, _mismatch
 from aontlab.entropy import SubsetPair, _accumulate, pair_joint, prior_weights
 from aontlab.errors import FormulaPreconditionError, InvalidParametersError, MassSumError
 from aontlab.models import INDEPENDENT
@@ -187,6 +189,17 @@ def test_completion_set_singleton_table1(table1):
             assert cs.size == 1
     with pytest.raises(InvalidParametersError, match="observation tuples must match the subset sizes"):
         completion_set(table1, pair, (0, 0), (0,))
+
+
+def test_completion_set_reads_observed_symbols_as_integers(table1):
+    pair = SubsetPair((1,), (3,))
+    assert completion_set(table1, pair, [1.0], (0,)) == completion_set(table1, pair, (1,), (0,))
+    # True was read as 1, and 1.5 or "1" matched no row
+    for bad in (True, 1.5, "1"):
+        with pytest.raises(InvalidParametersError, match=f"observed symbol {bad!r} is not an integer"):
+            completion_set(table1, pair, (bad,), (0,))
+        with pytest.raises(InvalidParametersError, match=f"observed symbol {bad!r} is not an integer"):
+            completion_set(table1, pair, (0,), (bad,))
 
 
 def test_completion_set_range_table3(table3):
@@ -434,3 +447,46 @@ def test_stat_distance_matches_fraction_reference_on_both_paths(seed, kind, prio
         if kind == "neither":
             assert 0 in joint.y
         assert joint.stat_distance() == entropy_oracle.statistical_distance(array, model, pair.x, pair.y)
+
+
+def _formula_array(rng: random.Random, kind: str) -> AontArray:
+    """A random output block, a random linear array, a Cauchy array (a
+    transform at every (t, t)) or one with the outputs of two rows swapped."""
+    if kind in ("random", "linear"):
+        s, v = rng.choice(((1, 2), (2, 2), (2, 3), (3, 2), (3, 3)))
+        if kind == "linear":
+            return _sd_array(rng, kind, s, v)
+        inputs = itertools.product(range(v), repeat=s)
+        return AontArray(Alphabet(v), s, tuple(x + tuple(rng.randrange(v) for _ in range(s)) for x in inputs))
+    s, v = rng.choice(((1, 2), (2, 5), (3, 7)))
+    points = rng.sample(range(v), 2 * s)
+    cauchy = [[pow(a - b, -1, v) for b in points[s:]] for a in points[:s]]
+    rows = [list(row) for row in linear_aont(matrix_from_rows(v, cauchy)).rows]
+    if kind == "swapped":
+        a, b = rng.sample(range(len(rows)), 2)
+        rows[a][s:], rows[b][s:] = rows[b][s:], rows[a][s:]
+    return AontArray(Alphabet(v), s, tuple(map(tuple, rows)))
+
+
+@given(st.integers(0, 10**9), st.sampled_from(("random", "linear", "cauchy", "swapped")))
+@settings(max_examples=150, deadline=None)
+def test_formula_applies_exactly_where_the_symmetric_rule_holds(seed, kind):
+    """The closed form raises iff the symmetric tag's rule fails at
+    (|X|, s - |Y|), and is otherwise the report row's formula, bit for bit."""
+    rng = random.Random(seed)
+    array = _formula_array(rng, kind)
+    s = array.s
+    model = _random_model(rng, s, array.v)
+    for _ in range(4):
+        x = rng.sample(range(1, s + 1), rng.randint(1, s))
+        # |Y| = s - |X| half the time, where the rule can hold
+        y_size = s - len(x) if rng.random() < 0.5 else rng.randint(0, s)
+        pair = SubsetPair(x, rng.sample(range(s + 1, 2 * s + 1), y_size))
+        t_i, t_o = len(pair.x), s - len(pair.y)
+        verdict = classify(array, t_i, t_o).verdict if t_i <= t_o else None
+        if _mismatch(SYMMETRIC, verdict, model, t_i, t_o) is not None:
+            with pytest.raises(FormulaPreconditionError):
+                conditional_entropy_formula(array, model, pair)
+        else:
+            report = build_report(array, model, t_i, t_o, pairs=[pair])
+            assert conditional_entropy_formula(array, model, pair) == report.row_for(pair.x, pair.y).formula

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 from math import log2
@@ -330,3 +331,41 @@ def test_independent_joint_probability_stops_at_a_zero_mass():
 def test_column_reads_any_rational_mass():
     assert column(3, ["1/3", (1, 3), F(1, 3)]) == uniform(3)
     assert model_from_json_dict(model_to_json_dict(uniform_model(2, 3))).columns == (column(3, ["1/3"] * 3),) * 2
+
+
+def test_model_integers_read_integral_floats_as_ints():
+    model = uniform_model(2.0, 3)
+    assert model == uniform_model(2, 3) and type(model.s) is int
+    for dist in (uniform(3.0), uniform(3, 1.0), column(3.0, ["1/3"] * 3), Distribution(3.0, 1.0, uniform(3).masses)):
+        assert dist == uniform(3) and type(dist.v) is type(dist.length) is int
+    assert uniform(3).mass((1.0,)) == F(1, 3)
+    assert joint_probability(model, (1.0, 0)) == F(1, 9)
+    assert joint_probability(make_block_dependent_model(2, 3, (1,), uniform(3)), (0, 2.0)) == F(1, 9)
+    assert column_entropy(model, 1.0) == column_entropy(model, 1)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda n: uniform(n), "alphabet size"),
+        (lambda n: uniform(3, n), "tuple length"),
+        (lambda n: column(n, ["1/3"] * 3), "alphabet size"),
+        (lambda n: uniform_model(n, 3), "s"),
+        (lambda n: uniform(3).mass((n,)), "symbol"),
+        (lambda n: joint_probability(uniform_model(2, 3), (n, 0)), "symbol"),
+        (lambda n: joint_probability(make_block_dependent_model(2, 3, (1,), uniform(3)), (0, n)), "symbol"),
+        (lambda n: column_entropy(uniform_model(2, 3), n), "column"),
+    ],
+    ids=["uniform-v", "uniform-length", "column", "uniform_model", "mass", "joint", "joint-block", "column_entropy"],
+)
+@pytest.mark.parametrize("bad", [True, "1", 1.5])
+def test_model_integer_that_is_not_an_integer_is_refused(call, what, bad):
+    """Each once escaped as TypeError, or read True as 1, or kept 1.5."""
+    with pytest.raises(InvalidParametersError, match=f"^{what} {re.escape(repr(bad))} is not an integer"):
+        call(bad)
+
+
+def test_uniform_refuses_a_negative_length():
+    """v**length was a float, so Fraction() escaped as TypeError."""
+    with pytest.raises(InvalidParametersError, match="bad distribution shape v=3, length=-1"):
+        uniform(3, -1)
