@@ -9,12 +9,13 @@ values against the applicable interval and records attainment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log2
+from math import inf, isfinite, log2
+from numbers import Real
 from typing import Callable, Sequence
 
 from .arrays import AONT, WEAK_AONT_ONLY, AontArray, cached_classify, check_t_range
 from .coding import left_sum
-from .entropy import SubsetPair, check_pair, pair_joint, prior_weights, subset_entropy
+from .entropy import SubsetPair, check_fit, check_pair, pair_joint, prior_weights, subset_entropy
 from .entropy import conditional_entropy  # unused here; perfbench/tracing.py wraps this name
 from .errors import (
     AontLabError,
@@ -40,8 +41,21 @@ _SLACK = 1e-9
 DEFAULT_TOLERANCE = 1e-6
 
 
+def _real(value, what: str) -> float:
+    """A real number given from outside, as a float (±inf past the largest
+    double); a bool, or a value that is not a real number, such as a string
+    or None, raises InvalidParametersError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidParametersError(f"{what} {value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
+
+
 def check_tolerance(tolerance: float) -> float:
-    """The tolerance, if it is a finite number >= 0: nan meets no comparison, inf every one."""
+    """The tolerance read by `_real`, if finite and >= 0: nan meets no comparison, inf every one."""
+    tolerance = _real(tolerance, "tolerance")
     if not (isfinite(tolerance) and tolerance >= 0):
         raise InvalidParametersError(f"tolerance must be a number >= 0 and finite, got {tolerance}")
     return tolerance
@@ -64,7 +78,7 @@ class EntropyInterval:
             )
 
     def contains(self, value: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-        check_tolerance(tolerance)
+        tolerance = check_tolerance(tolerance)
         return self.lower - tolerance <= value <= self.upper + tolerance
 
 
@@ -88,28 +102,30 @@ def _block_within_t(model: InputModel, t: int) -> AontLabError | None:
     return None
 
 
-def _prior_terms(
-    model: InputModel, t_i: int, t_o: int, h_y: float | None = None
-) -> tuple[list[float], float, float, float]:
+def _output_entropy(model: InputModel, t_o: int, h_y: float) -> float:
+    """A supplied H(Y) of s - t_o output columns, read by `_real`, if it
+    lies in [0, (s - t_o) log2 v]."""
+    h_y = _real(h_y, "H(Y)")
+    top = (model.s - t_o) * log2(model.v)
+    if not -_SLACK <= h_y <= top + _SLACK:
+        raise OutputEntropyRangeError(f"H(Y)={h_y} outside [0, {top}]")
+    return h_y
+
+
+def _prior_terms(model: InputModel, t_i: int) -> tuple[list[float], float, float, float]:
     """The terms of the bounds: (H(X_i) for each column i, their sum, the sum
-    of the t_i smallest, log2 v), for t_i and t_o read by `check_t_range`.
-    Checks that a supplied H(Y) of s - t_o output columns lies in
-    [0, (s - t_o) log2 v], then that the prior is independent."""
-    log_v = log2(model.v)
-    if h_y is not None:
-        top = (model.s - t_o) * log_v
-        if not -_SLACK <= h_y <= top + _SLACK:
-            raise OutputEntropyRangeError(f"H(Y)={h_y} outside [0, {top}]")
+    of the t_i smallest, log2 v), for t_i read by `check_t_range`, after
+    checking that the prior is independent."""
     if (error := _independent(model, t_i)) is not None:
         raise error
     hs = [column_entropy(model, i) for i in range(1, model.s + 1)]
-    return hs, left_sum(hs), left_sum(sorted(hs)[:t_i]), log_v
+    return hs, left_sum(hs), left_sum(sorted(hs)[:t_i]), log2(model.v)
 
 
 def bounds_symmetric(model: InputModel, t: int) -> EntropyInterval:
     """Interval for H(X|Y) on a full symmetric transform, |X| = t, |Y] = s - t."""
     t, _ = check_t_range(model.s, t, t)
-    _, total, min_sum, log_v = _prior_terms(model, t, t)
+    _, total, min_sum, log_v = _prior_terms(model, t)
     return EntropyInterval(max(0.0, total - (model.s - t) * log_v), min_sum, SYMMETRIC)
 
 
@@ -117,7 +133,7 @@ def exact_nonuniform_le_t(model: InputModel, t: int) -> float:
     """Exact H(X|Y) when at most t columns are non-uniform: the non-uniform
     entropies plus (t - r) * log2(v)."""
     t, _ = check_t_range(model.s, t, t)
-    hs, _, _, log_v = _prior_terms(model, t, t)
+    hs, _, _, log_v = _prior_terms(model, t)
     nonuniform = [h for d, h in zip(model.columns, hs) if not d.is_uniform()]
     if len(nonuniform) > t:
         raise TooManyNonuniformError(f"{len(nonuniform)} non-uniform columns exceed t={t}")
@@ -155,7 +171,7 @@ def bounds_asymmetric(
     `x_cols` is supplied; otherwise the X-independent envelope is returned.
     """
     t_i, t_o = check_t_range(model.s, t_i, t_o)
-    hs, total, min_sum, log_v = _prior_terms(model, t_i, t_o)
+    hs, total, min_sum, log_v = _prior_terms(model, t_i)
     lower = max(0.0, total - (model.s - t_i) * log_v)
     terms = [min_sum + (t_o - t_i) * log_v, min_sum + model.s * log_v - total]
     if x_cols is not None:
@@ -167,7 +183,8 @@ def bounds_asymmetric_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float
     """H(Y)-conditioned sandwich for full asymmetric transforms; collapses to
     the closed-form identity when t_i = t_o."""
     t_i, t_o = check_t_range(model.s, t_i, t_o)
-    _, total, _, log_v = _prior_terms(model, t_i, t_o, h_y)
+    h_y = _output_entropy(model, t_o, h_y)
+    _, total, _, log_v = _prior_terms(model, t_i)
     lower = max(0.0, total - (t_o - t_i) * log_v - h_y)
     upper = min(total - h_y, (model.s + t_i - t_o) * log_v - h_y)
     return EntropyInterval(lower, upper, ASYMMETRIC_GIVEN_HY)
@@ -186,7 +203,7 @@ def bounds_weak(
     """Interval for H(X|Y) under the covering relaxation; the completion-set
     size range v^(s-t_i) - v^(s-t_o) + 1 drives both ends."""
     t_i, t_o = check_t_range(model.s, t_i, t_o)
-    hs, total, min_sum, log_v = _prior_terms(model, t_i, t_o)
+    hs, total, min_sum, log_v = _prior_terms(model, t_i)
     log_term = _weak_log_term(model.v, model.s, t_i, t_o)
     lower = max(0.0, total - (model.s - t_o) * log_v - log_term)
     terms = [min_sum + log_term]
@@ -198,7 +215,8 @@ def bounds_weak(
 def bounds_weak_given_hy(model: InputModel, t_i: int, t_o: int, h_y: float) -> EntropyInterval:
     """H(Y)-conditioned sandwich under the covering relaxation."""
     t_i, t_o = check_t_range(model.s, t_i, t_o)
-    _, total, _, _ = _prior_terms(model, t_i, t_o, h_y)
+    h_y = _output_entropy(model, t_o, h_y)
+    _, total, _, _ = _prior_terms(model, t_i)
     lower = max(0.0, total - _weak_log_term(model.v, model.s, t_i, t_o) - h_y)
     return EntropyInterval(lower, total - h_y, WEAK_GIVEN_HY)
 
@@ -316,7 +334,7 @@ def compare(
     """Place the oracle H(X|Y) against the tagged interval, after checking the
     tag's rule against the array's verified class at this pair's (t_i, t_o)
     and the prior; H(X|Y) and H(Y) come from one projection onto X u Y."""
-    check_tolerance(tolerance)
+    tolerance = check_tolerance(tolerance)
     t_i, t_o = len(pair.x), array.s - len(pair.y)
     verdict = cached_classify(array, t_i, t_o).verdict if t_i <= t_o else None
     rule = checked_rule(which, verdict, model, t_i, t_o)
@@ -331,9 +349,10 @@ def conditional_entropy_formula(array: AontArray, model: InputModel, pair: Subse
     prior on an array verified as a full (t, t) transform with |Y| = s - t.
     Anywhere else FormulaPreconditionError carries the rule's reason."""
     check_pair(array.s, pair)
+    check_fit(array, model)
     t_i, t_o = len(pair.x), array.s - len(pair.y)
     verdict = cached_classify(array, t_i, t_o).verdict if t_i == t_o else None
     if (error := _mismatch(SYMMETRIC, verdict, model, t_i, t_o)) is not None:
         raise FormulaPreconditionError(f"closed form: {error}")
     h_y = subset_entropy(array, model, pair.y) if pair.y else 0.0
-    return _prior_terms(model, t_i, t_o)[1] - h_y
+    return _prior_terms(model, t_i)[1] - h_y

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 from .arrays import Alphabet, AontArray, _codes, _pack, check_t_range, column_set_family, parse_array, symbol_typecode
 from .arrays import passes_unbiased_family  # unused here; perfbench/tracing.py wraps this name
-from .coding import _integral, _linear_columns, _pivot_product, _rank_split, decode_index, is_prime
+from .coding import _linear_columns, _pivot_product, _rank_split, _whole, decode_index, is_prime
 from .errors import (
     InvalidParametersError,
     NonPrimeModulusError,
@@ -37,6 +37,9 @@ DEFAULT_SEARCH_CAP = 3**9  # max number of candidate matrices (v^(s*s))
 # for s > 1, the (v^s)^2 vector sums, here at most 2^22
 _MAX_VECTORS = 1 << 16
 _MAX_SUMMED_VECTORS = 1 << 11
+# what `coding._whole` names in its refusal of a matrix's integers
+_ENTRIES = "matrix entries must be integers:"
+_ORDER_AND_MODULUS = "matrix order and modulus must be integers:"
 
 _TABLE1 = """
 a,a,a,a
@@ -126,18 +129,19 @@ class SquareMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.v) is not int:  # a float modulus such as 5.0 passes the primality test
-            raise InvalidParametersError(f"modulus {self.v!r} is not an integer")
-        check_modulus(self.v)
+        """Reads v and every entry by `coding._whole`, and stores them as ints."""
+        v = _whole(self.v, "modulus")
+        check_modulus(v)
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise InvalidParametersError("matrix must be square and non-empty")
-        for row in self.entries:
+        entries = tuple(tuple(_whole(x, _ENTRIES) for x in row) for row in self.entries)
+        for row in entries:
             for x in row:
-                if type(x) is not int:
-                    raise InvalidParametersError(f"entry {x!r} is not an integer")
-                if not 0 <= x < self.v:
-                    raise InvalidParametersError(f"entry {x} outside 0..{self.v - 1}")
+                if not 0 <= x < v:
+                    raise InvalidParametersError(f"entry {x} outside 0..{v - 1}")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def order(self) -> int:
@@ -168,27 +172,17 @@ def _walked_matrix(v: int, entries: tuple[tuple[int, ...], ...]) -> SquareMatrix
 
 
 def matrix_from_rows(v: int, rows) -> SquareMatrix:
-    """The matrix with these rows; an entry that is not an integer (a bool,
-    a string, a float with a fraction) raises InvalidParametersError."""
+    """The matrix with these rows, read by `SquareMatrix`; a row that is not
+    a sequence raises InvalidParametersError."""
     try:
-        entries = tuple(tuple(map(_integral, row)) for row in rows)
+        entries = tuple(map(tuple, rows))
     except TypeError as exc:
-        raise InvalidParametersError(f"matrix entries must be integers: {exc}") from None
+        raise InvalidParametersError(f"{_ENTRIES} {exc}") from None
     return SquareMatrix(v, entries)
 
 
-def _order_and_modulus(s: int, v: int) -> tuple[int, int]:
-    """s and v given from outside, as ints: a bool, a string or a float
-    with a fraction raises InvalidParametersError, and an integral float is
-    read as its int, which `SquareMatrix` requires of its modulus."""
-    try:
-        return _integral(s), _integral(v)
-    except TypeError as exc:
-        raise InvalidParametersError(f"matrix order and modulus must be integers: {exc}") from None
-
-
 def identity_matrix(s: int, v: int) -> SquareMatrix:
-    s, v = _order_and_modulus(s, v)
+    s, v = _whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS)
     return SquareMatrix(v, tuple(tuple(1 if i == j else 0 for j in range(s)) for i in range(s)))
 
 
@@ -316,14 +310,14 @@ def _walk(
 def iter_invertible_matrices(s: int, v: int) -> Iterator[SquareMatrix]:
     """All invertible s x s matrices over Z_v, in lexicographic entry order:
     the walk at t_i = t_o = s, where `_RankChecks` holds no check."""
-    s, v = _order_and_modulus(s, v)
+    s, v = _whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS)
     yield from _walk(s, v, (s, s))
 
 
 def iter_linear_aont_matrices(s: int, v: int, t_i: int, t_o: int) -> Iterator[SquareMatrix]:
     """Invertible matrices whose linear array is a full (t_i, t_o)
     transform, in lexicographic order."""
-    yield from _walk(*_order_and_modulus(s, v), (t_i, t_o))
+    yield from _walk(_whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS), (t_i, t_o))
 
 
 @dataclass(frozen=True)
@@ -379,7 +373,7 @@ def search_linear(
     counts every invertible matrix, pruned or walked. `progress` gets
     (examined, |GL(s, v)|) at most 64 times, rising, the last at completion.
     """
-    s, v = _order_and_modulus(s, v)
+    s, v = _whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS)
     t_i, t_o = check_t_range(s, t_i, t_o)
     if v >= 2 and _power_exceeds(v, s * s, cap):
         raise SearchSpaceError(

@@ -129,7 +129,7 @@ def run_demo(number: int, tolerance: float = DEFAULT_TOLERANCE) -> tuple[Analysi
     checks: list[DemoCheck] = []
 
     def check(label: str, expected: float, computed: float) -> None:
-        checks.append(DemoCheck(label, expected, computed, abs(expected - computed) <= tolerance))
+        checks.append(DemoCheck(label, expected, computed, abs(expected - computed) <= report.tolerance))
 
     for i, expected in enumerate(_EXPECTED_COLUMN[number], start=1):
         check(f"H(X{i})", expected, column_entropy(model, i))

@@ -51,6 +51,16 @@ def check_pair(s: int, pair: SubsetPair) -> None:
         raise InvalidParametersError(f"Y columns {pair.y} outside outputs {s + 1}..{2 * s}")
 
 
+def check_fit(array: AontArray, model: InputModel) -> None:
+    """Raise ArityMismatchError unless the model is a prior on the array's s
+    inputs over its v symbols."""
+    if (model.s, model.v) != (array.s, array.v):
+        raise ArityMismatchError(
+            f"model shape (s={model.s}, v={model.v}) does not match array "
+            f"(s={array.s}, v={array.v})"
+        )
+
+
 def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
     """Each row's prior Pr[inputs of the row] as an integer weight over one
     common denominator D, so that the row's probability is weight / D.
@@ -63,11 +73,7 @@ def prior_weights(array: AontArray, model: InputModel) -> tuple[list[int], int]:
     Unless the rows carry the prior, each input tuple once, the weights do
     not sum to D and MassSumError is raised.
     """
-    if (model.s, model.v) != (array.s, array.v):
-        raise ArityMismatchError(
-            f"model shape (s={model.s}, v={model.v}) does not match array "
-            f"(s={array.s}, v={array.v})"
-        )
+    check_fit(array, model)
     if model.kind == INDEPENDENT:
         tables, lcms = zip(*(_over_lcm(dist.masses) for dist in model.columns))
         table = [1]

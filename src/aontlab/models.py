@@ -61,6 +61,18 @@ def _shape(v: int, length: int) -> tuple[int, int]:
     return v, length
 
 
+def _symbols(tup: Sequence, length: int, v: int, what: str = "tuple") -> tuple[int, ...]:
+    """A tuple of symbols given from outside, as ints: it must have `length`
+    symbols, each read by `coding._whole` and each in 0..v-1."""
+    if len(tup) != length:
+        raise ArityMismatchError(f"{what} {tup!r} has length {len(tup)}, expected {length}")
+    symbols = tuple(_whole(x, "symbol") for x in tup)
+    for x in symbols:
+        if not 0 <= x < v:
+            raise UnknownSymbolError(f"symbol {x} outside 0..{v - 1}")
+    return symbols
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Exact pmf over length-`length` tuples from {0..v-1}, stored densely.
@@ -90,14 +102,8 @@ class Distribution:
             raise MassSumError(f"masses sum to {total}, expected 1")
 
     def mass(self, tup: Sequence[int]) -> Fraction:
-        """The mass of one tuple, each symbol read by `coding._whole`."""
-        if len(tup) != self.length:
-            raise ArityMismatchError(f"tuple {tup!r} has length {len(tup)}, expected {self.length}")
-        tup = tuple(_whole(x, "symbol") for x in tup)
-        for x in tup:
-            if not 0 <= x < self.v:
-                raise UnknownSymbolError(f"symbol {x} outside 0..{self.v - 1}")
-        return self.masses[encode_tuple(tup, self.v)]
+        """The mass of one tuple, read by `_symbols`."""
+        return self.masses[encode_tuple(_symbols(tup, self.length, self.v), self.v)]
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         for idx, p in enumerate(self.masses):
@@ -150,6 +156,8 @@ class InputModel:
     block_joint: Distribution | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "s", _whole(self.s, "s"))
+        object.__setattr__(self, "v", _whole(self.v, "v"))
         if self.kind == INDEPENDENT:
             if self.columns is None or len(self.columns) != self.s:
                 raise ArityMismatchError(f"independent model needs exactly {self.s} columns")
@@ -189,7 +197,7 @@ def make_block_dependent_model(
 
     An empty block with a trivial joint degenerates to the all-uniform model.
     """
-    block_t = _labels(block)
+    s, block_t = _whole(s, "s"), _labels(block)
     _check_block(block_t, s)
     if joint is None:
         if block_t:
@@ -203,22 +211,15 @@ def uniform_model(s: int, v: int) -> InputModel:
 
 
 def joint_probability(model: InputModel, x: Sequence[int]) -> Fraction:
-    """Exact Pr[X_1..X_s = x]."""
-    if len(x) != model.s:
-        raise ArityMismatchError(f"input tuple length {len(x)}, expected {model.s}")
+    """Exact Pr[X_1..X_s = x], x read by `_symbols`."""
+    x = _symbols(x, model.s, model.v, "input tuple")
     if model.kind == INDEPENDENT:
         p = ONE
         for d, sym in zip(model.columns, x):
-            p *= d.mass((sym,))
-            if not p:
-                return p
+            p *= d.masses[sym]
         return p
     inside = tuple(x[c - 1] for c in model.block)
-    outside = model.s - len(model.block)
-    for sym in x:
-        if not 0 <= _whole(sym, "symbol") < model.v:
-            raise UnknownSymbolError(f"symbol {sym} outside 0..{model.v - 1}")
-    return model.block_joint.mass(inside) / model.v**outside
+    return model.block_joint.mass(inside) / model.v ** (model.s - len(model.block))
 
 
 def column_entropy(model: InputModel, i: int) -> float:
@@ -280,11 +281,7 @@ def model_from_json_dict(doc: dict) -> InputModel:
                 raise InvalidParametersError(f"a block joint over {v}^{size} tuples exceeds 2^24 entries")
             masses = [Fraction(0)] * v**size
             for tup, pair in doc["block"]["joint"]:
-                if len(tup) != size:
-                    raise ArityMismatchError(f"joint tuple {tup} has length {len(tup)}, expected {size}")
-                if not all(type(x) is int and 0 <= x < v for x in tup):
-                    raise UnknownSymbolError(f"joint tuple {tup} holds a symbol outside 0..{v - 1}")
-                masses[encode_tuple(tup, v)] = as_fraction(pair)
+                masses[encode_tuple(_symbols(tup, size, v, "joint tuple"), v)] = as_fraction(pair)
             return make_block_dependent_model(s, v, block, Distribution(v, size, tuple(masses)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParametersError(f"malformed model document: {exc}") from None

@@ -110,7 +110,7 @@ def build_report(
     decided exactly, with no tolerance: it holds iff every pair's SD
     numerator is 0, i.e. X and Y are independent, so H(X|Y) = H(X).
     """
-    bnd.check_tolerance(tolerance)
+    tolerance = bnd.check_tolerance(tolerance)
     weights, denominator = prior_weights(array, model)  # checks the model's shape and mass first
     verdict = classify(array, t_i, t_o)
     t_i, t_o = verdict.t_i, verdict.t_o  # as classify read them
@@ -119,7 +119,7 @@ def build_report(
 
     formula_ok = bnd._mismatch(bnd.SYMMETRIC, verdict.verdict, model, t_i, t_o) is None
     min_cap = bnd.bounds_symmetric(model, t_i).upper if model.kind == INDEPENDENT else None
-    h_cols = bnd._prior_terms(model, t_i, t_o)[1] if formula_ok else None
+    h_cols = bnd._prior_terms(model, t_i)[1] if formula_ok else None
 
     all_pairs = admissible_pairs(array.s, t_i, t_o) if pairs is None else list(dict.fromkeys(pairs))
     if not all_pairs:

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from fractions import Fraction as F
 from math import log2
 
@@ -30,7 +32,7 @@ from aontlab import (
     uniform_model,
 )
 from aontlab.arrays import AONT, NEITHER, WEAK_AONT_ONLY
-from aontlab.bounds import ALL_TAGS, BLOCK_EXACT, EntropyInterval, auto_tag, checked_rule, interval_for
+from aontlab.bounds import ALL_TAGS, BLOCK_EXACT, EntropyInterval, auto_tag, check_tolerance, checked_rule, interval_for
 from aontlab.coding import left_sum
 from aontlab.entropy import SubsetPair
 from aontlab.models import column_entropy
@@ -41,7 +43,8 @@ from aontlab.errors import (
     OutputEntropyRangeError,
     TooManyNonuniformError,
 )
-from aontlab.report import build_report
+from aontlab.demos import run_demo
+from aontlab.report import build_report, report_to_json_dict, report_to_table
 
 from conftest import cross_version_model, example1_model, example3_model, example4_model, random_independent_model
 
@@ -381,6 +384,44 @@ def test_compare_rejects_tolerance_that_is_not_finite_and_non_negative(table3, t
         compare(table3, example4_model(), SubsetPair((1,), (6,)), WEAK, tolerance=tolerance)
     with pytest.raises(InvalidParametersError, match="tolerance must be a number >= 0"):
         bounds_weak(example4_model(), 1, 2).contains(0.5, tolerance)
+
+
+@pytest.mark.parametrize("bad", [True, None, "0.1"])
+def test_tolerance_that_is_not_a_real_number_is_refused(table1, bad):
+    """True was read as 1; None and "0.1" escaped as TypeError."""
+    message = f"tolerance {re.escape(repr(bad))} is not a real number"
+    for call in (
+        lambda: check_tolerance(bad),
+        lambda: bounds_symmetric(example1_model(), 1).contains(1.0, bad),
+        lambda: build_report(table1, example1_model(), 1, 1, tolerance=bad),
+        lambda: run_demo(1, bad),
+    ):
+        with pytest.raises(InvalidParametersError, match=message):
+            call()
+
+
+def test_rational_tolerance_is_stored_as_a_float(table1):
+    """A Fraction was stored as given, and JSON and the table could not render it."""
+    report = build_report(table1, example1_model(), 1, 1, tolerance=F(1, 10))
+    assert type(report.tolerance) is float and report.tolerance == 0.1
+    assert json.loads(json.dumps(report_to_json_dict(report)))["tolerance"] == 0.1
+    assert "tolerance: 0.1" in report_to_table(report)
+
+
+@pytest.mark.parametrize("bad", [True, None, "1.0"])
+def test_output_entropy_that_is_not_a_real_number_is_refused(bad):
+    """True was read as 1; "1.0" escaped as TypeError."""
+    for bound in (bounds_asymmetric_given_hy, bounds_weak_given_hy):
+        with pytest.raises(InvalidParametersError, match=rf"H\(Y\) {re.escape(repr(bad))} is not a real number"):
+            bound(example3_model(), 1, 2, bad)
+
+
+def test_reals_past_the_largest_double_are_refused_by_range():
+    """isfinite() of such an int escaped as OverflowError."""
+    with pytest.raises(InvalidParametersError, match="tolerance must be a number >= 0 and finite"):
+        check_tolerance(10**400)
+    with pytest.raises(OutputEntropyRangeError):
+        bounds_asymmetric_given_hy(example3_model(), 1, 2, 10**400)
 
 
 def test_compare_rejects_pair_wider_than_the_array(table1):

@@ -33,7 +33,7 @@ from aontlab import (
 from aontlab.arrays import AONT
 from aontlab.bounds import SYMMETRIC, _mismatch
 from aontlab.entropy import SubsetPair, _accumulate, pair_joint, prior_weights
-from aontlab.errors import FormulaPreconditionError, InvalidParametersError, MassSumError
+from aontlab.errors import ArityMismatchError, FormulaPreconditionError, InvalidParametersError, MassSumError
 from aontlab.models import INDEPENDENT
 from aontlab.report import AUTO
 
@@ -102,6 +102,14 @@ def test_formula_rejects_block_model(table1):
 def test_formula_rejects_wrong_subset_sizes(table1):
     with pytest.raises(FormulaPreconditionError):
         conditional_entropy_formula(table1, example1_model(), SubsetPair((1,), ()))
+
+
+@pytest.mark.parametrize("s, v", [(3, 3), (2, 5)])
+def test_formula_with_y_empty_rejects_a_model_of_another_shape(table1, s, v):
+    """With Y empty no projection checked the model, so the column
+    entropies of a prior that does not fit table1 (s=2, v=3) were summed."""
+    with pytest.raises(ArityMismatchError, match=f"model shape \\(s={s}, v={v}\\) does not match"):
+        conditional_entropy_formula(table1, uniform_model(s, v), SubsetPair((1, 2), ()))
 
 
 @given(st.integers(0, 100_000))

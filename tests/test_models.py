@@ -18,6 +18,14 @@ from aontlab import (
     uniform_model,
 )
 from aontlab.coding import _over_lcm, entropy_bits, weight_entropy_bits
+from aontlab.constructions import (
+    SquareMatrix,
+    identity_matrix,
+    iter_invertible_matrices,
+    iter_linear_aont_matrices,
+    matrix_from_rows,
+    search_linear,
+)
 from aontlab.errors import (
     AontLabError,
     ArityMismatchError,
@@ -322,10 +330,17 @@ def test_each_model_rule_raises_its_error(build, error, message):
         build()
 
 
-def test_independent_joint_probability_stops_at_a_zero_mass():
+def test_independent_joint_probability_of_a_zero_mass_reads_every_symbol():
+    """A zero mass returned at once, leaving the symbols after it unread."""
     m = make_independent_model([(F(1), F(0)), (F(1, 2), F(1, 2))])
     assert joint_probability(m, (1, 0)) == 0
     assert joint_probability(m, (0, 1)) == F(1, 2)
+    m = make_independent_model([(0, "1/2", "1/2"), ("1/3",) * 3])
+    with pytest.raises(UnknownSymbolError, match=r"symbol 99 outside 0\.\.2"):
+        joint_probability(m, (0, 99))
+    for bad in ("a", 1.5):
+        with pytest.raises(InvalidParametersError, match=f"symbol {re.escape(repr(bad))} is not an integer"):
+            joint_probability(m, (0, bad))
 
 
 def test_column_reads_any_rational_mass():
@@ -362,6 +377,59 @@ def test_model_integers_read_integral_floats_as_ints():
 def test_model_integer_that_is_not_an_integer_is_refused(call, what, bad):
     """Each once escaped as TypeError, or read True as 1, or kept 1.5."""
     with pytest.raises(InvalidParametersError, match=f"^{what} {re.escape(repr(bad))} is not an integer"):
+        call(bad)
+
+
+def _searched(s, v):
+    result = search_linear(s, v, 1, 1)
+    return result.s, result.v, result.examined, result.found
+
+
+def _joint_symbol(n):
+    return model_from_json_dict({**_BLOCK, "block": {"indices": [1], "joint": [[[n], [1, 1]]]}})
+
+
+# each integer a constructor or reader takes from outside: a call on one such
+# integer n, and an integral value of n
+_INTEGERS = [
+    pytest.param(lambda n: SquareMatrix(n, ((1, 2), (3, 4))), 5, id="SquareMatrix-v"),
+    pytest.param(lambda n: SquareMatrix(5, ((n, 2), (3, 4))), 1, id="SquareMatrix-entry"),
+    pytest.param(lambda n: matrix_from_rows(n, [[1, 2], [3, 4]]), 5, id="matrix_from_rows-v"),
+    pytest.param(lambda n: matrix_from_rows(5, [[1, 2], [3, n]]), 4, id="matrix_from_rows-entry"),
+    pytest.param(lambda n: identity_matrix(n, 5), 2, id="identity_matrix-s"),
+    pytest.param(lambda n: identity_matrix(2, n), 5, id="identity_matrix-v"),
+    pytest.param(lambda n: list(iter_invertible_matrices(n, 3)), 2, id="iter_invertible_matrices-s"),
+    pytest.param(lambda n: list(iter_invertible_matrices(2, n)), 3, id="iter_invertible_matrices-v"),
+    pytest.param(lambda n: list(iter_linear_aont_matrices(n, 3, 1, 1)), 2, id="iter_linear_aont_matrices-s"),
+    pytest.param(lambda n: list(iter_linear_aont_matrices(2, n, 1, 1)), 3, id="iter_linear_aont_matrices-v"),
+    pytest.param(lambda n: _searched(n, 3), 2, id="search_linear-s"),
+    pytest.param(lambda n: _searched(2, n), 3, id="search_linear-v"),
+    pytest.param(lambda n: InputModel(n, 3, INDEPENDENT, columns=(uniform(3),) * 2), 2, id="InputModel-s"),
+    pytest.param(lambda n: InputModel(2, n, INDEPENDENT, columns=(uniform(3),) * 2), 3, id="InputModel-v"),
+    pytest.param(lambda n: make_block_dependent_model(n, 3, (), None), 2, id="make_block_dependent_model-s"),
+    pytest.param(lambda n: make_block_dependent_model(2, n, (), None), 3, id="make_block_dependent_model-v"),
+    pytest.param(lambda n: uniform(3).mass((n,)), 1, id="mass"),
+    pytest.param(lambda n: joint_probability(uniform_model(2, 3), (0, n)), 2, id="joint_probability"),
+    pytest.param(
+        lambda n: joint_probability(make_block_dependent_model(2, 3, (1,), uniform(3)), (n, 0)),
+        1,
+        id="joint_probability-block",
+    ),
+    pytest.param(_joint_symbol, 0, id="model_from_json_dict-joint"),
+]
+
+
+@pytest.mark.parametrize("call, n", _INTEGERS)
+def test_an_integral_float_is_read_and_stored_as_an_int(call, n):
+    """The repr shows a stored float as `2.0`, so equal reprs mean ints were stored."""
+    got, want = call(float(n)), call(n)
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("call, n", _INTEGERS)
+@pytest.mark.parametrize("bad", [True, "2", 2.5])
+def test_an_integer_that_is_not_an_integer_is_refused(call, n, bad):
+    with pytest.raises(InvalidParametersError, match=f"{re.escape(repr(bad))} is not an integer"):
         call(bad)
 
 

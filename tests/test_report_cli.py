@@ -349,6 +349,20 @@ def test_cli_analyze_json_schema(runner, ex1_model_file):
     jsonschema.validate(json.loads(result.output), SCHEMA)
 
 
+def test_cli_analyze_json_schema_at_tolerance_zero(runner, ex1_model_file):
+    """`--tolerance 0` is accepted, so the schema must admit the 0.0 it prints."""
+    result = runner.invoke(
+        cli,
+        [
+            "analyze", "--builtin", "table1", "--model", ex1_model_file,
+            "--ti", "1", "--to", "1", "--tolerance", "0", "--format", "json",
+        ],
+    )
+    doc = json.loads(result.output)
+    assert doc["tolerance"] == 0.0
+    jsonschema.validate(doc, SCHEMA)
+
+
 def test_cli_analyze_json_is_the_same_bytes_on_every_python(runner, tmp_path):
     # Python 3.12's compensated sum() printed 2.9777472201008135 here
     path = tmp_path / "m.json"
