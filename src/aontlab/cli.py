@@ -11,12 +11,13 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import chain
 from typing import Callable, NoReturn, TypeVar
 
 from . import __version__
 from .arrays import AONT, NEITHER, WEAK_AONT_ONLY, AontArray, classify, load_array_csv
 from .bounds import ALL_TAGS, DEFAULT_TOLERANCE, check_tag, check_tolerance
-from .coding import integer
+from .coding import decode_index, integer
 from .constructions import BUILTIN_NAMES, DEFAULT_SEARCH_CAP, builtin, search_linear
 from .demos import DEMO_NUMBERS, format_demo, run_demo
 from .entropy import SubsetPair, check_pair
@@ -176,10 +177,11 @@ def search(args: argparse.Namespace) -> int:
     if args.format == "json":
         _echo(json.dumps(result.to_json_dict()))
     else:
-        # each distinct row rendered once; joined as json.dumps(m.to_json()) prints it
-        rendered = {row: json.dumps(list(row)) for row in {row for m in result.found for row in m.entries}}
-        lines = [f"{result.examined} examined, {len(result.found)} found"]
-        lines.extend("[" + ", ".join([rendered[row] for row in m.entries]) + "]" for m in result.found)
+        # each distinct row code rendered once; joined as json.dumps(m.to_json()) prints m
+        rendered = {code: json.dumps(list(decode_index(code, result.v, result.s)))
+                    for code in set(chain.from_iterable(result.row_codes))}
+        lines = [f"{result.examined} examined, {len(result.row_codes)} found"]
+        lines.extend("[" + ", ".join([rendered[code] for code in codes]) + "]" for codes in result.row_codes)
         _echo("\n".join(lines))
     return 0
 

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arrays import Alphabet, AontArray, _codes, _pack, check_t_range, column_set_family, parse_array, symbol_typecode
 from .arrays import passes_unbiased_family  # unused here; perfbench/tracing.py wraps this name
@@ -129,11 +131,17 @@ class SquareMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        """Reads v and every entry by `coding._whole`, and stores them as ints."""
+        """Reads v and every entry by `coding._whole`, and stores them as ints;
+        entries that are not a sequence of sequences raise
+        InvalidParametersError."""
         v = _whole(self.v, "modulus")
         check_modulus(v)
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+        try:
+            n = len(self.entries)
+            square = n > 0 and all(len(row) == n for row in self.entries)
+        except TypeError as exc:
+            raise InvalidParametersError(f"{_ENTRIES} {exc}") from None
+        if not square:
             raise InvalidParametersError("matrix must be square and non-empty")
         entries = tuple(tuple(_whole(x, _ENTRIES) for x in row) for row in self.entries)
         for row in entries:
@@ -156,19 +164,6 @@ class SquareMatrix:
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-
-def _walked_matrix(v: int, entries: tuple[tuple[int, ...], ...]) -> SquareMatrix:
-    """A SquareMatrix from rows of `_walk`'s row table, without re-running
-    `__post_init__`: the walk checked v once, every row is `decode_index` of
-    a code below v^s, so each entry is an int in 0..v-1, and the walk joins s
-    such rows, so the matrix is s x s by construction."""
-    matrix = SquareMatrix.__new__(SquareMatrix)
-    # as the frozen __init__ does: on CPython 3.11, writing __dict__ itself
-    # would give each matrix a full dict, 2.5x its size
-    object.__setattr__(matrix, "v", v)
-    object.__setattr__(matrix, "entries", entries)
-    return matrix
 
 
 def matrix_from_rows(v: int, rows) -> SquareMatrix:
@@ -253,9 +248,11 @@ def _walk(
     v: int,
     t: tuple[int, int],
     settle: Callable[[int], None] = lambda count: None,
-) -> Iterator[SquareMatrix]:
+) -> Iterator[list[tuple[int, ...]]]:
     """Every invertible s x s matrix over Z_v whose linear array is a full
-    (t_i, t_o) transform, t = (t_i, t_o), in lexicographic entry order.
+    (t_i, t_o) transform, t = (t_i, t_o), as its s row codes (`decode_index`
+    gives each row), in lexicographic entry order: one list per prefix of
+    s - 1 rows, of the matrices that complete it.
 
     Rows are placed one at a time as base-v integer codes (big-endian, so
     code order is lexicographic order), each outside the span of the rows
@@ -285,15 +282,13 @@ def _walk(
         add = [sums[a * n : (a + 1) * n] for a in range(n)]
     completions = [prod(n - v**i for i in range(d + 1, s)) for d in range(s)]
 
-    def extend(prefix: tuple[int, ...], span: set[int]) -> Iterator[SquareMatrix]:
+    def extend(prefix: tuple[int, ...], span: set[int]) -> Iterator[list[tuple[int, ...]]]:
         d = len(prefix)
         failing = checks.failing(prefix)
         kept = [row for row in range(n) if row not in span and row not in failing]
         if d == s - 1:
             settle(n - len(span))
-            above = tuple([vectors[code] for code in prefix])
-            for row in kept:
-                yield _walked_matrix(v, above + (vectors[row],))
+            yield [prefix + (row,) for row in kept]
             return
         pruned = n - len(span) - len(kept)
         if pruned:
@@ -307,17 +302,33 @@ def _walk(
     return extend((), {0})
 
 
+def _matrices(s: int, v: int, row_codes: Iterable[tuple[int, ...]]) -> Iterator[SquareMatrix]:
+    """The SquareMatrix of each tuple of s row codes that `_walk` lists,
+    without re-running `__post_init__`: the walk checked v once, and every
+    row is `decode_index` of a code below v^s, so each entry is an int in
+    0..v-1, and the matrix is s x s by construction."""
+    vectors = [decode_index(code, v, s) for code in range(v**s)]
+    for codes in row_codes:
+        matrix = SquareMatrix.__new__(SquareMatrix)
+        # as the frozen __init__ does: on CPython 3.11, writing __dict__ itself
+        # would give each matrix a full dict, 2.5x its size
+        object.__setattr__(matrix, "v", v)
+        object.__setattr__(matrix, "entries", tuple([vectors[code] for code in codes]))
+        yield matrix
+
+
 def iter_invertible_matrices(s: int, v: int) -> Iterator[SquareMatrix]:
     """All invertible s x s matrices over Z_v, in lexicographic entry order:
     the walk at t_i = t_o = s, where `_RankChecks` holds no check."""
     s, v = _whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS)
-    yield from _walk(s, v, (s, s))
+    yield from _matrices(s, v, chain.from_iterable(_walk(s, v, (s, s))))
 
 
 def iter_linear_aont_matrices(s: int, v: int, t_i: int, t_o: int) -> Iterator[SquareMatrix]:
     """Invertible matrices whose linear array is a full (t_i, t_o)
     transform, in lexicographic order."""
-    yield from _walk(_whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS), (t_i, t_o))
+    s, v = _whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS)
+    yield from _matrices(s, v, chain.from_iterable(_walk(s, v, (t_i, t_o))))
 
 
 @dataclass(frozen=True)
@@ -327,18 +338,25 @@ class SearchResult:
     t_i: int
     t_o: int
     examined: int  # invertible matrices checked
-    found: tuple[SquareMatrix, ...]
+    row_codes: tuple[tuple[int, ...], ...]  # each found matrix as its s row codes, in order
     elapsed_seconds: float
 
+    @cached_property
+    def found(self) -> tuple[SquareMatrix, ...]:
+        """The found matrices, built on first read."""
+        return tuple(_matrices(self.s, self.v, self.row_codes))
+
     def to_json_dict(self) -> dict:
+        # each distinct row code decoded once, into a list each matrix shares
+        rows = {code: list(decode_index(code, self.v, self.s)) for code in set(chain.from_iterable(self.row_codes))}
         return {
             "s": self.s,
             "v": self.v,
             "t_i": self.t_i,
             "t_o": self.t_o,
             "examined": self.examined,
-            "found": len(self.found),
-            "matrices": [m.to_json() for m in self.found],
+            "found": len(self.row_codes),
+            "matrices": [[rows[code] for code in codes] for codes in self.row_codes],
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -391,6 +409,6 @@ def search_linear(
     walk = _walk(s, v, (t_i, t_o), settle)  # checks v first: the cap skips v < 2, whose |GL| can take seconds
     total = gl_order(s, v)
     step = -(-total // 64)
-    found = tuple(walk)
+    row_codes = tuple(chain.from_iterable(walk))
     elapsed = time.monotonic() - start
-    return SearchResult(s, v, t_i, t_o, examined, found, elapsed)
+    return SearchResult(s, v, t_i, t_o, examined, row_codes, elapsed)

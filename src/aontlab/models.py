@@ -62,10 +62,14 @@ def _shape(v: int, length: int) -> tuple[int, int]:
 
 
 def _symbols(tup: Sequence, length: int, v: int, what: str = "tuple") -> tuple[int, ...]:
-    """A tuple of symbols given from outside, as ints: it must have `length`
-    symbols, each read by `coding._whole` and each in 0..v-1."""
-    if len(tup) != length:
-        raise ArityMismatchError(f"{what} {tup!r} has length {len(tup)}, expected {length}")
+    """A tuple of symbols given from outside, as ints: it must be a sequence
+    of `length` symbols, each read by `coding._whole` and each in 0..v-1."""
+    try:
+        size = len(tup)
+    except TypeError:
+        raise InvalidParametersError(f"{what} {tup!r} is not a sequence of symbols") from None
+    if size != length:
+        raise ArityMismatchError(f"{what} {tup!r} has length {size}, expected {length}")
     symbols = tuple(_whole(x, "symbol") for x in tup)
     for x in symbols:
         if not 0 <= x < v:
@@ -265,8 +269,8 @@ def dump_model_json(model: InputModel) -> str:
 def model_from_json_dict(doc: dict) -> InputModel:
     """Decode a model document; a malformed one raises an AontLabError."""
     try:
-        s = _integral(doc["s"])
-        v = _integral(doc["v"])
+        s = _whole(doc["s"], "s")
+        v = _whole(doc["v"], "v")
         kind = doc["kind"]
         if kind == INDEPENDENT:
             cols = [column(v, masses) for masses in doc["columns"]]
@@ -274,7 +278,7 @@ def model_from_json_dict(doc: dict) -> InputModel:
                 raise ArityMismatchError(f"expected {s} columns, got {len(cols)}")
             return make_independent_model(cols)
         if kind == BLOCK_DEPENDENT:
-            block = tuple(map(_integral, doc["block"]["indices"]))
+            block = tuple(map(_whole, doc["block"]["indices"]))
             _check_block(block, s)
             size = len(block)
             if size > 24 or v**size > 1 << 24:  # past 24 columns, any v >= 2 is over

@@ -116,8 +116,11 @@ def test_non_integer_matrix_input_rejected(build, message):
         (lambda: SquareMatrix(5, ()), "matrix must be square and non-empty"),
         (lambda: SquareMatrix(5, ((5, 0), (0, 1))), "entry 5 outside 0..4"),
         (lambda: list(iter_invertible_matrices(0, 5)), "matrix order must be >= 1, got 0"),
+        # each once escaped as TypeError from len()
+        (lambda: SquareMatrix(5, (5, 6)), "matrix entries must be integers: .*'int' has no len"),
+        (lambda: SquareMatrix(5, None), "matrix entries must be integers: .*'NoneType' has no len"),
     ],
-    ids=["ragged", "empty", "entry-past-v", "order-0"],
+    ids=["ragged", "empty", "entry-past-v", "order-0", "rows-not-sequences", "entries-none"],
 )
 def test_matrix_shape_and_entries_checked(build, message):
     with pytest.raises(InvalidParametersError, match=message):
@@ -372,8 +375,9 @@ def test_pruned_search_matches_unpruned_walk(s, v, t_i, t_o):
     result = search_linear(s, v, t_i, t_o)
     examined, found = reference_search(s, v, t_i, t_o)
     assert result.examined == examined == gl_order(s, v)
+    assert [tuple(decode_index(code, v, s) for code in codes) for codes in result.row_codes] == found
     assert [m.entries for m in result.found] == found
-    assert list(iter_linear_aont_matrices(s, v, t_i, t_o)) == list(result.found)
+    assert result.found == tuple(iter_linear_aont_matrices(s, v, t_i, t_o))
 
 
 @pytest.mark.parametrize("s, v, t_i, t_o", _configs_within_default_cap())
@@ -400,6 +404,23 @@ def test_search_beyond_default_cap_pinned(t_i, t_o):
     matrix is counted, and the rank checks keep 190,464 at (1, 1) and (2, 2)."""
     result = search_linear(3, 5, t_i, t_o, cap=5**9)
     assert (result.examined, len(result.found)) == (1_488_000, 190_464)
+
+
+def test_search_holds_row_codes_and_builds_found_on_first_read():
+    """A search keeps each found matrix as its s row codes: the 190,464 of
+    (3, 5) at (1, 1) are held in under 100 bytes each (161 on CPython 3.11
+    when each was a SquareMatrix), and no matrix is built before `found` is
+    read."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = search_linear(3, 5, 1, 1, cap=5**9)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.row_codes) == 190_464
+    assert held < 100 * len(result.row_codes), held / len(result.row_codes)
+    assert "found" not in vars(result)
 
 
 def test_search_progress_counts_examined_matrices():

@@ -323,11 +323,34 @@ _PAIR_JOINT = Distribution(2, 2, (F(1, 2), F(0), F(0), F(1, 2)))
         (lambda: make_block_dependent_model(2, 3, [1.5], uniform(3)), InvalidParametersError, "label 1.5 is not"),
         (lambda: make_block_dependent_model(2, 3, [True], uniform(3)), InvalidParametersError, "label True is not"),
         (lambda: make_block_dependent_model(2, 3, ["1"], uniform(3)), InvalidParametersError, "label '1' is not"),
+        # each once escaped as TypeError from len()
+        (lambda: uniform(3).mass(5), InvalidParametersError, "tuple 5 is not a sequence of symbols"),
+        (
+            lambda: joint_probability(uniform_model(2, 3), None),
+            InvalidParametersError,
+            "input tuple None is not a sequence of symbols",
+        ),
     ],
 )
 def test_each_model_rule_raises_its_error(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**_INDEPENDENT, "s": "2", "columns": [[[1, 3]] * 3] * 2}, "s '2' is not an integer"),
+        ({**_INDEPENDENT, "v": True, "columns": [[[1, 3]] * 3] * 2}, "v True is not an integer"),
+        ({**_BLOCK, "block": {"indices": [1.5], "joint": [[[0], [1, 1]]]}}, "column label 1.5 is not an integer"),
+    ],
+    ids=["s", "v", "block-index"],
+)
+def test_model_document_integers_are_named_as_the_model_names_them(doc, message):
+    """A model document's s, v and block indices are read as `InputModel`
+    and `make_block_dependent_model` read them, not as malformed JSON."""
+    with pytest.raises(InvalidParametersError, match=f"^{re.escape(message)}$"):
+        model_from_json_dict(doc)
 
 
 def test_independent_joint_probability_of_a_zero_mass_reads_every_symbol():
