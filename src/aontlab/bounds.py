@@ -308,7 +308,7 @@ def auto_tag(verdict: str, model: InputModel, t_i: int, t_o: int) -> str | None:
 
 def check_tag(which: str) -> str:
     """The tag, if `TAG_RULES` knows it."""
-    if which not in TAG_RULES:
+    if which not in ALL_TAGS:  # a tuple: a tag that cannot be hashed, such as a list, is not in it
         raise InvalidParametersError(f"unknown bound tag {which!r}; know {ALL_TAGS}")
     return which
 

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain
+from operator import itemgetter
 from typing import Callable, NoReturn, TypeVar
 
 from . import __version__
@@ -32,6 +32,9 @@ from .report import (
 )
 
 _VERDICT_EXIT = {AONT: 0, WEAK_AONT_ONLY: 1, NEITHER: 2}
+# `search` writes its output this many found matrices at a time, so no copy of
+# a long listing's whole output is held; each search of perfbench's workload is one write
+_MATRICES_PER_WRITE = 1 << 13
 
 T = TypeVar("T")
 
@@ -174,15 +177,29 @@ def search(args: argparse.Namespace) -> int:
         _echo(f"examined {done}/{total} invertible matrices", err=True)
 
     result = search_linear(args.s, args.v, args.ti, args.to, cap=args.cap, progress=progress)
+    s, found = result.s, result.row_codes
     if args.format == "json":
-        _echo(json.dumps(result.to_json_dict()))
+        # the document without its matrices, cut where they go: with them, json.dumps(result.to_json_dict())
+        document = json.dumps(result._document([]))
+        cut = document.index("[]") + 1
+        head, sep, tail = document[:cut], ", ", document[cut:]
     else:
-        # each distinct row code rendered once; joined as json.dumps(m.to_json()) prints m
-        rendered = {code: json.dumps(list(decode_index(code, result.v, result.s)))
-                    for code in set(chain.from_iterable(result.row_codes))}
-        lines = [f"{result.examined} examined, {len(result.row_codes)} found"]
-        lines.extend("[" + ", ".join([rendered[code] for code in codes]) + "]" for codes in result.row_codes)
-        _echo("\n".join(lines))
+        head, sep, tail = f"{result.examined} examined, {len(found)} found" + ("\n" if found else ""), "\n", ""
+    if not found:
+        _echo(head + tail)
+        return 0
+    # each row code rendered once, and each matrix once from its rows, as json.dumps(m.to_json()) prints m
+    rows = [json.dumps(list(decode_index(code, result.v, s))) for code in range(result.v**s)]
+    matrix = ("[" + ", ".join(["{}"] * s) + "]").format
+    for start in range(0, len(found), _MATRICES_PER_WRITE):
+        chunk = found[start : start + _MATRICES_PER_WRITE]
+        strings = list(map(matrix, *[map(rows.__getitem__, map(itemgetter(i), chunk)) for i in range(s)]))
+        # what comes before a chunk, and after the last, joins its first and last string: one copy per write
+        strings[0] = (sep if start else head) + strings[0]
+        if start + _MATRICES_PER_WRITE >= len(found):
+            strings[-1] += tail + "\n"
+        sys.stdout.write(sep.join(strings))
+    sys.stdout.flush()
     return 0
 
 

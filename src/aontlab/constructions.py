@@ -109,7 +109,7 @@ def builtin(name: str) -> AontArray:
     """One of the canonical reference arrays, rows in their printed order."""
     try:
         text, v, s, glyphs = _BUILTINS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed, such as a list
         raise UnknownNameError(f"no built-in array named {name!r}; know {BUILTIN_NAMES}") from None
     rows = [tuple(line.split(",")) for line in text.split()]
     return parse_array(rows, v, s, glyphs=glyphs)
@@ -224,7 +224,8 @@ class _RankChecks:
 
     def failing(self, prefix: tuple[int, ...]) -> frozenset[int]:
         """Codes of row len(prefix) that fail a check they complete, given
-        the rows `prefix` above them."""
+        the rows `prefix` above them, or any multiples of them: scaling a row
+        keeps every rank, so `_walk` asks once per class prefix."""
         out = frozenset()
         for j_cols, above, restrict in self.by_depth[len(prefix)]:
             fixed = tuple([restrict[prefix[r]] for r in above])
@@ -263,6 +264,14 @@ def _walk(
     counted without being walked, so the counts sum to |GL(s, v)|. The span
     of all s rows, and of a pruned prefix, is never built. The modulus, s and
     t are checked when the walk is called, before a matrix is asked for.
+
+    Scaling a row keeps its span and every rank check, so what follows a
+    prefix (its span, the codes the checks fail, the rows kept) depends only
+    on its class prefix: the lead of each row, its multiple whose first
+    non-zero entry is 1. All multiples of a row share that entry's position,
+    so the lead is the least code among them. That work is done once per
+    class prefix, while the rows themselves are still placed in code order:
+    the listing and the calls to `settle` are those of walking every prefix.
     """
     check_modulus(v)
     if s < 1:
@@ -273,6 +282,7 @@ def _walk(
     n = v**s
     vectors = [decode_index(code, v, s) for code in range(n)]
     checks = _RankChecks(s, v, *t, vectors)  # its column set family checks t
+    codes = list(range(n))  # one int per code, shared by every list of kept rows
     if s > 1:
         # digit k of a + b is the linear column e_k + e_(s+k) over the 2s digits
         # of (a, b), listed in the order of the codes a * n + b
@@ -280,26 +290,61 @@ def _walk(
         typecode = symbol_typecode(n)
         sums = _codes(_pack(digits, typecode), range(1, s + 1), v, typecode, n * n)
         add = [sums[a * n : (a + 1) * n] for a in range(n)]
+        # lead[row], and multiples[lead]: 0 and the v - 1 multiples of a lead;
+        # codes rise, so the first code met of each class is its lead
+        lead = [0] * n
+        multiples: dict[int, list[int]] = {}
+        for row in codes[1:]:
+            if not lead[row]:
+                multiples[row] = line = [0, row]
+                for _ in range(v - 2):
+                    line.append(add[line[-1]][row])
+                for m in line[1:]:
+                    lead[m] = row
     completions = [prod(n - v**i for i in range(d + 1, s)) for d in range(s)]
+    free = n - v ** (s - 1)  # the codes outside the span of s - 1 rows
+    # class prefix -> (its span, None for s - 1 rows, whose span no row extends; the rows kept after it)
+    classes: dict[tuple[int, ...], tuple[set[int] | None, list[int]]] = {}
 
-    def extend(prefix: tuple[int, ...], span: set[int]) -> Iterator[list[tuple[int, ...]]]:
+    def kept_after(leads: tuple[int, ...], span: set[int]) -> list[int]:
+        failing = checks.failing(leads)
+        return [row for row in codes if row not in span and row not in failing]
+
+    def extend(prefix: tuple[int, ...], leads: tuple[int, ...], span: set[int], kept: list[int], deeper):
+        """The listing below a prefix of d < s - 1 rows whose class prefix is
+        `leads`, spanning `span`, after which the rows `kept` may follow; at
+        d = s - 2 each kept row's completions are listed here, with no
+        generator per prefix of s - 1 rows. `deeper` is `extend` itself: a
+        closure that named itself would keep its tables in a reference cycle
+        after the walk, until the garbage collector ran."""
         d = len(prefix)
-        failing = checks.failing(prefix)
-        kept = [row for row in range(n) if row not in span and row not in failing]
-        if d == s - 1:
-            settle(n - len(span))
-            yield [prefix + (row,) for row in kept]
-            return
         pruned = n - len(span) - len(kept)
         if pruned:
             settle(pruned * completions[d])
+        last = d == s - 2
         for row in kept:
-            multiples = [0]
-            for _ in range(v - 1):
-                multiples.append(add[multiples[-1]][row])
-            yield from extend(prefix + (row,), {add[a][m] for m in multiples for a in span})
+            key = leads + (lead[row],)
+            entry = classes.get(key)
+            if entry is None:
+                grown = {add[a][m] for m in multiples[lead[row]] for a in span}
+                entry = classes[key] = (None if last else grown, kept_after(key, grown))
+            grown, after = entry
+            placed = prefix + (row,)
+            if last:
+                settle(free)
+                yield [placed + (code,) for code in after]
+            else:
+                yield from deeper(placed, key, grown, after, deeper)
 
-    return extend((), {0})
+    def walk() -> Iterator[list[tuple[int, ...]]]:
+        kept = kept_after((), {0})
+        if s == 1:
+            settle(free)
+            yield [(row,) for row in kept]
+        else:
+            yield from extend((), (), {0}, kept, extend)
+
+    return walk()
 
 
 def _matrices(s: int, v: int, row_codes: Iterable[tuple[int, ...]]) -> Iterator[SquareMatrix]:
@@ -349,6 +394,10 @@ class SearchResult:
     def to_json_dict(self) -> dict:
         # each distinct row code decoded once, into a list each matrix shares
         rows = {code: list(decode_index(code, self.v, self.s)) for code in set(chain.from_iterable(self.row_codes))}
+        return self._document([[rows[code] for code in codes] for codes in self.row_codes])
+
+    def _document(self, matrices: list) -> dict:
+        """The JSON document, with `matrices` in place of the found matrices."""
         return {
             "s": self.s,
             "v": self.v,
@@ -356,7 +405,7 @@ class SearchResult:
             "t_o": self.t_o,
             "examined": self.examined,
             "found": len(self.row_codes),
-            "matrices": [[rows[code] for code in codes] for codes in self.row_codes],
+            "matrices": matrices,
             "elapsed_seconds": self.elapsed_seconds,
         }
 

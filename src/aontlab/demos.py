@@ -104,7 +104,7 @@ def run_demo(number: int, tolerance: float = DEFAULT_TOLERANCE) -> tuple[Analysi
     """Recompute one golden scenario and compare against its reference values."""
     try:
         array_name, model_builder, t_i, t_o = _DEMOS[number]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a number that cannot be hashed, such as a list
         raise UnknownNameError(f"demo {number} does not exist; know {DEMO_NUMBERS}") from None
     array = builtin(array_name)
     model = model_builder()

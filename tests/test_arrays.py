@@ -49,13 +49,16 @@ from aontlab.arrays import (
     projection_codes,
     symbol_typecode,
 )
+from aontlab.bounds import compare
 from aontlab.coding import _linear_columns, _pivot_product, _rank_split, encode_tuple, is_prime
 from aontlab.constructions import _TABLE1, _TABLE3, builtin, identity_matrix, linear_aont, matrix_from_rows
+from aontlab.demos import run_demo
 from aontlab.entropy import SubsetPair, _accumulate, conditional_entropy, subset_entropy
 from aontlab.errors import (
     DimensionMismatchError,
     InvalidParametersError,
     OversizedColumnSetError,
+    UnknownNameError,
     UnknownSymbolError,
 )
 from aontlab.models import uniform_model
@@ -188,6 +191,14 @@ def test_from_columns_rejects_bad_columns(columns, error, message):
         (lambda: AontArray.from_columns(Alphabet(2), True, [[0, 1]] * 2), InvalidParametersError, "s True is not"),
         (lambda: parse_array([(0, 0), (1, 1)], "2", 1), InvalidParametersError, "v '2' is not an integer"),
         (lambda: parse_array([(0, 0), (1, 1)], 2, 1.5), InvalidParametersError, "s 1.5 is not an integer"),
+        # a name that cannot be hashed escaped as TypeError from a dict lookup
+        (lambda: builtin([]), UnknownNameError, r"no built-in array named \[\]"),
+        (lambda: run_demo([]), UnknownNameError, r"demo \[\] does not exist"),
+        (
+            lambda: compare(builtin("table1"), uniform_model(2, 3), SubsetPair((1,), (3,)), which=[]),
+            InvalidParametersError,
+            r"unknown bound tag \[\]",
+        ),
     ],
 )
 def test_each_array_rule_raises_its_error(build, error, message):

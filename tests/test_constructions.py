@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 from fractions import Fraction
@@ -434,6 +435,38 @@ def test_search_progress_counts_examined_matrices():
         assert [done for done, _ in calls] == sorted({done for done, _ in calls})
         assert {t for _, t in calls} == {total}
         assert calls[-1] == (result.examined, total) == (total, total)
+
+
+# the examined counts `progress` gets, in order, recorded when the walk
+# still worked out every prefix on its own (total: |GL(s, v)|)
+SEARCH_PROGRESS = {
+    (3, 3, 1, 2): [
+        216, 360, 648, 720, 1080, 1242, 1422, 1584, 1836, 1944, 2124, 2376, 2466, 2700, 2826, 3006,
+        3168, 3348, 3672, 3708, 3888, 4050, 4230, 4428, 4590, 4752, 4932, 5112, 5292, 5472, 5634, 5814,
+        5994, 6174, 6336, 6516, 6696, 6876, 7056, 7218, 7560, 7578, 7758, 7920, 8100, 8316, 8460, 8640,
+        8802, 8982, 9162, 9342, 9504, 9684, 9864, 10044, 10224, 10386, 10566, 10746, 10926, 11088, 11232,
+    ],
+    (2, 5, 1, 1): [160, 180, 200, 220, 240, 260, 280, 300, 320, 340, 360, 380, 400, 420, 440, 460, 480],
+}
+
+
+@pytest.mark.parametrize("s, v, t_i, t_o", sorted(SEARCH_PROGRESS))
+def test_search_progress_calls_are_pinned(s, v, t_i, t_o):
+    """Work shared by the prefixes of one scalar class still settles each
+    prefix where it is walked: the calls are those of walking every prefix."""
+    calls = []
+    search_linear(s, v, t_i, t_o, progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(done, gl_order(s, v)) for done in SEARCH_PROGRESS[(s, v, t_i, t_o)]]
+
+
+def test_search_row_codes_at_classes_of_four_rows_are_pinned():
+    """At v = 5 each scalar class holds 4 rows, and at s = 3 the class
+    prefixes of 2 rows are shared by 16 prefixes each: the 190,464 found
+    keep the codes, and the order, recorded when every prefix was worked
+    out on its own."""
+    result = search_linear(3, 5, 1, 1, cap=5**9)
+    digest = hashlib.sha256(repr(result.row_codes).encode()).hexdigest()
+    assert digest == "5cfff4fe658ff1feb0234f1f080b28fa10c78d373a01f69237eb48935a68dc5d"
 
 
 def test_search_cap():

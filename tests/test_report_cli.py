@@ -36,6 +36,7 @@ from aontlab import (
     search_linear,
     uniform_model,
 )
+from aontlab import cli as cli_module
 from aontlab import models
 from aontlab import report as report_module
 from aontlab.arrays import cached_classify, classify
@@ -584,6 +585,43 @@ def test_cli_search_text_rows_are_json_of_each_matrix(runner, s, v, t_i, t_o, ca
     lines = result.stdout.split("\n")
     assert lines[0] == f"{expected.examined} examined, {len(expected.found)} found"
     assert lines[1:] == [json.dumps(m.to_json()) for m in expected.found] + [""]
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "shape, per_write",
+    [((2, 3, 1, 2), n) for n in (1, 7, 8, 47, 48, 49)] + [((2, 2, 1, 1), 1), ((2, 2, 1, 1), 8)],
+)
+def test_cli_search_writes_its_output_in_chunks(monkeypatch, shape, per_write, fmt):
+    """`search` writes `per_write` found matrices at a time, on either side of
+    a chunk boundary, and with 0 found: the text lines are still
+    json.dumps(m.to_json()) for each found matrix, and the JSON form is still
+    json.dumps(result.to_json_dict()), up to the elapsed time."""
+    monkeypatch.setattr(cli_module, "_MATRICES_PER_WRITE", per_write)
+    argv = ["search", *(f"--{name}={n}" for name, n in zip(("s", "v", "ti", "to"), shape)), f"--format={fmt}"]
+    out = _CountedWrites()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exit_:
+        cli(argv)
+    assert exit_.value.code == 0
+    result = search_linear(*shape)
+    found = len(result.row_codes)
+    if fmt == "json":
+        document = json.dumps(dataclasses.replace(result, elapsed_seconds=0.5).to_json_dict())
+        assert re.sub(r'"elapsed_seconds": [0-9.e+-]+}', '"elapsed_seconds": 0.5}', out.getvalue()) == document + "\n"
+    else:
+        lines = [f"{result.examined} examined, {found} found"] + [json.dumps(m.to_json()) for m in result.found]
+        assert out.getvalue() == "".join(line + "\n" for line in lines)
+    assert out.writes == max(1, -(-found // per_write))
 
 
 def _write_report_inputs(directory: Path) -> None:
