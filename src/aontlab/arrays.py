@@ -155,10 +155,11 @@ class AontArray:
             flat = int_array(symbol_typecode(v), chain.from_iterable(rows))
         except (TypeError, OverflowError):  # a non-integer, or an integer no item holds
             flat = None
-        if flat is None or not _below(flat, v):
+        # an array takes a bool as 0 or 1
+        if flat is None or not _below(flat, v) or bool in set(map(type, chain.from_iterable(rows))):
             for r, row in enumerate(rows):
                 for x in row:
-                    if not isinstance(x, int):
+                    if isinstance(x, bool) or not isinstance(x, int):
                         raise UnknownSymbolError(f"row {r + 1} holds symbol {x!r}, not an integer")
                     if not 0 <= x < v:
                         raise UnknownSymbolError(f"row {r + 1} holds symbol {x} outside 0..{v - 1}")
@@ -176,6 +177,8 @@ class AontArray:
         stored = []
         for i, column in enumerate(columns):
             try:
+                if not isinstance(column, (bytes, int_array)) and bool in set(map(type, column)):
+                    raise TypeError  # an array takes a bool as 0 or 1; bytes and arrays hold none
                 column = int_array(typecode, column)
             except (TypeError, OverflowError):
                 raise UnknownSymbolError(

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from functools import cache
-from operator import itemgetter
 from typing import Callable, NoReturn, TypeVar
 
 from . import __version__
@@ -177,28 +176,35 @@ def search(args: argparse.Namespace) -> int:
         _echo(f"examined {done}/{total} invertible matrices", err=True)
 
     result = search_linear(args.s, args.v, args.ti, args.to, cap=args.cap, progress=progress)
-    s, found = result.s, result.row_codes
+    found = result.found_count
     if args.format == "json":
         # the document without its matrices, cut where they go: with them, json.dumps(result.to_json_dict())
         document = json.dumps(result._document([]))
         cut = document.index("[]") + 1
-        head, sep, tail = document[:cut], ", ", document[cut:]
+        lead, sep, tail = document[:cut], ", ", document[cut:]
     else:
-        head, sep, tail = f"{result.examined} examined, {len(found)} found" + ("\n" if found else ""), "\n", ""
+        lead, sep, tail = f"{result.examined} examined, {found} found" + ("\n" if found else ""), "\n", ""
     if not found:
-        _echo(head + tail)
+        _echo(lead + tail)
         return 0
-    # each row code rendered once, and each matrix once from its rows, as json.dumps(m.to_json()) prints m
-    rows = [json.dumps(list(decode_index(code, result.v, s))) for code in range(result.v**s)]
-    matrix = ("[" + ", ".join(["{}"] * s) + "]").format
-    for start in range(0, len(found), _MATRICES_PER_WRITE):
-        chunk = found[start : start + _MATRICES_PER_WRITE]
-        strings = list(map(matrix, *[map(rows.__getitem__, map(itemgetter(i), chunk)) for i in range(s)]))
-        # what comes before a chunk, and after the last, joins its first and last string: one copy per write
-        strings[0] = (sep if start else head) + strings[0]
-        if start + _MATRICES_PER_WRITE >= len(found):
-            strings[-1] += tail + "\n"
-        sys.stdout.write(sep.join(strings))
+    # each row code rendered once, as json.dumps(m.to_json()) prints m's rows; a
+    # group is then one join, its prefix's rows written before each last row
+    rows = [json.dumps(list(decode_index(code, result.v, result.s))) for code in range(result.v**result.s)]
+    room, strings = _MATRICES_PER_WRITE, []
+    for prefix, lasts in result.groups:
+        pre = "[" + ", ".join([*map(rows.__getitem__, prefix), ""])
+        glue = "]" + sep + pre
+        while lasts:  # a write ends inside the group where `room` runs out
+            part, lasts = lasts[:room], lasts[room:]
+            strings.append(pre + glue.join(map(rows.__getitem__, part)) + "]")
+            room, found = room - len(part), found - len(part)
+            if not room or not found:
+                # what comes before a write, and after the last, joins its first and last string
+                strings[0] = lead + strings[0]
+                if not found:
+                    strings[-1] += tail + "\n"
+                sys.stdout.write(sep.join(strings))
+                lead, room, strings = sep, _MATRICES_PER_WRITE, []
     sys.stdout.flush()
     return 0
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -239,21 +238,18 @@ class _RankChecks:
             out |= codes
         return out
 
-    def passes(self, codes: tuple[int, ...]) -> bool:
-        """Does the invertible matrix with these row codes pass every check?"""
-        return all(codes[d] not in self.failing(codes[:d]) for d in range(len(codes)))
-
 
 def _walk(
     s: int,
     v: int,
     t: tuple[int, int],
     settle: Callable[[int], None] = lambda count: None,
-) -> Iterator[list[tuple[int, ...]]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every invertible s x s matrix over Z_v whose linear array is a full
     (t_i, t_o) transform, t = (t_i, t_o), as its s row codes (`decode_index`
-    gives each row), in lexicographic entry order: one list per prefix of
-    s - 1 rows, of the matrices that complete it.
+    gives each row), in lexicographic entry order: for each prefix of s - 1
+    rows that a row completes, the prefix and the tuple its class shares of
+    the rows that complete it (below).
 
     Rows are placed one at a time as base-v integer codes (big-endian, so
     code order is lexicographic order), each outside the span of the rows
@@ -304,17 +300,17 @@ def _walk(
     completions = [prod(n - v**i for i in range(d + 1, s)) for d in range(s)]
     free = n - v ** (s - 1)  # the codes outside the span of s - 1 rows
     # class prefix -> (its span, None for s - 1 rows, whose span no row extends; the rows kept after it)
-    classes: dict[tuple[int, ...], tuple[set[int] | None, list[int]]] = {}
+    classes: dict[tuple[int, ...], tuple[set[int] | None, tuple[int, ...]]] = {}
 
-    def kept_after(leads: tuple[int, ...], span: set[int]) -> list[int]:
+    def kept_after(leads: tuple[int, ...], span: set[int]) -> tuple[int, ...]:
         failing = checks.failing(leads)
-        return [row for row in codes if row not in span and row not in failing]
+        return tuple([row for row in codes if row not in span and row not in failing])
 
-    def extend(prefix: tuple[int, ...], leads: tuple[int, ...], span: set[int], kept: list[int], deeper):
+    def extend(prefix: tuple[int, ...], leads: tuple[int, ...], span: set[int], kept: tuple[int, ...], deeper):
         """The listing below a prefix of d < s - 1 rows whose class prefix is
         `leads`, spanning `span`, after which the rows `kept` may follow; at
-        d = s - 2 each kept row's completions are listed here, with no
-        generator per prefix of s - 1 rows. `deeper` is `extend` itself: a
+        d = s - 2 each kept row's group is listed here, with no generator
+        per prefix of s - 1 rows. `deeper` is `extend` itself: a
         closure that named itself would keep its tables in a reference cycle
         after the walk, until the garbage collector ran."""
         d = len(prefix)
@@ -332,48 +328,51 @@ def _walk(
             placed = prefix + (row,)
             if last:
                 settle(free)
-                yield [placed + (code,) for code in after]
+                if after:
+                    yield placed, after
             else:
                 yield from deeper(placed, key, grown, after, deeper)
 
-    def walk() -> Iterator[list[tuple[int, ...]]]:
+    def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         kept = kept_after((), {0})
         if s == 1:
             settle(free)
-            yield [(row,) for row in kept]
+            yield (), kept
         else:
             yield from extend((), (), {0}, kept, extend)
 
     return walk()
 
 
-def _matrices(s: int, v: int, row_codes: Iterable[tuple[int, ...]]) -> Iterator[SquareMatrix]:
-    """The SquareMatrix of each tuple of s row codes that `_walk` lists,
+def _matrices(s: int, v: int, groups: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]) -> Iterator[SquareMatrix]:
+    """The SquareMatrix of each matrix in the groups that `_walk` lists,
     without re-running `__post_init__`: the walk checked v once, and every
     row is `decode_index` of a code below v^s, so each entry is an int in
     0..v-1, and the matrix is s x s by construction."""
     vectors = [decode_index(code, v, s) for code in range(v**s)]
-    for codes in row_codes:
-        matrix = SquareMatrix.__new__(SquareMatrix)
-        # as the frozen __init__ does: on CPython 3.11, writing __dict__ itself
-        # would give each matrix a full dict, 2.5x its size
-        object.__setattr__(matrix, "v", v)
-        object.__setattr__(matrix, "entries", tuple([vectors[code] for code in codes]))
-        yield matrix
+    for prefix, lasts in groups:
+        head = [vectors[code] for code in prefix]
+        for code in lasts:
+            matrix = SquareMatrix.__new__(SquareMatrix)
+            # as the frozen __init__ does: on CPython 3.11, writing __dict__ itself
+            # would give each matrix a full dict, 2.5x its size
+            object.__setattr__(matrix, "v", v)
+            object.__setattr__(matrix, "entries", (*head, vectors[code]))
+            yield matrix
 
 
 def iter_invertible_matrices(s: int, v: int) -> Iterator[SquareMatrix]:
     """All invertible s x s matrices over Z_v, in lexicographic entry order:
     the walk at t_i = t_o = s, where `_RankChecks` holds no check."""
     s, v = _whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS)
-    yield from _matrices(s, v, chain.from_iterable(_walk(s, v, (s, s))))
+    yield from _matrices(s, v, _walk(s, v, (s, s)))
 
 
 def iter_linear_aont_matrices(s: int, v: int, t_i: int, t_o: int) -> Iterator[SquareMatrix]:
     """Invertible matrices whose linear array is a full (t_i, t_o)
     transform, in lexicographic order."""
     s, v = _whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS)
-    yield from _matrices(s, v, chain.from_iterable(_walk(s, v, (t_i, t_o))))
+    yield from _matrices(s, v, _walk(s, v, (t_i, t_o)))
 
 
 @dataclass(frozen=True)
@@ -383,18 +382,29 @@ class SearchResult:
     t_i: int
     t_o: int
     examined: int  # invertible matrices checked
-    row_codes: tuple[tuple[int, ...], ...]  # each found matrix as its s row codes, in order
+    groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # the found matrices, in order, as `_walk` lists them
     elapsed_seconds: float
+
+    @property
+    def found_count(self) -> int:
+        """The number of found matrices, none of them built."""
+        return sum(len(lasts) for _, lasts in self.groups)
+
+    @cached_property
+    def row_codes(self) -> tuple[tuple[int, ...], ...]:
+        """Each found matrix as its s row codes, in order, built on first read."""
+        return tuple([prefix + (code,) for prefix, lasts in self.groups for code in lasts])
 
     @cached_property
     def found(self) -> tuple[SquareMatrix, ...]:
         """The found matrices, built on first read."""
-        return tuple(_matrices(self.s, self.v, self.row_codes))
+        return tuple(_matrices(self.s, self.v, self.groups))
 
     def to_json_dict(self) -> dict:
-        # each distinct row code decoded once, into a list each matrix shares
-        rows = {code: list(decode_index(code, self.v, self.s)) for code in set(chain.from_iterable(self.row_codes))}
-        return self._document([[rows[code] for code in codes] for codes in self.row_codes])
+        # each row code decoded once, into a list each matrix shares
+        rows = [list(decode_index(code, self.v, self.s)) for code in range(self.v**self.s)]
+        matrices = [[*map(rows.__getitem__, prefix), rows[code]] for prefix, lasts in self.groups for code in lasts]
+        return self._document(matrices)
 
     def _document(self, matrices: list) -> dict:
         """The JSON document, with `matrices` in place of the found matrices."""
@@ -404,7 +414,7 @@ class SearchResult:
             "t_i": self.t_i,
             "t_o": self.t_o,
             "examined": self.examined,
-            "found": len(self.row_codes),
+            "found": self.found_count,
             "matrices": matrices,
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -442,6 +452,7 @@ def search_linear(
     """
     s, v = _whole(s, _ORDER_AND_MODULUS), _whole(v, _ORDER_AND_MODULUS)
     t_i, t_o = check_t_range(s, t_i, t_o)
+    cap = _whole(cap, "cap")
     if v >= 2 and _power_exceeds(v, s * s, cap):
         raise SearchSpaceError(
             f"{v}^{s * s} candidate matrices exceed the cap of {cap}; raise the cap explicitly"
@@ -458,6 +469,6 @@ def search_linear(
     walk = _walk(s, v, (t_i, t_o), settle)  # checks v first: the cap skips v < 2, whose |GL| can take seconds
     total = gl_order(s, v)
     step = -(-total // 64)
-    row_codes = tuple(chain.from_iterable(walk))
+    groups = tuple(walk)
     elapsed = time.monotonic() - start
-    return SearchResult(s, v, t_i, t_o, examined, row_codes, elapsed)
+    return SearchResult(s, v, t_i, t_o, examined, groups, elapsed)

@@ -99,7 +99,7 @@ def test_parse_rejects_unknown_symbol():
         parse_array(rows, v=3, s=2)
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.0, "1", [1]])
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", [1], True, False])
 def test_array_rejects_non_integer_symbols(bad):
     with pytest.raises(UnknownSymbolError, match="row 1 holds symbol"):
         AontArray(Alphabet(3), 1, ((0, bad), (1, 0), (2, 1)))
@@ -144,6 +144,7 @@ def test_arrays_built_from_rows_and_from_columns_agree(shape, linear, seed):
         ([(0, 1, 2), (0, 3, 1)], UnknownSymbolError, "column 2 holds symbol 3 outside 0..2"),
         ([(0, -1, 2), (0, 1, 2)], UnknownSymbolError, "column 1 holds a symbol that is not an integer in 0..2"),
         ([(0, 1, 2), (0, 1.0, 2)], UnknownSymbolError, "column 2 holds a symbol that is not an integer in 0..2"),
+        ([(0, 1, 2), [0, True, 2]], UnknownSymbolError, "column 2 holds a symbol that is not an integer in 0..2"),
     ],
 )
 def test_from_columns_rejects_bad_columns(columns, error, message):
@@ -199,6 +200,8 @@ def test_from_columns_rejects_bad_columns(columns, error, message):
             InvalidParametersError,
             r"unknown bound tag \[\]",
         ),
+        # an array stores a bool as 0 or 1: this built rows ((1, 0), (0, 1))
+        (lambda: parse_array([(True, False), (False, True)], 2, 1), UnknownSymbolError, "row 1 holds symbol True"),
     ],
 )
 def test_each_array_rule_raises_its_error(build, error, message):

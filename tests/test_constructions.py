@@ -102,8 +102,13 @@ def test_nonprime_modulus_rejected():
         (lambda: matrix_from_rows(5, [[None, 1], [1, 0]]), "matrix entries must be integers"),
         (lambda: matrix_from_rows(5, [["1", 1], [1, 0]]), "'1' is not an integer"),
         (lambda: matrix_from_rows(5, [[Fraction(5, 2), 1], [1, 0]]), r"Fraction\(5, 2\) is not an integer"),
+        # the cap was compared as given: True ran as a cap of 1, and None or a string raised TypeError
+        (lambda: search_linear(2, 3, 1, 1, cap=True), "cap True is not an integer"),
+        (lambda: search_linear(2, 3, 1, 1, cap=1.5), "cap 1.5 is not an integer"),
+        (lambda: search_linear(2, 3, 1, 1, cap="x"), "cap 'x' is not an integer"),
+        (lambda: search_linear(2, 3, 1, 1, cap=None), "cap None is not an integer"),
     ],
-    ids=["fraction", "bool", "none", "string", "rational"],
+    ids=["fraction", "bool", "none", "string", "rational", "cap-bool", "cap-fraction", "cap-string", "cap-none"],
 )
 def test_non_integer_matrix_input_rejected(build, message):
     with pytest.raises(InvalidParametersError, match=message):
@@ -307,7 +312,9 @@ def test_rank_predicate_matches_expansion(case):
     m, t_i, t_o = case
     s, v = m.order, m.v
     codes = tuple(encode_tuple(row, v) for row in m.entries)
-    by_rank = _RankChecks(s, v, t_i, t_o, [decode_index(c, v, s) for c in range(v**s)]).passes(codes)
+    checks = _RankChecks(s, v, t_i, t_o, [decode_index(c, v, s) for c in range(v**s)])
+    # each row must pass the checks it completes, given the rows above it
+    by_rank = all(codes[d] not in checks.failing(codes[:d]) for d in range(s))
     assert by_rank == (arrays_oracle.classify(linear_aont(m), t_i, t_o).verdict == AONT)
 
 
@@ -408,19 +415,23 @@ def test_search_beyond_default_cap_pinned(t_i, t_o):
 
 
 def test_search_holds_row_codes_and_builds_found_on_first_read():
-    """A search keeps each found matrix as its s row codes: the 190,464 of
-    (3, 5) at (1, 1) are held in under 100 bytes each (161 on CPython 3.11
-    when each was a SquareMatrix), and no matrix is built before `found` is
-    read."""
+    """A search keeps the found matrices as the walk's groups: the 190,464 of
+    (3, 5) at (1, 1) are held in under 10 bytes each (72 when each was a
+    tuple of its row codes, 161 on CPython 3.11 when each was a SquareMatrix),
+    and neither `row_codes` nor a matrix is built before it is read; the
+    row codes then take under 100 bytes each."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = search_linear(3, 5, 1, 1, cap=5**9)
+        grouped = tracemalloc.get_traced_memory()[0] - before
+        assert result.found_count == 190_464 and not {"row_codes", "found"} & set(vars(result))
+        assert len(result.row_codes) == 190_464
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(result.row_codes) == 190_464
-    assert held < 100 * len(result.row_codes), held / len(result.row_codes)
+    assert grouped < 10 * 190_464, grouped / 190_464
+    assert held < 100 * 190_464, held / 190_464
     assert "found" not in vars(result)
 
 

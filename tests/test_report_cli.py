@@ -600,13 +600,18 @@ class _CountedWrites(io.StringIO):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "shape, per_write",
-    [((2, 3, 1, 2), n) for n in (1, 7, 8, 47, 48, 49)] + [((2, 2, 1, 1), 1), ((2, 2, 1, 1), 8)],
+    [((2, 3, 1, 2), n) for n in (1, 7, 8, 47, 48, 49)]
+    + [((2, 2, 1, 1), 1), ((2, 2, 1, 1), 8)]
+    + [((3, 3, 1, 2), n) for n in (1, 5, 4_705)],
 )
 def test_cli_search_writes_its_output_in_chunks(monkeypatch, shape, per_write, fmt):
     """`search` writes `per_write` found matrices at a time, on either side of
     a chunk boundary, and with 0 found: the text lines are still
     json.dumps(m.to_json()) for each found matrix, and the JSON form is still
-    json.dumps(result.to_json_dict()), up to the elapsed time."""
+    json.dumps(result.to_json_dict()), up to the elapsed time. Each group of
+    the walk is a prefix of s - 1 rows, one row at s = 2 and two at s = 3,
+    and a write of 1 or 5 matrices ends inside groups; (3, 3, 1, 2) finds
+    4,704, one write at 4,705."""
     monkeypatch.setattr(cli_module, "_MATRICES_PER_WRITE", per_write)
     argv = ["search", *(f"--{name}={n}" for name, n in zip(("s", "v", "ti", "to"), shape)), f"--format={fmt}"]
     out = _CountedWrites()
